@@ -47,10 +47,8 @@
 //! HTTP (including `/events?since=` for the drift ring). The drift
 //! observatory (DESIGN.md §10) watches every closed window;
 //! `--events PATH` appends each alarm as one JSON line, and
-//! `--alert-on SEV` turns alarms into an exit status: **3** when any
-//! event at or above SEV fired, 0 otherwise — distinct from 1 (runtime
-//! error) and 2 (usage), so CI gates can tell "drift detected" from
-//! "tool broke". `--seasonal-period N` overrides the observatory's
+//! `--alert-on SEV` turns any event at or above SEV into an exit
+//! status. `--seasonal-period N` overrides the observatory's
 //! automatic 24 h differencing lag on the rate channel (`0` disables
 //! differencing — more sensitive, only sound for streams known to have
 //! no daily cycle). `--verify-batch` re-reads `FILE` through the batch
@@ -73,9 +71,7 @@
 //! SPEC` (e.g. `seed=7,transient=0.01,crash=5000`) wraps the source in
 //! the deterministic fault injector for recovery drills.
 //! `--max-open-sessions N` bounds sessionizer memory by shedding (and
-//! counting) the oldest open sessions. Exit code **4** means the run
-//! survived a recovery or resume *and* shed sessions — results are
-//! complete but degraded; 3 (drift alarms) takes precedence.
+//! counting) the oldest open sessions.
 //!
 //! ## Flight recorder (DESIGN.md §12)
 //!
@@ -114,11 +110,9 @@
 //! `estimator_disagreement` event; an unjudgeable window emits an
 //! info-severity `low_confidence` event (both count toward
 //! `--alert-on`). `--truth-alpha A` / `--truth-h H` (each implies
-//! `--diagnostics`) declare the generator's planted ground truth; exit
-//! code **5** means the final diagnosable window's CI failed to cover
-//! it — the calibration gate CI runs against `genlog` output. Drift
-//! alarms (3) take precedence over coverage failure (5), which takes
-//! precedence over degraded-but-complete (4).
+//! `--diagnostics`) declare the generator's planted ground truth; the
+//! run fails when the final diagnosable window's CI does not cover it —
+//! the calibration gate CI runs against `genlog` output.
 //!
 //! ## Telemetry history & SLOs (DESIGN.md §15)
 //!
@@ -133,27 +127,26 @@
 //! deep-health verdict block after the summary, and embeds it in the
 //! run report as the `slo` block. `/healthz?deep=1` serves the same
 //! rollup live.
+//!
+//! Exit codes: see the table in README.md.
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::Serialize;
+use webpuzzle_bench::run::{self, Cli, Run, RunArgs};
+use webpuzzle_bench::say;
 use webpuzzle_core::{poisson_arrival_test, PoissonVerdict, TieSpreading};
 use webpuzzle_heavytail::hill_plot;
 use webpuzzle_lrd::variance_time;
 use webpuzzle_obs as obs;
 use webpuzzle_stream::{
-    Checkpoint, ClfSource, FaultSource, FaultSpec, SourcePosition, StreamAnalyzer, StreamConfig,
-    StreamSummary, Supervisor, SupervisorConfig, SupervisorReport, TailSnapshot, WindowConfig,
-    WindowReport,
+    ClfSource, FaultSource, SourcePosition, StreamConfig, StreamSummary, TailSnapshot,
+    WindowConfig, WindowReport,
 };
 use webpuzzle_timeseries::CountSeries;
 use webpuzzle_weblog::clf::{parse_log, parse_log_lenient};
-use webpuzzle_weblog::{sessionize, MalformedKind, Session, DEFAULT_SESSION_THRESHOLD};
-
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start (genlog default).
-const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
+use webpuzzle_weblog::{sessionize, Session};
 
 /// DESIGN.md §9 tolerance band on Hill tail indices.
 const HILL_TOLERANCE: f64 = 0.15;
@@ -163,270 +156,90 @@ const H_TOLERANCE: f64 = 1e-9;
 /// DESIGN.md §9 relative tolerance on Welford vs two-pass moments.
 const MOMENT_RTOL: f64 = 1e-6;
 
-static QUIET: AtomicBool = AtomicBool::new(false);
+const USAGE: &str = "usage: stream-analyze [FILE|-] [--base-epoch SECS] [--threshold SECS] \
+     [--window SECS] [--tail-k N] [--lenient] [--quiet] [--json] \
+     [--report PATH] [--snapshot-every N] [--telemetry-addr HOST:PORT] \
+     [--verify-batch] [--events PATH] [--alert-on info|warn|critical] \
+     [--seasonal-period WINDOWS] [--checkpoint PATH] [--checkpoint-every N] \
+     [--checkpoint-every-secs S] [--resume PATH] [--inject-faults SPEC] \
+     [--max-open-sessions N] [--max-restores N] [--max-retries N] \
+     [--profile] [--profile-sample N] [--profile-out PATH] \
+     [--profile-exemplars PATH] [--diagnostics] [--truth-alpha A] \
+     [--truth-h H] [--telemetry-history] [--telemetry-interval-ms MS] \
+     [--slo] [--slo-file PATH] [--governor-sessions N] \
+     [--governor-queue-bytes N] [--governor-memory-mb MB] \
+     [--watchdog-stall-secs S]";
 
-macro_rules! say {
-    ($($arg:tt)*) => {
-        if !QUIET.load(Ordering::Relaxed) {
-            println!($($arg)*);
-        }
-    };
-}
-
+#[derive(Clone)]
 struct Args {
+    run: RunArgs,
     input: Option<String>,
-    base_epoch: i64,
-    threshold: f64,
-    window_len: f64,
-    tail_k: usize,
     lenient: bool,
-    quiet: bool,
-    json: bool,
-    report_path: std::path::PathBuf,
     snapshot_every: u64,
-    telemetry_addr: Option<String>,
     verify_batch: bool,
-    events_path: Option<std::path::PathBuf>,
-    alert_on: Option<obs::events::Severity>,
-    seasonal_period: Option<u64>,
-    checkpoint: Option<std::path::PathBuf>,
-    checkpoint_every: u64,
-    checkpoint_every_secs: u64,
-    resume: Option<std::path::PathBuf>,
-    inject_faults: Option<FaultSpec>,
     max_open_sessions: usize,
-    max_restores: u32,
-    max_retries: u32,
     profile: bool,
     profile_sample: u64,
     profile_out: Option<std::path::PathBuf>,
     profile_exemplars: Option<std::path::PathBuf>,
-    diagnostics: bool,
     truth_alpha: Option<f64>,
     truth_h: Option<f64>,
-    telemetry_history: bool,
-    telemetry_interval_ms: u64,
-    slo: bool,
-    slo_file: std::path::PathBuf,
-    governor_sessions: u64,
-    governor_queue_bytes: u64,
-    governor_memory_bytes: u64,
-    watchdog_stall_secs: u64,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: stream-analyze [FILE|-] [--base-epoch SECS] [--threshold SECS] \
-         [--window SECS] [--tail-k N] [--lenient] [--quiet] [--json] \
-         [--report PATH] [--snapshot-every N] [--telemetry-addr HOST:PORT] \
-         [--verify-batch] [--events PATH] [--alert-on info|warn|critical] \
-         [--seasonal-period WINDOWS] [--checkpoint PATH] [--checkpoint-every N] \
-         [--checkpoint-every-secs S] [--resume PATH] [--inject-faults SPEC] \
-         [--max-open-sessions N] [--max-restores N] [--max-retries N] \
-         [--profile] [--profile-sample N] [--profile-out PATH] \
-         [--profile-exemplars PATH] [--diagnostics] [--truth-alpha A] \
-         [--truth-h H] [--telemetry-history] [--telemetry-interval-ms MS] \
-         [--slo] [--slo-file PATH] [--governor-sessions N] \
-         [--governor-queue-bytes N] [--governor-memory-mb MB] \
-         [--watchdog-stall-secs S]"
-    );
-    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
+    let mut cli = Cli::from_env("stream-analyze", USAGE);
     let mut parsed = Args {
+        run: RunArgs::default(),
         input: None,
-        base_epoch: DEFAULT_BASE_EPOCH,
-        threshold: DEFAULT_SESSION_THRESHOLD,
-        window_len: WindowConfig::default().window_len,
-        tail_k: StreamConfig::default().tail_k,
         lenient: false,
-        quiet: false,
-        json: false,
-        report_path: std::path::PathBuf::from("report.json"),
         snapshot_every: 0,
-        telemetry_addr: None,
         verify_batch: false,
-        events_path: None,
-        alert_on: None,
-        seasonal_period: None,
-        checkpoint: None,
-        checkpoint_every: 0,
-        checkpoint_every_secs: 0,
-        resume: None,
-        inject_faults: None,
         max_open_sessions: 0,
-        max_restores: 3,
-        max_retries: 5,
         profile: false,
         profile_sample: obs::profile::DEFAULT_SAMPLE_EVERY,
         profile_out: None,
         profile_exemplars: None,
-        diagnostics: false,
         truth_alpha: None,
         truth_h: None,
-        telemetry_history: false,
-        telemetry_interval_ms: 1_000,
-        slo: false,
-        slo_file: std::path::PathBuf::from("slo.toml"),
-        governor_sessions: 0,
-        governor_queue_bytes: 0,
-        governor_memory_bytes: 0,
-        watchdog_stall_secs: 0,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--base-epoch" => {
-                parsed.base_epoch = value("--base-epoch")
-                    .parse()
-                    .expect("--base-epoch: integer")
-            }
-            "--threshold" => {
-                parsed.threshold = value("--threshold").parse().expect("--threshold: seconds")
-            }
-            "--window" => parsed.window_len = value("--window").parse().expect("--window: seconds"),
-            "--tail-k" => parsed.tail_k = value("--tail-k").parse().expect("--tail-k: integer"),
+    while let Some(flag) = cli.next_arg() {
+        if parsed.run.parse_flag(&flag, &mut cli) {
+            continue;
+        }
+        match flag.as_str() {
             "--lenient" => parsed.lenient = true,
-            "--quiet" => parsed.quiet = true,
-            "--json" => parsed.json = true,
-            "--report" => parsed.report_path = value("--report").into(),
-            "--snapshot-every" => {
-                parsed.snapshot_every = value("--snapshot-every")
-                    .parse()
-                    .expect("--snapshot-every: record count")
-            }
-            "--telemetry-addr" => parsed.telemetry_addr = Some(value("--telemetry-addr")),
-            "--checkpoint" => parsed.checkpoint = Some(value("--checkpoint").into()),
-            "--checkpoint-every" => {
-                parsed.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .expect("--checkpoint-every: record count")
-            }
-            "--checkpoint-every-secs" => {
-                parsed.checkpoint_every_secs = value("--checkpoint-every-secs")
-                    .parse()
-                    .expect("--checkpoint-every-secs: seconds")
-            }
-            "--resume" => parsed.resume = Some(value("--resume").into()),
-            "--inject-faults" => {
-                let token = value("--inject-faults");
-                parsed.inject_faults = Some(FaultSpec::parse(&token).unwrap_or_else(|e| {
-                    eprintln!("stream-analyze: bad --inject-faults spec: {e}");
-                    std::process::exit(2);
-                }))
-            }
-            "--max-open-sessions" => {
-                parsed.max_open_sessions = value("--max-open-sessions")
-                    .parse()
-                    .expect("--max-open-sessions: session count")
-            }
-            "--max-restores" => {
-                parsed.max_restores = value("--max-restores")
-                    .parse()
-                    .expect("--max-restores: integer")
-            }
-            "--max-retries" => {
-                parsed.max_retries = value("--max-retries")
-                    .parse()
-                    .expect("--max-retries: integer")
-            }
+            "--snapshot-every" => parsed.snapshot_every = cli.parse(&flag, "record count"),
             "--verify-batch" => parsed.verify_batch = true,
+            "--max-open-sessions" => parsed.max_open_sessions = cli.parse(&flag, "session count"),
             "--profile" => parsed.profile = true,
             "--profile-sample" => {
-                let n: u64 = value("--profile-sample")
-                    .parse()
-                    .expect("--profile-sample: record period");
+                let n: u64 = cli.parse(&flag, "record period");
                 parsed.profile_sample = n.max(1);
                 parsed.profile = true;
             }
             "--profile-out" => {
-                parsed.profile_out = Some(value("--profile-out").into());
+                parsed.profile_out = Some(cli.value(&flag, "path").into());
                 parsed.profile = true;
             }
             "--profile-exemplars" => {
-                parsed.profile_exemplars = Some(value("--profile-exemplars").into());
+                parsed.profile_exemplars = Some(cli.value(&flag, "path").into());
                 parsed.profile = true;
             }
-            "--diagnostics" => parsed.diagnostics = true,
             "--truth-alpha" => {
-                parsed.truth_alpha = Some(
-                    value("--truth-alpha")
-                        .parse()
-                        .expect("--truth-alpha: tail index"),
-                );
-                parsed.diagnostics = true;
+                parsed.truth_alpha = Some(cli.parse(&flag, "tail index"));
+                parsed.run.diagnostics = true;
             }
             "--truth-h" => {
-                parsed.truth_h = Some(
-                    value("--truth-h")
-                        .parse()
-                        .expect("--truth-h: Hurst exponent"),
-                );
-                parsed.diagnostics = true;
-            }
-            "--telemetry-history" => parsed.telemetry_history = true,
-            "--telemetry-interval-ms" => {
-                let ms: u64 = value("--telemetry-interval-ms")
-                    .parse()
-                    .expect("--telemetry-interval-ms: milliseconds");
-                parsed.telemetry_interval_ms = ms.max(1);
-                parsed.telemetry_history = true;
-            }
-            "--slo" => parsed.slo = true,
-            "--slo-file" => {
-                parsed.slo_file = value("--slo-file").into();
-                parsed.slo = true;
-            }
-            "--governor-sessions" => {
-                parsed.governor_sessions = value("--governor-sessions")
-                    .parse()
-                    .expect("--governor-sessions: open-session budget")
-            }
-            "--governor-queue-bytes" => {
-                parsed.governor_queue_bytes = value("--governor-queue-bytes")
-                    .parse()
-                    .expect("--governor-queue-bytes: bytes")
-            }
-            "--governor-memory-mb" => {
-                let mb: u64 = value("--governor-memory-mb")
-                    .parse()
-                    .expect("--governor-memory-mb: megabytes");
-                parsed.governor_memory_bytes = mb.saturating_mul(1_000_000);
-            }
-            "--watchdog-stall-secs" => {
-                parsed.watchdog_stall_secs = value("--watchdog-stall-secs")
-                    .parse()
-                    .expect("--watchdog-stall-secs: seconds")
-            }
-            "--events" => parsed.events_path = Some(value("--events").into()),
-            "--seasonal-period" => {
-                let token = value("--seasonal-period");
-                parsed.seasonal_period = Some(token.parse().unwrap_or_else(|_| {
-                    eprintln!(
-                        "stream-analyze: bad --seasonal-period {token} (windows; 0 disables)"
-                    );
-                    std::process::exit(2);
-                }))
-            }
-            "--alert-on" => {
-                let token = value("--alert-on");
-                parsed.alert_on = Some(obs::events::Severity::parse(&token).unwrap_or_else(|| {
-                    eprintln!("stream-analyze: bad --alert-on {token} (info|warn|critical)");
-                    std::process::exit(2);
-                }))
+                parsed.truth_h = Some(cli.parse(&flag, "Hurst exponent"));
+                parsed.run.diagnostics = true;
             }
             other if !other.starts_with('-') || other == "-" => {
                 if parsed.input.is_some() {
-                    usage();
+                    cli.usage();
                 }
                 parsed.input = Some(other.to_string());
             }
-            _ => usage(),
+            _ => cli.usage(),
         }
     }
     parsed
@@ -434,141 +247,119 @@ fn parse_args() -> Args {
 
 fn stream_config(args: &Args) -> StreamConfig {
     StreamConfig {
-        session_threshold: args.threshold,
-        request_window: WindowConfig {
-            window_len: args.window_len,
-            ..WindowConfig::default()
-        },
-        session_window: WindowConfig {
-            window_len: args.window_len,
-            fine_bin_width: None,
-            ..WindowConfig::default()
-        },
-        tail_k: args.tail_k,
         max_open_sessions: args.max_open_sessions,
-        observatory: webpuzzle_stream::ObservatoryConfig {
-            seasonal_period: args.seasonal_period,
-            ..webpuzzle_stream::ObservatoryConfig::default()
-        },
-        diagnostics: args.diagnostics,
-        ..StreamConfig::default()
+        ..args.run.stream_config()
     }
 }
 
-/// The few `Args` fields the run report records — cloneable so the
-/// per-record snapshot callback can own a copy.
-#[derive(Clone)]
-struct ReportMeta {
-    base_epoch: i64,
-    threshold: f64,
-    window_len: f64,
-    tail_k: usize,
-    lenient: bool,
-    profile: bool,
+/// The run report's config block; `partial` is true everywhere but in
+/// the end-of-run report.
+///
+/// Besides the flags it echoes the derived engine seed and tail
+/// fraction: everything needed to re-run (or audit) the analysis from
+/// the report alone.
+fn config_value(
+    args: &Args,
     profile_overhead_pct: Option<f64>,
-    // Config/seed echo: everything needed to re-run (or audit) the
-    // analysis from the report alone.
-    window_seed: u64,
-    tail_fraction: f64,
-    seasonal_period: Option<u64>,
-    checkpoint_every_records: u64,
-    checkpoint_every_secs: u64,
-    max_open_sessions: usize,
-    diagnostics: bool,
-    truth_alpha: Option<f64>,
-    truth_h: Option<f64>,
-}
-
-fn report_meta(args: &Args) -> ReportMeta {
-    let cfg = stream_config(args);
-    ReportMeta {
-        base_epoch: args.base_epoch,
-        threshold: args.threshold,
-        window_len: args.window_len,
-        tail_k: args.tail_k,
-        lenient: args.lenient,
-        profile: args.profile,
-        profile_overhead_pct: None,
-        window_seed: cfg.request_window.seed,
-        tail_fraction: cfg.tail_fraction,
-        seasonal_period: args.seasonal_period,
-        checkpoint_every_records: args.checkpoint_every,
-        checkpoint_every_secs: args.checkpoint_every_secs,
-        max_open_sessions: args.max_open_sessions,
-        diagnostics: args.diagnostics,
-        truth_alpha: args.truth_alpha,
-        truth_h: args.truth_h,
-    }
-}
-
-fn config_value(meta: &ReportMeta, summary: Option<&StreamSummary>, records: u64) -> serde::Value {
+    summary: Option<&StreamSummary>,
+    partial: bool,
+) -> serde::Value {
     let opt_f64 = |v: Option<f64>| v.map(|x| x.to_value()).unwrap_or(serde::Value::Null);
+    let cfg = stream_config(args);
+    let records = summary.map_or(0, |s| s.records);
     let mut fields = vec![
-        ("base_epoch".to_string(), meta.base_epoch.to_value()),
-        ("threshold".to_string(), meta.threshold.to_value()),
-        ("window_len".to_string(), meta.window_len.to_value()),
-        ("tail_k".to_string(), (meta.tail_k as u64).to_value()),
-        ("lenient".to_string(), meta.lenient.to_value()),
+        ("base_epoch".to_string(), args.run.base_epoch.to_value()),
+        ("threshold".to_string(), args.run.threshold.to_value()),
+        ("window_len".to_string(), args.run.window_len.to_value()),
+        ("tail_k".to_string(), (args.run.tail_k as u64).to_value()),
+        ("lenient".to_string(), args.lenient.to_value()),
         ("records".to_string(), records.to_value()),
-        ("partial".to_string(), summary.is_some().to_value()),
-        ("window_seed".to_string(), meta.window_seed.to_value()),
-        ("tail_fraction".to_string(), meta.tail_fraction.to_value()),
+        ("partial".to_string(), partial.to_value()),
+        (
+            "window_seed".to_string(),
+            cfg.request_window.seed.to_value(),
+        ),
+        ("tail_fraction".to_string(), cfg.tail_fraction.to_value()),
         (
             "seasonal_period".to_string(),
-            meta.seasonal_period
+            args.run
+                .seasonal_period
                 .map(|p| p.to_value())
                 .unwrap_or(serde::Value::Null),
         ),
         (
             "checkpoint_every_records".to_string(),
-            meta.checkpoint_every_records.to_value(),
+            args.run.checkpoint_every.to_value(),
         ),
         (
             "checkpoint_every_secs".to_string(),
-            meta.checkpoint_every_secs.to_value(),
+            args.run.checkpoint_every_secs.to_value(),
         ),
         (
             "max_open_sessions".to_string(),
-            (meta.max_open_sessions as u64).to_value(),
+            (args.max_open_sessions as u64).to_value(),
         ),
-        ("diagnostics".to_string(), meta.diagnostics.to_value()),
-        ("truth_alpha".to_string(), opt_f64(meta.truth_alpha)),
-        ("truth_h".to_string(), opt_f64(meta.truth_h)),
+        ("diagnostics".to_string(), args.run.diagnostics.to_value()),
+        ("truth_alpha".to_string(), opt_f64(args.truth_alpha)),
+        ("truth_h".to_string(), opt_f64(args.truth_h)),
     ];
     if let Some(s) = summary {
         fields.push(("summary".to_string(), s.to_value()));
     }
-    if meta.profile {
+    if args.profile {
         // Live flight-recorder snapshot: stage histograms, exemplars,
         // and the startup-calibrated self-overhead number the CI gate
         // asserts against (DESIGN.md §12 budget: ≤ 3%).
         fields.push(("profile".to_string(), obs::profile::snapshot().to_value()));
-        if let Some(pct) = meta.profile_overhead_pct {
+        if let Some(pct) = profile_overhead_pct {
             fields.push(("profile_overhead_pct".to_string(), pct.to_value()));
         }
     }
     serde::Value::Object(fields)
 }
 
+/// Stops the stream at the next record boundary once a shutdown
+/// signal has arrived: the supervisor sees a normal end of input
+/// and takes its usual final-checkpoint-and-report exit.
+struct DrainSource<S>(S);
+
+impl<S: webpuzzle_stream::Source<Item = webpuzzle_weblog::LogRecord>> webpuzzle_stream::Source
+    for DrainSource<S>
+{
+    type Item = webpuzzle_weblog::LogRecord;
+    fn next_item(&mut self) -> Option<webpuzzle_stream::Result<webpuzzle_weblog::LogRecord>> {
+        if obs::shutdown::requested() {
+            return None;
+        }
+        self.0.next_item()
+    }
+}
+
+impl<S: webpuzzle_stream::RecoverableSource> webpuzzle_stream::RecoverableSource
+    for DrainSource<S>
+{
+    fn position(&self) -> SourcePosition {
+        self.0.position()
+    }
+    fn disarm_crash(&mut self) {
+        self.0.disarm_crash();
+    }
+}
+
+type DrainedClf = DrainSource<FaultSource<ClfSource<Box<dyn io::BufRead>>>>;
+
 fn main() {
     let args = parse_args();
-    QUIET.store(args.quiet, Ordering::Relaxed);
-    if args.quiet {
-        // NullSink is the default: nothing reaches stderr.
-    } else if args.json {
-        obs::set_sink(Box::new(obs::JsonSink));
-    } else {
-        obs::set_sink(Box::new(obs::StderrSink::default()));
-    }
     // Flight recorder: calibrate the profiler's own cost first, on
     // synthetic records, so the published overhead number never mixes
-    // with real-stream variance. This runs *before* obs::reset() and
-    // before the events sink exists — everything the calibration
-    // touches (metric counters, the event ring, profiler histograms)
-    // is wiped below, so no synthetic sample can leak into the run.
+    // with real-stream variance. This runs before `Run::start` resets
+    // the process-global telemetry and before the events sink exists —
+    // everything the calibration touches (metric counters, the event
+    // ring, profiler histograms) is wiped there, so no synthetic sample
+    // can leak into the run.
     let overhead_pct = args.profile.then(|| {
         let pct = webpuzzle_bench::measure_profile_overhead_pct(50_000, args.profile_sample);
-        if !args.quiet {
+        if !args.run.quiet {
             eprintln!(
                 "stream-analyze: profiler self-overhead {pct:.2}% \
                  (1-in-{} sampling, 50000-record calibration)",
@@ -577,100 +368,20 @@ fn main() {
         }
         pct
     });
-    obs::reset();
-    obs::shutdown::install();
-    if args.governor_sessions > 0 || args.governor_queue_bytes > 0 || args.governor_memory_bytes > 0
-    {
-        obs::governor::install(obs::governor::GovernorConfig {
-            session_budget: args.governor_sessions,
-            queue_bytes_budget: args.governor_queue_bytes,
-            memory_budget_bytes: args.governor_memory_bytes,
-            ..obs::governor::GovernorConfig::default()
-        });
-        say!(
-            "pressure governor armed: sessions {} / queue bytes {} / memory bytes {}",
-            args.governor_sessions,
-            args.governor_queue_bytes,
-            args.governor_memory_bytes
-        );
-    }
-    if args.profile {
+    let mut run = Run::start("stream-analyze", &args.run);
+    if let Some(pct) = overhead_pct {
         obs::profile::enable(args.profile_sample);
-        if let Some(pct) = overhead_pct {
-            obs::metrics::gauge("profile/overhead_pct").set(pct);
-        }
+        obs::metrics::gauge("profile/overhead_pct").set(pct);
     }
-    if let Some(path) = &args.events_path {
-        let sink = obs::events::JsonlEventSink::create(path).unwrap_or_else(|e| {
-            eprintln!(
-                "stream-analyze: cannot open events log {}: {e}",
-                path.display()
-            );
-            std::process::exit(2);
-        });
-        obs::events::set_jsonl_sink(sink);
-    }
-    // SLO objectives must be installed before the sampler starts: its
-    // immediate baseline tick is the burn-rate windows' left edge.
-    let sampler = webpuzzle_bench::start_history_sampler(&webpuzzle_bench::HistoryOptions {
-        enabled: args.telemetry_history,
-        interval_ms: args.telemetry_interval_ms,
-        slo: args.slo,
-        slo_file: args.slo_file.clone(),
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("stream-analyze: {e}");
-        std::process::exit(2);
-    });
 
-    // Injected crashes are recovered by the supervisor; keep their
-    // panic backtraces off stderr so drills read like operations, not
-    // bugs. Genuine panics still print through the default hook.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied());
-        if msg.is_some_and(|m| m.contains("injected crash")) {
-            return;
-        }
-        default_hook(info);
-    }));
-
-    let mut meta = report_meta(&args);
-    meta.profile_overhead_pct = overhead_pct;
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let _telemetry = args.telemetry_addr.as_ref().map(|addr| {
-        let server = obs::serve(
-            addr,
-            obs::ReportContext {
-                tool: "stream-analyze".to_string(),
-                seed: None,
-                config: config_value(&meta, None, 0),
-                args: raw_args.clone(),
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("stream-analyze: cannot bind telemetry endpoint {addr}: {e}");
-            std::process::exit(2);
-        });
-        if !args.quiet {
-            eprintln!(
-                "stream-analyze: telemetry listening on http://{} (/metrics /healthz /report)",
-                server.local_addr()
-            );
-        }
-        server
-    });
+    run.serve_telemetry(config_value(&args, overhead_pct, None, true));
 
     let input = args.input.clone().unwrap_or_else(|| "-".to_string());
     if args.verify_batch && input == "-" {
         eprintln!("stream-analyze: --verify-batch needs a FILE (stdin cannot be re-read)");
         std::process::exit(2);
     }
-    if input == "-" && (args.checkpoint.is_some() || args.resume.is_some()) {
+    if input == "-" && (args.run.checkpoint.is_some() || args.run.resume.is_some()) {
         eprintln!(
             "stream-analyze: --checkpoint/--resume need a FILE \
              (stdin cannot be re-sought on restart)"
@@ -684,74 +395,11 @@ fn main() {
         }
     }
 
-    // Validate the engine configuration up front so bad tuning is a
-    // usage error, not a mid-run failure.
     let engine_cfg = stream_config(&args);
-    if let Err(e) = StreamAnalyzer::new(engine_cfg.clone()) {
-        eprintln!("stream-analyze: {e}");
-        std::process::exit(2);
-    }
+    let resume = run.load_resume(&engine_cfg);
 
-    // A corrupted, truncated, or version-skewed snapshot must be
-    // refused loudly — resuming from bad state would silently poison
-    // every estimate downstream.
-    let resume_ck = args.resume.as_ref().map(|path| {
-        Checkpoint::load(path).unwrap_or_else(|e| {
-            eprintln!("stream-analyze: cannot resume from {}: {e}", path.display());
-            std::process::exit(1);
-        })
-    });
-    let resumed = resume_ck.is_some();
-
-    // `--resume` keeps checkpointing to the same file unless
-    // `--checkpoint` overrides it.
-    let checkpoint_path = args.checkpoint.clone().or_else(|| args.resume.clone());
-    let mut every_records = args.checkpoint_every;
-    if checkpoint_path.is_some() && every_records == 0 && args.checkpoint_every_secs == 0 {
-        every_records = 100_000;
-    }
-    let sup_cfg = SupervisorConfig {
-        lenient: args.lenient,
-        max_transient_retries: args.max_retries,
-        max_restores: args.max_restores,
-        checkpoint_path,
-        checkpoint_every_records: every_records,
-        checkpoint_every_secs: args.checkpoint_every_secs,
-        ..SupervisorConfig::default()
-    };
-
-    /// Stops the stream at the next record boundary once a shutdown
-    /// signal has arrived: the supervisor sees a normal end of input
-    /// and takes its usual final-checkpoint-and-report exit.
-    struct DrainSource<S>(S);
-
-    impl<S: webpuzzle_stream::Source<Item = webpuzzle_weblog::LogRecord>> webpuzzle_stream::Source
-        for DrainSource<S>
-    {
-        type Item = webpuzzle_weblog::LogRecord;
-        fn next_item(&mut self) -> Option<webpuzzle_stream::Result<webpuzzle_weblog::LogRecord>> {
-            if obs::shutdown::requested() {
-                return None;
-            }
-            self.0.next_item()
-        }
-    }
-
-    impl<S: webpuzzle_stream::RecoverableSource> webpuzzle_stream::RecoverableSource
-        for DrainSource<S>
-    {
-        fn position(&self) -> SourcePosition {
-            self.0.position()
-        }
-        fn disarm_crash(&mut self) {
-            self.0.disarm_crash();
-        }
-    }
-
-    type DrainedClf = DrainSource<FaultSource<ClfSource<Box<dyn io::BufRead>>>>;
-
-    let fault_spec = args.inject_faults.clone().unwrap_or_default();
-    let base_epoch = args.base_epoch;
+    let fault_spec = args.run.inject_faults.clone().unwrap_or_default();
+    let base_epoch = args.run.base_epoch;
     let lenient = args.lenient;
     let factory_input = input.clone();
     let mut stdin_taken = false;
@@ -780,64 +428,38 @@ fn main() {
         Ok(DrainSource(source))
     };
 
-    // Stage watchdog over the one pipeline stage this binary has; the
-    // monitor thread scans on a wall-clock cadence, the engine beats
-    // per record.
-    let mut watchdog = (args.watchdog_stall_secs > 0).then(|| {
-        let mut wd = webpuzzle_stream::Watchdog::new(
-            webpuzzle_stream::WatchdogConfig {
-                stall_after: std::time::Duration::from_secs(args.watchdog_stall_secs),
-                ..webpuzzle_stream::WatchdogConfig::default()
-            },
-            &["engine"],
-        );
-        wd.spawn_monitor();
-        wd
-    });
-    let engine_beat = watchdog.as_ref().map(|wd| wd.handle(0));
-
-    let mut supervisor = Supervisor::new(engine_cfg, sup_cfg, factory);
-    if let Some(ck) = resume_ck {
-        supervisor = supervisor.with_resume(ck);
-    }
     let snapshot_every = args.snapshot_every;
-    let snapshot_meta = meta.clone();
-    let snapshot_path = args.report_path.clone();
-    let snapshot_args = raw_args.clone();
-    let mut progress = obs::ProgressMeter::new("stream/records", None);
-    supervisor = supervisor.on_record(Box::new(move |engine| {
-        progress.tick(1);
-        if let Some(beat) = &engine_beat {
-            beat.beat();
-        }
-        if snapshot_every > 0 && engine.records().is_multiple_of(snapshot_every) {
-            let partial = engine.summary();
-            let report = obs::RunReport::collect(
-                "stream-analyze",
-                None,
-                config_value(&snapshot_meta, Some(&partial), engine.records()),
-                snapshot_args.clone(),
-            );
-            if let Err(e) = report.save(&snapshot_path) {
-                obs::warn(&format!("snapshot write failed: {e}"));
-            } else {
-                obs::info(&format!(
-                    "partial report ({} records) written to {}",
-                    engine.records(),
-                    snapshot_path.display()
-                ));
+    let snapshot_cfg = args.clone();
+    let snapshot_argv = run.raw_args().to_vec();
+    let mut beat = run.record_beat();
+    let supervisor = run
+        .supervisor(engine_cfg, resume, args.lenient, factory)
+        .on_record(Box::new(move |engine| {
+            beat.tick();
+            if snapshot_every > 0 && engine.records().is_multiple_of(snapshot_every) {
+                let partial = engine.summary();
+                let report = obs::RunReport::collect(
+                    "stream-analyze",
+                    None,
+                    config_value(&snapshot_cfg, overhead_pct, Some(&partial), true),
+                    snapshot_argv.clone(),
+                );
+                let snapshot_path = &snapshot_cfg.run.report_path;
+                if let Err(e) = report.save(snapshot_path) {
+                    obs::warn(&format!("snapshot write failed: {e}"));
+                } else {
+                    obs::info(&format!(
+                        "partial report ({} records) written to {}",
+                        engine.records(),
+                        snapshot_path.display()
+                    ));
+                }
             }
-        }
-    }));
+        }));
 
-    let t0 = std::time::Instant::now();
-    let report = supervisor.run().unwrap_or_else(|e| {
-        eprintln!("stream-analyze: {e}");
-        std::process::exit(1);
-    });
-    let summary = report.summary.clone();
+    let (report, elapsed) = run.execute(supervisor);
+    let summary = &report.summary;
     let skipped = report.source.skipped;
-    let elapsed = t0.elapsed();
     obs::info(&format!(
         "{} records ({} skipped) in {elapsed:.1?} ({:.0} rec/s)",
         summary.records,
@@ -845,31 +467,9 @@ fn main() {
         summary.records as f64 / elapsed.as_secs_f64().max(1e-9)
     ));
 
-    print_summary(&summary, skipped);
-    print_recovery(&report, resumed);
-    if let Some(wd) = &mut watchdog {
-        wd.stop();
-        let stalls = wd.total_stalls();
-        if stalls > 0 {
-            say!("  watchdog: {stalls} stall(s) detected during the run");
-        }
-    }
-    if obs::governor::is_installed() {
-        say!(
-            "  governor: final state {} (pressure {:.2}); \
-             {} record(s) hard-shed, {} estimator sample(s) skipped, \
-             {} session(s) evicted early",
-            obs::governor::state().as_str(),
-            obs::governor::pressure(),
-            summary.hard_shed_records,
-            summary.sampled_out,
-            summary.early_evicted_sessions
-        );
-    }
-    if obs::shutdown::requested() {
-        say!("  graceful shutdown: stopped at a record boundary, final checkpoint and report written");
-    }
-    if args.diagnostics {
+    print_summary(summary, skipped);
+    run.print_recovery(&report, "stopped at a record boundary");
+    if args.run.diagnostics {
         print_diagnostics(&summary.diagnostics);
     }
 
@@ -892,118 +492,17 @@ fn main() {
         }
     }
 
-    // Final telemetry tick + SLO pass before anything reads the verdict:
-    // the run report below and the --alert-on gate both must see events
-    // from the last partial sampling interval.
-    if let Some(health) = webpuzzle_bench::finish_history_sampler(sampler, args.slo) {
-        say!("{}", health.render().trim_end());
-    }
-
-    if args.json {
-        let run_report = obs::RunReport::collect(
-            "stream-analyze",
-            None,
-            config_value(&meta, Some(&summary), summary.records),
-            raw_args,
-        );
-        match run_report.save(&args.report_path) {
-            Ok(()) => obs::info(&format!(
-                "run report written to {}",
-                args.report_path.display()
-            )),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", args.report_path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if args.verify_batch {
-        let drift = verify_batch(&args, &input, &summary, skipped);
-        if drift > 0 {
-            eprintln!("stream-analyze: {drift} drift(s) from the batch pipeline");
-            std::process::exit(1);
-        }
-        say!("verify-batch: streaming and batch pipelines agree");
-    }
-
-    if let Some(min_sev) = args.alert_on {
-        let alarms = obs::events::total_at_or_above(min_sev);
-        if alarms > 0 {
-            // The verdict must reach CI logs even under --quiet.
-            eprintln!(
-                "stream-analyze: {alarms} drift alarm(s) at or above {}",
-                min_sev.as_str()
-            );
-            std::process::exit(3);
-        }
-        say!("alert-on: no drift alarms at or above {}", min_sev.as_str());
-    }
-
-    // Exit 5: a planted truth was declared and the final diagnosable
-    // window's CI does not cover it — the estimator's stated confidence
-    // is miscalibrated for this stream. Drift (3) takes precedence.
-    if args.truth_alpha.is_some() || args.truth_h.is_some() {
-        let failures = check_truth_coverage(&summary, args.truth_alpha, args.truth_h);
-        if failures > 0 {
-            eprintln!("stream-analyze: {failures} planted-truth coverage failure(s)");
-            std::process::exit(5);
-        }
-        say!("truth-coverage: final-window CIs cover the planted truth");
-    }
-
-    // Exit 4: the run is complete, but only because it recovered (or
-    // resumed) *and* shed sessions along the way — degraded, not clean.
-    if (report.recoveries > 0 || resumed) && report.shed_sessions > 0 {
-        eprintln!(
-            "stream-analyze: completed after recovery with {} shed session(s) \
-             ({} records) — results are complete but degraded",
-            report.shed_sessions, report.shed_records
-        );
-        std::process::exit(4);
-    }
-}
-
-/// Print what the supervisor had to do, if anything.
-fn print_recovery(report: &SupervisorReport, resumed: bool) {
-    let eventful = resumed
-        || report.recoveries > 0
-        || report.transient_retries > 0
-        || report.poison_records() > 0
-        || report.shed_sessions > 0
-        || report.checkpoints_written > 0;
-    if !eventful {
-        return;
-    }
-    say!("  supervisor:");
-    if let Some(records) = report.resumed_from_records {
-        say!("    resumed from a checkpoint at record {records}");
-    }
-    say!(
-        "    {} recovery(ies), {} transient retry(ies), {} checkpoint(s) written",
-        report.recoveries,
-        report.transient_retries,
-        report.checkpoints_written
-    );
-    if report.poison_records() > 0 {
-        let by_kind: Vec<String> = MalformedKind::ALL
-            .iter()
-            .filter(|k| report.poison.count(**k) > 0)
-            .map(|k| format!("{} {}", k.as_str(), report.poison.count(*k)))
-            .collect();
-        say!(
-            "    {} poison record(s) skipped ({})",
-            report.poison_records(),
-            by_kind.join(", ")
-        );
-    }
-    if report.shed_sessions > 0 {
-        say!(
-            "    {} session(s) ({} records) shed at the open-session cap",
-            report.shed_sessions,
-            report.shed_records
-        );
-    }
+    run.finish(config_value(&args, overhead_pct, Some(summary), false));
+    let failed = args.verify_batch && verify_batch(&args, &input, summary, skipped) > 0;
+    let drift_alarms = run.alert_gate();
+    let truth_failures = check_truth_coverage(summary, &args);
+    let degraded = run.degraded_gate(&report);
+    std::process::exit(run::exit_code(&run::Outcome {
+        failed,
+        drift_alarms,
+        truth_failures,
+        degraded,
+    }));
 }
 
 /// Print the flight recorder's stage-attribution table: latency
@@ -1124,13 +623,10 @@ fn print_diagnostics(report: &obs::diagnostics::DiagnosticsReport) {
     );
 }
 
-/// One coverage check per declared truth, against the *last* window
-/// that produced the estimate with a CI; returns the failure count.
-fn check_truth_coverage(
-    summary: &StreamSummary,
-    truth_alpha: Option<f64>,
-    truth_h: Option<f64>,
-) -> u32 {
+/// Exit-5 check: one coverage check per declared truth, against the
+/// *last* window that produced the estimate with a CI; returns the
+/// failure count (0 when no truth was declared).
+fn check_truth_coverage(summary: &StreamSummary, args: &Args) -> u32 {
     let windows = &summary.diagnostics.windows;
     let mut failures = 0;
     let mut judge = |label: &str, truth: f64, found: Option<(u64, f64, f64)>| match found {
@@ -1155,19 +651,24 @@ fn check_truth_coverage(
             failures += 1;
         }
     };
-    if let Some(truth) = truth_alpha {
+    if let Some(truth) = args.truth_alpha {
         let found = windows
             .iter()
             .rev()
             .find_map(|w| Some((w.index, w.alpha?, w.alpha_ci_half_width?)));
         judge("α (bytes tail)", truth, found);
     }
-    if let Some(truth) = truth_h {
+    if let Some(truth) = args.truth_h {
         let found = windows
             .iter()
             .rev()
             .find_map(|w| Some((w.index, w.h?, w.h_ci_half_width?)));
         judge("H (arrivals)", truth, found);
+    }
+    if failures > 0 {
+        eprintln!("stream-analyze: {failures} planted-truth coverage failure(s)");
+    } else if args.truth_alpha.is_some() || args.truth_h.is_some() {
+        say!("truth-coverage: final-window CIs cover the planted truth");
     }
     failures
 }
@@ -1382,6 +883,8 @@ fn batch_windows(times: &[f64], reports: &[WindowReport], cfg: &WindowConfig, la
     drift
 }
 
+/// Exit-1 check: re-run the batch pipeline on `path` and count the
+/// streamed results that drift outside the DESIGN.md §9 bands.
 fn verify_batch(args: &Args, path: &str, summary: &StreamSummary, stream_skipped: u64) -> u32 {
     say!("verify-batch: re-running the batch pipeline on {path}");
     let mut text = String::new();
@@ -1391,15 +894,16 @@ fn verify_batch(args: &Args, path: &str, summary: &StreamSummary, stream_skipped
     file.read_to_string(&mut text)
         .expect("verify-batch: read input");
     let (records, batch_skipped) = if args.lenient {
-        let lenient = parse_log_lenient(&text, args.base_epoch);
+        let lenient = parse_log_lenient(&text, args.run.base_epoch);
         (lenient.records, lenient.skipped)
     } else {
         (
-            parse_log(&text, args.base_epoch).expect("strict batch parse"),
+            parse_log(&text, args.run.base_epoch).expect("strict batch parse"),
             0,
         )
     };
-    let sessions: Vec<Session> = sessionize(&records, args.threshold).expect("batch sessionize");
+    let sessions: Vec<Session> =
+        sessionize(&records, args.run.threshold).expect("batch sessionize");
 
     let mut drift = 0;
     drift += check(
@@ -1478,5 +982,10 @@ fn verify_batch(args: &Args, path: &str, summary: &StreamSummary, stream_skipped
         &cfg.session_window,
         "sess",
     );
+    if drift > 0 {
+        eprintln!("stream-analyze: {drift} drift(s) from the batch pipeline");
+    } else {
+        say!("verify-batch: streaming and batch pipelines agree");
+    }
     drift
 }

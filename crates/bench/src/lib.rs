@@ -1,8 +1,12 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the benchmark harness and the binaries.
 //!
 //! The interesting entry points live in `src/bin/repro.rs` (table/figure
 //! reproduction) and `benches/` (criterion performance benches); this
-//! library only hosts the small utilities they share.
+//! library hosts the small utilities they share, and [`run`], the run
+//! lifecycle of the one-pass binaries `stream-analyze` and
+//! `stream-serve`.
+
+pub mod run;
 
 use webpuzzle_core::Result;
 use webpuzzle_obs::profile;
@@ -50,7 +54,6 @@ pub fn cell(v: Option<f64>) -> String {
 /// 10 ms apart, with enough client/path/byte variety to exercise the
 /// sessionizer and the online estimators.
 fn calibration_log(n: usize) -> String {
-    const BASE_EPOCH: i64 = 1_073_865_600;
     (0..n)
         .map(|i| {
             let rec = LogRecord::new(
@@ -61,9 +64,32 @@ fn calibration_log(n: usize) -> String {
                 200,
                 200 + (i % 1_000) as u64,
             );
-            format_line(&rec, BASE_EPOCH) + "\n"
+            format_line(&rec, run::DEFAULT_BASE_EPOCH) + "\n"
         })
         .collect()
+}
+
+/// Wall time of one full `ClfSource` → [`StreamAnalyzer`] drain of the
+/// calibration `text`. Fine bins are off: the 10 ms-resolution window
+/// buffers dominate setup cost and are identical in both arms anyway.
+fn calibration_drain_secs(text: &str) -> f64 {
+    let cfg = StreamConfig {
+        request_window: WindowConfig {
+            fine_bin_width: None,
+            ..WindowConfig::default()
+        },
+        ..StreamConfig::default()
+    };
+    let mut engine = StreamAnalyzer::new(cfg).expect("valid calibration config");
+    let mut src = ClfSource::new(text.as_bytes(), run::DEFAULT_BASE_EPOCH);
+    let t0 = std::time::Instant::now();
+    while let Some(item) = src.next_item() {
+        engine
+            .push(&item.expect("calibration line parses"))
+            .expect("sorted calibration input");
+    }
+    engine.finish().expect("calibration finish");
+    t0.elapsed().as_secs_f64()
 }
 
 /// Measure the flight recorder's own cost: run the full `ClfSource` →
@@ -85,29 +111,7 @@ fn calibration_log(n: usize) -> String {
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 {
-    const BASE_EPOCH: i64 = 1_073_865_600;
     let text = calibration_log(n_records);
-    // Fine bins off: the 10 ms-resolution window buffers dominate setup
-    // cost and are identical in both arms anyway.
-    let cfg = StreamConfig {
-        request_window: WindowConfig {
-            fine_bin_width: None,
-            ..WindowConfig::default()
-        },
-        ..StreamConfig::default()
-    };
-    let run = |text: &str| -> f64 {
-        let mut engine = StreamAnalyzer::new(cfg.clone()).expect("valid calibration config");
-        let mut src = ClfSource::new(text.as_bytes(), BASE_EPOCH);
-        let t0 = std::time::Instant::now();
-        while let Some(item) = src.next_item() {
-            engine
-                .push(&item.expect("calibration line parses"))
-                .expect("sorted calibration input");
-        }
-        engine.finish().expect("calibration finish");
-        t0.elapsed().as_secs_f64()
-    };
     // Each round times both arms back to back and yields its own
     // overhead estimate; the minimum across rounds is the answer. A
     // load burst on a shared core contaminates one arm of one round
@@ -118,9 +122,9 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
     let mut pct = f64::INFINITY;
     for round in 0..9 {
         profile::disable();
-        let t_off = run(&text);
+        let t_off = calibration_drain_secs(&text);
         profile::enable(sample_every);
-        let t_on = run(&text);
+        let t_on = calibration_drain_secs(&text);
         pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
         if round >= 4 {
             // Five clean-ish rounds are enough; if the estimate is
@@ -150,35 +154,15 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
-    const BASE_EPOCH: i64 = 1_073_865_600;
     let text = calibration_log(n_records);
-    let cfg = StreamConfig {
-        request_window: WindowConfig {
-            fine_bin_width: None,
-            ..WindowConfig::default()
-        },
-        ..StreamConfig::default()
-    };
-    let run = |text: &str| -> f64 {
-        let mut engine = StreamAnalyzer::new(cfg.clone()).expect("valid calibration config");
-        let mut src = ClfSource::new(text.as_bytes(), BASE_EPOCH);
-        let t0 = std::time::Instant::now();
-        while let Some(item) = src.next_item() {
-            engine
-                .push(&item.expect("calibration line parses"))
-                .expect("sorted calibration input");
-        }
-        engine.finish().expect("calibration finish");
-        t0.elapsed().as_secs_f64()
-    };
     let mut pct = f64::INFINITY;
     for round in 0..9 {
-        let t_off = run(&text);
+        let t_off = calibration_drain_secs(&text);
         let sampler = webpuzzle_obs::tsdb::start_sampler(webpuzzle_obs::tsdb::TsdbConfig {
             interval: std::time::Duration::from_millis(interval_ms.max(1)),
             ..webpuzzle_obs::tsdb::TsdbConfig::default()
         });
-        let t_on = run(&text);
+        let t_on = calibration_drain_secs(&text);
         sampler.shutdown();
         webpuzzle_obs::tsdb::uninstall();
         pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);

@@ -1085,6 +1085,7 @@ fast_long_secs = 300
 
     #[test]
     fn deep_health_without_engine_is_healthy_with_reasons() {
+        let _lock = crate::global_test_lock();
         uninstall();
         let health = deep_health();
         assert!(!health.slo_installed);

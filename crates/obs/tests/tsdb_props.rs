@@ -164,7 +164,7 @@ proptest! {
 /// counter only goes up, in decoded value.
 #[test]
 fn concurrent_scrape_while_sampling_is_consistent() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     obs::tsdb::install(TsdbConfig {
@@ -174,21 +174,31 @@ fn concurrent_scrape_while_sampling_is_consistent() {
     });
     let counter = obs::metrics::counter("props/live");
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer's progress: the index of the last tick it landed.
+    let ticked = Arc::new(AtomicU64::new(0));
     let writer = std::thread::spawn({
         let stop = Arc::clone(&stop);
+        let ticked = Arc::clone(&ticked);
         move || {
             while !stop.load(Ordering::Relaxed) {
                 counter.add(3);
-                obs::tsdb::sample_now();
+                let tick = obs::tsdb::sample_now().expect("store installed");
+                ticked.store(tick, Ordering::Release);
             }
         }
     });
 
+    // Scrape until the writer has landed enough ticks to wrap the small
+    // ring several times; the last query runs after that point, so the
+    // loop is bounded by the writer's progress, not by a poll count.
+    const TICKS: u64 = 200;
     let mut since = 0u64;
     let mut last_value = 0.0f64;
     let mut nonempty_answers = 0u32;
-    for _ in 0..500 {
+    loop {
+        let writer_done = ticked.load(Ordering::Acquire) >= TICKS;
         let Some(r) = obs::tsdb::query("props/live", since, 0) else {
+            assert!(!writer_done, "no series after {TICKS} ticks");
             continue; // first tick may not have landed yet
         };
         assert!(
@@ -215,6 +225,9 @@ fn concurrent_scrape_while_sampling_is_consistent() {
             nonempty_answers += 1;
             since = r.next;
             last_value = p.value;
+        }
+        if writer_done {
+            break;
         }
     }
     stop.store(true, Ordering::Relaxed);
