@@ -6,7 +6,9 @@
 //!   allocation-free hot path. Repeated entries aggregate, so the span
 //!   tree stays small even for per-interval loops.
 //! - **Metrics** ([`metrics`]): a thread-safe registry of named
-//!   counters, gauges, and base-2 log-scale histograms.
+//!   counters, gauges, and log-bucket histograms. [`metrics::Histogram`]
+//!   is the workspace's one histogram type: base-2 buckets in the
+//!   registry, 16 sub-buckets per octave in the flight recorder.
 //! - **Sinks** ([`sink`]): pluggable live-output backends. The default
 //!   is silence; binaries install [`sink::StderrSink`] (human lines) or
 //!   [`sink::JsonSink`] (JSON lines) per their flags.

@@ -1,5 +1,6 @@
-//! Thread-safe metrics registry: named counters, gauges, and log-scale
-//! histograms.
+//! Thread-safe metrics registry: named counters, gauges, and log-bucket
+//! [`Histogram`]s (the same type, at 4 sub-bits, times the flight
+//! recorder's stages).
 //!
 //! Handles are `Arc`-backed and lock-free after the first lookup, so
 //! hot loops should fetch a handle once and increment it directly:
@@ -18,6 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::report::{BucketReport, HistogramReport};
 use crate::sharded::ShardedCounter;
 
 /// Monotonically increasing event count.
@@ -103,112 +105,113 @@ impl Gauge {
 /// Prometheus family, `webpuzzle_malformed_lines_total{kind="..."}`.
 pub const MALFORMED_LINES_PREFIX: &str = "weblog/malformed_lines/";
 
-/// Number of histogram buckets: bucket 0 for the value 0, then one
-/// bucket per power of two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Base-2 log-scale histogram over `u64` observations.
+/// Log-bucket histogram over `u64` observations with `2^SUB_BITS`
+/// linear sub-buckets per power of two.
 ///
-/// Bucket 0 holds exactly the value 0; bucket `b >= 1` holds values in
-/// `[2^(b-1), 2^b)` (the last bucket's upper bound saturates).
+/// Values below `2^SUB_BITS` get exact unit buckets; above that, each
+/// power-of-two range `[2^e, 2^(e+1))` splits into `2^SUB_BITS` equal
+/// buckets, a relative resolution of `2^-SUB_BITS`. The registry uses
+/// the default `SUB_BITS = 0`: bucket 0 holds exactly the value 0 and
+/// bucket `b >= 1` holds `[2^(b-1), 2^b)`, 65 buckets in all. The
+/// flight recorder uses `Histogram<4>` (976 buckets, ~6.25 % error).
+/// The last bucket's upper bound saturates at `u64::MAX`.
+///
+/// Recording costs two relaxed read-modify-writes (bucket and sum) plus
+/// one relaxed load of the exact max; `fetch_max` runs only when the
+/// value is a new max. The count is the total of the buckets, so it can
+/// never disagree with them.
 #[derive(Debug)]
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
+pub struct Histogram<const SUB_BITS: u32 = 0> {
+    buckets: Box<[AtomicU64]>,
     sum: AtomicU64,
+    max: AtomicU64,
 }
 
-impl Default for Histogram {
+impl<const SUB_BITS: u32> Default for Histogram<SUB_BITS> {
     fn default() -> Self {
         Histogram {
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
+            buckets: (0..Self::BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 }
 
-/// Bucket index for an observation.
-pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
+impl<const SUB_BITS: u32> Histogram<SUB_BITS> {
+    /// Number of buckets: `2^SUB_BITS` unit buckets, then `2^SUB_BITS`
+    /// per power of two from `2^SUB_BITS` to `2^63`.
+    pub const BUCKETS: usize = (65 - SUB_BITS as usize) << SUB_BITS;
 
-/// Exclusive upper bound of a bucket (saturating at `u64::MAX`).
-pub fn bucket_upper_bound(bucket: usize) -> u64 {
-    if bucket == 0 {
-        1
-    } else if bucket >= 64 {
-        u64::MAX
-    } else {
-        1u64 << bucket
+    /// Bucket index for an observation.
+    pub fn bucket_index(value: u64) -> usize {
+        let shift = (64 - value.leading_zeros()).saturating_sub(SUB_BITS + 1);
+        ((shift as usize) << SUB_BITS) + (value >> shift) as usize
     }
-}
 
-/// Inclusive lower bound of a bucket.
-pub fn bucket_lower_bound(bucket: usize) -> u64 {
-    if bucket <= 1 {
-        (bucket as u64).min(1)
-    } else {
-        1u64 << (bucket - 1)
+    /// Inclusive lower bound of a bucket.
+    pub fn lower_bound(bucket: usize) -> u64 {
+        let shift = (bucket >> SUB_BITS).saturating_sub(1);
+        ((bucket - (shift << SUB_BITS)) as u64) << shift
     }
-}
 
-/// Interpolated quantile from per-bucket counts (full 65-bucket layout).
-///
-/// Within the bucket containing rank `q·n`, the value is linearly
-/// interpolated between the bucket's bounds — exact for bucket 0 (which
-/// holds only the value 0), within a factor of two otherwise, which is
-/// the histogram's intrinsic resolution. Returns `None` for an empty
-/// histogram or a `q` outside `[0, 1]`.
-pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> Option<f64> {
-    if !(0.0..=1.0).contains(&q) {
-        return None;
+    /// Exclusive upper bound of a bucket (saturating at `u64::MAX`).
+    pub fn upper_bound(bucket: usize) -> u64 {
+        let shift = (bucket >> SUB_BITS).saturating_sub(1);
+        Self::lower_bound(bucket).saturating_add(1 << shift)
     }
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = q * total as f64;
-    let mut cumulative = 0u64;
-    for (b, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
+
+    /// [`Histogram::quantile`] over per-bucket counts in this layout.
+    fn quantile_of(buckets: &[u64], q: f64) -> Option<f64> {
+        if !(0.0..=1.0).contains(&q) {
+            return None;
         }
-        let below = cumulative as f64;
-        cumulative += c;
-        if cumulative as f64 >= rank {
-            if b == 0 {
-                return Some(0.0);
+        let total: u64 = buckets.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = q * total as f64;
+        let mut cumulative = 0u64;
+        for (b, &c) in buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
             }
-            let lo = bucket_lower_bound(b) as f64;
-            let hi = bucket_upper_bound(b) as f64;
-            let frac = ((rank - below) / c as f64).clamp(0.0, 1.0);
-            return Some(lo + frac * (hi - lo));
+            let below = cumulative as f64;
+            cumulative += c;
+            if cumulative as f64 >= rank {
+                if b == 0 {
+                    return Some(0.0);
+                }
+                let lo = Self::lower_bound(b) as f64;
+                let hi = Self::upper_bound(b) as f64;
+                let frac = ((rank - below) / c as f64).clamp(0.0, 1.0);
+                return Some(lo + frac * (hi - lo));
+            }
         }
+        Some(Self::upper_bound(buckets.len().saturating_sub(1)) as f64)
     }
-    Some(bucket_upper_bound(buckets.len().saturating_sub(1)) as f64)
-}
 
-impl Histogram {
     /// Record one observation.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
-    /// Number of observations.
+    /// Number of observations: the total of the buckets.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of observations (wrapping on overflow).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Exact largest observation (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max.load(Ordering::Relaxed)
     }
 
     /// Per-bucket counts.
@@ -219,24 +222,42 @@ impl Histogram {
             .collect()
     }
 
-    /// Interpolated quantile `q ∈ [0, 1]` (see [`quantile_from_buckets`]).
+    /// Interpolated quantile `q ∈ [0, 1]`.
+    ///
+    /// Within the bucket containing rank `q·n`, the value is linearly
+    /// interpolated between the bucket's bounds — exact for bucket 0
+    /// (which holds only the value 0), within one bucket width
+    /// otherwise, which is the histogram's intrinsic resolution. Returns
+    /// `None` for an empty histogram or a `q` outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_from_buckets(&self.buckets(), q)
+        Self::quantile_of(&self.buckets(), q)
     }
 
-    /// Rebuild a histogram from previously exported state. `count` and
-    /// `sum` are carried explicitly because the sum is not recoverable
-    /// from bucket counts. Bucket vectors shorter than
-    /// [`HISTOGRAM_BUCKETS`] are zero-padded; longer ones are truncated
-    /// (a future layout change would bump the checkpoint version before
-    /// this could misattribute mass).
-    pub fn from_parts(buckets: &[u64], count: u64, sum: u64) -> Self {
-        Histogram {
-            buckets: (0..HISTOGRAM_BUCKETS)
-                .map(|i| AtomicU64::new(buckets.get(i).copied().unwrap_or(0)))
+    /// Snapshot under `name`: count, sum, max, the four reported
+    /// quantiles and the non-empty buckets, all from one read of the
+    /// bucket counts.
+    pub fn report(&self, name: &str) -> HistogramReport {
+        let buckets = self.buckets();
+        let count = buckets.iter().sum();
+        let quantile = |q| Self::quantile_of(&buckets, q);
+        HistogramReport {
+            name: name.to_string(),
+            count,
+            sum: self.sum(),
+            max: (count > 0).then_some(self.max()),
+            p50: quantile(0.50),
+            p95: quantile(0.95),
+            p99: quantile(0.99),
+            p999: quantile(0.999),
+            buckets: buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(b, &c)| BucketReport {
+                    upper: Self::upper_bound(b),
+                    count: c,
+                })
                 .collect(),
-            count: AtomicU64::new(count),
-            sum: AtomicU64::new(sum),
         }
     }
 }
@@ -293,27 +314,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     fetch(&mut reg.histograms, name)
 }
 
-/// Snapshot of one histogram, including interpolated quantiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Histogram name.
-    pub name: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// All 65 per-bucket counts.
-    pub buckets: Vec<u64>,
-    /// Interpolated median.
-    pub p50: Option<f64>,
-    /// Interpolated 95th percentile.
-    pub p95: Option<f64>,
-    /// Interpolated 99th percentile.
-    pub p99: Option<f64>,
-    /// Interpolated 99.9th percentile.
-    pub p999: Option<f64>,
-}
-
 /// Snapshot of every registered metric, sorted by name.
 pub struct MetricsSnapshot {
     /// `(name, value)` for each counter (plain and sharded merged).
@@ -321,7 +321,7 @@ pub struct MetricsSnapshot {
     /// `(name, value)` for each gauge.
     pub gauges: Vec<(String, f64)>,
     /// One entry per histogram.
-    pub histograms: Vec<HistogramSnapshot>,
+    pub histograms: Vec<HistogramReport>,
 }
 
 impl MetricsSnapshot {
@@ -404,13 +404,6 @@ pub fn remove_gauge(name: &str) -> bool {
     reg.gauges.remove(name).is_some()
 }
 
-/// Remove the (plain) counter named `name`; counterpart of
-/// [`remove_gauge`] for dynamically named counters.
-pub fn remove_counter(name: &str) -> bool {
-    let mut reg = REGISTRY.lock().expect("metrics registry poisoned");
-    reg.counters.remove(name).is_some()
-}
-
 /// Read a consistent-enough snapshot of the registry.
 pub fn snapshot() -> MetricsSnapshot {
     let reg = REGISTRY.lock().expect("metrics registry poisoned");
@@ -431,19 +424,7 @@ pub fn snapshot() -> MetricsSnapshot {
         histograms: reg
             .histograms
             .iter()
-            .map(|(name, h)| {
-                let buckets = h.buckets();
-                HistogramSnapshot {
-                    name: name.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    p50: quantile_from_buckets(&buckets, 0.50),
-                    p95: quantile_from_buckets(&buckets, 0.95),
-                    p99: quantile_from_buckets(&buckets, 0.99),
-                    p999: quantile_from_buckets(&buckets, 0.999),
-                    buckets,
-                }
-            })
+            .map(|(name, h)| h.report(name))
             .collect(),
     }
 }
@@ -459,38 +440,73 @@ pub fn reset() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Layout invariants every instantiation keeps: `buckets` buckets,
+    /// exact unit buckets below `2^S`, every probed value inside
+    /// `[lower, upper)` of its bucket, contiguous buckets, and a last
+    /// bound that saturates at `u64::MAX`.
+    pub(crate) fn check_layout<const S: u32>(buckets: usize) {
+        assert_eq!(Histogram::<S>::BUCKETS, buckets);
+        for v in 0..1u64 << S {
+            assert_eq!(Histogram::<S>::bucket_index(v), v as usize);
+        }
+        let probes = (0..64)
+            .flat_map(|e| {
+                let p = 1u64 << e;
+                [p - 1, p, p + 1, p + p / 3]
+            })
+            .chain([16, 17, 31, 32, 33, 1_000, 65_535, 1 << 40, u64::MAX]);
+        for v in probes {
+            let b = Histogram::<S>::bucket_index(v);
+            assert!(b < buckets, "bucket {b} for {v}");
+            let (lo, hi) = (
+                Histogram::<S>::lower_bound(b),
+                Histogram::<S>::upper_bound(b),
+            );
+            assert!(lo <= v, "lower bound of {b} vs {v}");
+            assert!(v < hi || hi == u64::MAX, "upper bound of {b} vs {v}");
+        }
+        assert_eq!(Histogram::<S>::bucket_index(u64::MAX), buckets - 1);
+        assert_eq!(Histogram::<S>::upper_bound(buckets - 1), u64::MAX);
+        for b in 1..buckets {
+            assert_eq!(
+                Histogram::<S>::upper_bound(b - 1),
+                Histogram::<S>::lower_bound(b),
+                "buckets {b} tile"
+            );
+        }
+    }
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 3);
-        assert_eq!(bucket_index(8), 4);
-        assert_eq!(bucket_index(u64::MAX), 64);
+        check_layout::<0>(65);
+        type Base = Histogram<0>;
+        for (v, b) in [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4)] {
+            assert_eq!(Base::bucket_index(v), b, "bucket of {v}");
+        }
+        assert_eq!(Base::bucket_index(u64::MAX), 64);
         for b in 1..64 {
             let lo = 1u64 << (b - 1);
             let hi = (1u64 << b) - 1;
-            assert_eq!(bucket_index(lo), b, "lower edge of bucket {b}");
-            assert_eq!(bucket_index(hi), b, "upper edge of bucket {b}");
-            assert!(lo < bucket_upper_bound(b));
-            assert!(hi < bucket_upper_bound(b));
-            assert_eq!(bucket_lower_bound(b), lo);
+            assert_eq!(Base::bucket_index(lo), b, "lower edge of bucket {b}");
+            assert_eq!(Base::bucket_index(hi), b, "upper edge of bucket {b}");
+            assert!(lo < Base::upper_bound(b));
+            assert!(hi < Base::upper_bound(b));
+            assert_eq!(Base::lower_bound(b), lo);
         }
     }
 
     #[test]
     fn histogram_records_count_and_sum() {
-        let h = Histogram::default();
+        let h = Histogram::<0>::default();
         for v in [0u64, 1, 2, 3, 1024] {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1030);
+        assert_eq!(h.max(), 1024);
         let buckets = h.buckets();
         assert_eq!(buckets[0], 1); // the zero
         assert_eq!(buckets[1], 1); // 1
@@ -537,36 +553,40 @@ mod tests {
         assert_eq!(g.get(), 80_000.0);
     }
 
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::default();
+    /// Quantile contract every instantiation keeps: bucket 0 is exact,
+    /// quantiles are monotone in q, and an empty histogram or a q
+    /// outside [0, 1] gives `None`. Returns the histogram of `values`.
+    pub(crate) fn check_quantiles<const S: u32>(values: impl Iterator<Item = u64>) -> Histogram<S> {
         // 100 observations of exactly 0 -> every quantile is 0.
+        let zeros = Histogram::<S>::default();
         for _ in 0..100 {
-            h.record(0);
+            zeros.record(0);
         }
-        assert_eq!(h.quantile(0.5), Some(0.0));
-        assert_eq!(h.quantile(0.99), Some(0.0));
+        assert_eq!(zeros.quantile(0.5), Some(0.0));
+        assert_eq!(zeros.quantile(0.99), Some(0.0));
+        assert_eq!(Histogram::<S>::default().quantile(0.5), None);
 
-        // Uniform-ish spread: quantiles must be monotone in q and land
-        // inside the right power-of-two band.
-        let h = Histogram::default();
-        for v in 1..=1024u64 {
+        let h = Histogram::<S>::default();
+        for v in values {
             h.record(v);
         }
+        let qs = [0.0, 0.50, 0.95, 0.99, 0.999, 1.0].map(|q| h.quantile(q).unwrap());
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
+        assert_eq!(h.quantile(1.5), None);
+        assert_eq!(h.quantile(-0.5), None);
+        h
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_buckets() {
+        // Uniform-ish spread over the base-2 layout: the quantiles land
+        // inside the right power-of-two band.
+        let h = check_quantiles::<0>(1..=1024);
         let p50 = h.quantile(0.50).unwrap();
         let p95 = h.quantile(0.95).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        let p999 = h.quantile(0.999).unwrap();
-        assert!(
-            p50 <= p95 && p95 <= p99 && p99 <= p999,
-            "{p50} {p95} {p99} {p999}"
-        );
         // The true p50 is ~512: bucket [512, 1024) must contain it.
         assert!((256.0..=1024.0).contains(&p50), "p50 = {p50}");
         assert!((512.0..=1024.0).contains(&p95), "p95 = {p95}");
-        // Out-of-range q and empty histograms answer None.
-        assert_eq!(h.quantile(1.5), None);
-        assert_eq!(Histogram::default().quantile(0.5), None);
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //! index `i` is sampled iff `i % N == 0`) is timed through the whole
 //! pipeline:
 //!
-//! 1. each stage's nanoseconds land in a per-stage HDR-style
-//!    log-bucket histogram ([`LATENCY_BUCKETS`] buckets, 4 significant
-//!    bits → ~6.25 % relative resolution) from which p50/p95/p99/p999
-//!    and the exact max are read;
+//! 1. each stage's nanoseconds land in a per-stage
+//!    [`Histogram<4>`](Histogram) (the registry's log-bucket histogram
+//!    with 4 sub-bits: 976 buckets, ~6.25 % relative resolution) from
+//!    which p50/p95/p99/p999 and the exact max are read;
 //! 2. the sampled record carries a trace context (thread-local) with
 //!    its full per-stage breakdown; a bounded slowest-K ring keeps the
 //!    worst traces as [`Exemplar`]s, exported as schema-versioned JSONL
 //!    and served at `/profile`;
-//! 3. per-stage cumulative self-time totals ([`stage_totals`]) feed
-//!    per-window timing timeline events in the engine.
+//! 3. per-stage cumulative self-time totals ([`stage_totals`], the
+//!    histogram sums) feed per-window timing timeline events in the
+//!    engine.
 //!
 //! Rare, inherently per-batch operations (window close, checkpoint
 //! encode, event-sink append) are timed on *every* occurrence while
@@ -45,6 +46,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::metrics::Histogram;
 
 /// Version stamped into serialized profile reports and exemplar JSONL
 /// lines (`schema` field). Bump on breaking field changes only.
@@ -119,111 +122,14 @@ impl Stage {
     }
 }
 
-// --- HDR-style latency histogram -----------------------------------------
-//
-// The registry's base-2 histogram (factor-of-two resolution) is too
-// coarse for latency tails; here each power-of-two range is split into
-// 16 linear sub-buckets (4 significant bits), giving ≤ 6.25 % relative
-// error across the full u64 nanosecond range in ~1 KB per stage.
-
-const SUB_BITS: u32 = 4;
-const SUB: usize = 1 << SUB_BITS;
-
-/// Number of buckets in one stage's latency histogram: values `< 16`
-/// get exact unit buckets, then 16 sub-buckets per power of two.
-pub const LATENCY_BUCKETS: usize = (64 - SUB_BITS as usize) * SUB + SUB;
-
-/// Bucket index for a nanosecond observation.
-pub fn latency_bucket_index(v: u64) -> usize {
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let exp = 63 - v.leading_zeros();
-    let shift = exp - SUB_BITS;
-    let sub = ((v >> shift) & (SUB as u64 - 1)) as usize;
-    (shift as usize) * SUB + SUB + sub
-}
-
-/// Inclusive lower bound of a bucket.
-pub fn latency_lower_bound(idx: usize) -> u64 {
-    if idx < SUB {
-        idx as u64
-    } else {
-        let shift = (idx - SUB) / SUB;
-        let sub = ((idx - SUB) % SUB) as u64;
-        (SUB as u64 + sub) << shift
-    }
-}
-
-/// Exclusive upper bound of a bucket (saturating at `u64::MAX`).
-pub fn latency_upper_bound(idx: usize) -> u64 {
-    if idx < SUB {
-        idx as u64 + 1
-    } else {
-        let shift = (idx - SUB) / SUB;
-        latency_lower_bound(idx).saturating_add(1u64 << shift)
-    }
-}
-
-/// Interpolated quantile over latency-bucket counts. `None` for an
-/// empty histogram or `q` outside `[0, 1]`.
-pub fn latency_quantile(buckets: &[u64], q: f64) -> Option<f64> {
-    if !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = q * total as f64;
-    let mut cumulative = 0u64;
-    for (b, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let below = cumulative as f64;
-        cumulative += c;
-        if cumulative as f64 >= rank {
-            let lo = latency_lower_bound(b) as f64;
-            let hi = latency_upper_bound(b) as f64;
-            let frac = ((rank - below) / c as f64).clamp(0.0, 1.0);
-            return Some(lo + frac * (hi - lo));
-        }
-    }
-    Some(latency_upper_bound(buckets.len().saturating_sub(1)) as f64)
-}
-
-#[derive(Debug, Clone)]
-struct StageHist {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl StageHist {
-    fn new() -> Self {
-        StageHist {
-            buckets: vec![0; LATENCY_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    fn record(&mut self, ns: u64) {
-        self.buckets[latency_bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(ns);
-        self.max = self.max.max(ns);
-    }
-}
-
 // --- global profiler state ------------------------------------------------
 
 struct ProfilerState {
-    stages: Vec<StageHist>,
-    totals: [u64; STAGE_COUNT],
+    // One latency histogram per stage. The registry's base-2 layout is
+    // too coarse for latency tails; 16 linear sub-buckets per power of
+    // two (4 sub-bits) give ≤ 6.25 % relative error across the full
+    // u64 nanosecond range.
+    stages: Vec<Histogram<4>>,
     exemplars: Vec<Exemplar>,
     exemplar_capacity: usize,
     records_sampled: u64,
@@ -233,7 +139,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_EVERY);
 static STATE: Mutex<ProfilerState> = Mutex::new(ProfilerState {
     stages: Vec::new(),
-    totals: [0; STAGE_COUNT],
     exemplars: Vec::new(),
     exemplar_capacity: DEFAULT_EXEMPLAR_CAPACITY,
     records_sampled: 0,
@@ -246,7 +151,7 @@ static STATE: Mutex<ProfilerState> = Mutex::new(ProfilerState {
 fn lock_state() -> MutexGuard<'static, ProfilerState> {
     let mut state = STATE.lock().unwrap_or_else(PoisonError::into_inner);
     if state.stages.is_empty() {
-        state.stages = (0..STAGE_COUNT).map(|_| StageHist::new()).collect();
+        state.stages = (0..STAGE_COUNT).map(|_| Histogram::default()).collect();
     }
     state
 }
@@ -337,20 +242,15 @@ pub fn trace_add(stage: Stage, ns: u64) {
 }
 
 /// Record one occurrence of a **per-batch** stage (window close,
-/// checkpoint encode, event sink): one histogram observation plus the
-/// cumulative total, and into this thread's active trace when one
-/// exists. No-op while profiling is disabled. Per-record stages go
-/// through [`trace_add`] instead — feeding them here would double-count
-/// once the trace flushes.
+/// checkpoint encode, event sink): one histogram observation, and into
+/// this thread's active trace when one exists. No-op while profiling is
+/// disabled. Per-record stages go through [`trace_add`] instead —
+/// feeding them here would double-count once the trace flushes.
 pub fn record_stage_ns(stage: Stage, ns: u64) {
     if !is_enabled() {
         return;
     }
-    {
-        let mut state = lock_state();
-        state.stages[stage.idx()].record(ns);
-        state.totals[stage.idx()] = state.totals[stage.idx()].wrapping_add(ns);
-    }
+    lock_state().stages[stage.idx()].record(ns);
     trace_add(stage, ns);
 }
 
@@ -382,7 +282,6 @@ pub fn finish_trace() {
         let ns = trace.stage_ns[s.idx()];
         if s.is_per_record() && ns > 0 {
             state.stages[s.idx()].record(ns);
-            state.totals[s.idx()] = state.totals[s.idx()].wrapping_add(ns);
         }
     }
     state.records_sampled += 1;
@@ -402,11 +301,12 @@ pub fn finish_trace() {
     state.exemplars.truncate(cap);
 }
 
-/// Cumulative per-stage self-time totals, nanoseconds, in [`STAGES`]
-/// order. The engine diffs consecutive readings to attribute self-time
-/// to each analysis window.
+/// Cumulative per-stage self-time totals (the stage histograms' sums),
+/// nanoseconds, in [`STAGES`] order. The engine diffs consecutive
+/// readings to attribute self-time to each analysis window.
 pub fn stage_totals() -> [u64; STAGE_COUNT] {
-    lock_state().totals
+    let state = lock_state();
+    std::array::from_fn(|i| state.stages[i].sum())
 }
 
 /// Per-record timer for one `push` through the engine. Obtained via
@@ -597,16 +497,16 @@ pub fn snapshot() -> ProfileReport {
         stages: STAGES
             .iter()
             .map(|s| {
-                let h = &state.stages[s.idx()];
+                let h = state.stages[s.idx()].report(s.as_str());
                 StageLatencyReport {
-                    stage: s.as_str().to_string(),
+                    stage: h.name,
                     count: h.count,
                     total_ns: h.sum,
-                    p50_ns: latency_quantile(&h.buckets, 0.50),
-                    p95_ns: latency_quantile(&h.buckets, 0.95),
-                    p99_ns: latency_quantile(&h.buckets, 0.99),
-                    p999_ns: latency_quantile(&h.buckets, 0.999),
-                    max_ns: h.max,
+                    p50_ns: h.p50,
+                    p95_ns: h.p95,
+                    p99_ns: h.p99,
+                    p999_ns: h.p999,
+                    max_ns: h.max.unwrap_or(0),
                 }
             })
             .collect(),
@@ -614,16 +514,14 @@ pub fn snapshot() -> ProfileReport {
     }
 }
 
-/// Clear accumulated data (histograms, totals, exemplars, sampled
-/// count) but keep the enabled flag, sampling period, and exemplar
-/// capacity. Used between the profiler's self-overhead measurement and
-/// the real run.
+/// Clear accumulated data (histograms, exemplars, sampled count) but
+/// keep the enabled flag, sampling period, and exemplar capacity. Used
+/// between the profiler's self-overhead measurement and the real run.
 pub fn clear() {
     let mut state = lock_state();
     for h in &mut state.stages {
-        *h = StageHist::new();
+        *h = Histogram::default();
     }
-    state.totals = [0; STAGE_COUNT];
     state.exemplars.clear();
     state.records_sampled = 0;
 }
@@ -638,9 +536,8 @@ pub fn reset() {
     abandon_trace();
     let mut state = lock_state();
     for h in &mut state.stages {
-        *h = StageHist::new();
+        *h = Histogram::default();
     }
-    state.totals = [0; STAGE_COUNT];
     state.exemplars.clear();
     state.exemplar_capacity = DEFAULT_EXEMPLAR_CAPACITY;
     state.records_sampled = 0;
@@ -649,6 +546,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::{check_layout, check_quantiles};
 
     // Profiler state is process-global; serialize tests that touch it.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -659,53 +557,31 @@ mod tests {
 
     #[test]
     fn latency_buckets_partition_the_u64_range() {
-        // Exact unit buckets below 16.
-        for v in 0..16u64 {
-            assert_eq!(latency_bucket_index(v), v as usize);
-        }
-        // Round trip: every value lands in a bucket whose bounds
-        // contain it, and bucket bounds tile without gaps.
-        for &v in &[16u64, 17, 31, 32, 33, 1_000, 65_535, 1 << 40, u64::MAX] {
-            let b = latency_bucket_index(v);
-            assert!(b < LATENCY_BUCKETS, "bucket {b} for {v}");
-            assert!(latency_lower_bound(b) <= v, "lower bound of {b} vs {v}");
-            assert!(
-                v < latency_upper_bound(b) || latency_upper_bound(b) == u64::MAX,
-                "upper bound of {b} vs {v}"
-            );
-        }
-        for b in 1..LATENCY_BUCKETS {
-            assert_eq!(
-                latency_upper_bound(b - 1),
-                latency_lower_bound(b),
-                "buckets {b} tile"
-            );
-        }
+        check_layout::<4>(976);
         // Relative resolution is 1/16 of the value's power-of-two band.
-        let b = latency_bucket_index(1_000_000);
-        let width = (latency_upper_bound(b) - latency_lower_bound(b)) as f64;
+        type Fine = Histogram<4>;
+        for b in 16..Fine::BUCKETS {
+            let lo = Fine::lower_bound(b);
+            let width = Fine::upper_bound(b) - lo;
+            assert!(width as f64 / lo as f64 <= 1.0 / 16.0, "bucket {b}");
+        }
+        let b = Fine::bucket_index(1_000_000);
+        let width = (Fine::upper_bound(b) - Fine::lower_bound(b)) as f64;
         assert!(width / 1_000_000.0 < 0.07, "width {width}");
     }
 
     #[test]
     fn quantiles_interpolate_and_order() {
-        let mut h = StageHist::new();
-        for v in 1..=10_000u64 {
-            h.record(v * 100);
-        }
-        let p50 = latency_quantile(&h.buckets, 0.50).unwrap();
-        let p95 = latency_quantile(&h.buckets, 0.95).unwrap();
-        let p99 = latency_quantile(&h.buckets, 0.99).unwrap();
-        let p999 = latency_quantile(&h.buckets, 0.999).unwrap();
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= p999);
         // True quantiles are 500_050, 950_005, ...: the histogram's
         // ~6 % resolution must hold.
+        let h = check_quantiles::<4>((1..=10_000u64).map(|v| v * 100));
+        let p50 = h.quantile(0.50).unwrap();
+        let p95 = h.quantile(0.95).unwrap();
+        let p999 = h.quantile(0.999).unwrap();
         assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.08, "p50 = {p50}");
         assert!((p95 - 950_000.0).abs() / 950_000.0 < 0.08, "p95 = {p95}");
         assert!((p999 - 999_000.0).abs() / 999_000.0 < 0.08, "p999 = {p999}");
-        assert_eq!(h.max, 1_000_000);
-        assert_eq!(latency_quantile(&h.buckets, 1.5), None);
-        assert_eq!(latency_quantile(&[0u64; 4], 0.5), None);
+        assert_eq!(h.max(), 1_000_000);
     }
 
     #[test]

@@ -4,14 +4,16 @@ use std::time::{Duration, Instant};
 
 use crate::sink::{self, Event};
 
+/// Minimum interval between emitted progress events.
+const INTERVAL: Duration = Duration::from_millis(200);
+
 /// Counts work units and forwards progress to the sink at most once per
-/// interval (default 200 ms), so tight loops never flood the terminal.
+/// 200 ms, so tight loops never flood the terminal.
 pub struct ProgressMeter {
     stage: &'static str,
     total: Option<u64>,
     done: u64,
     last_emit: Option<Instant>,
-    interval: Duration,
 }
 
 impl ProgressMeter {
@@ -22,14 +24,7 @@ impl ProgressMeter {
             total,
             done: 0,
             last_emit: None,
-            interval: Duration::from_millis(200),
         }
-    }
-
-    /// Override the minimum interval between emitted events.
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
     }
 
     /// Record `n` completed units, emitting on the first tick and then
@@ -38,7 +33,7 @@ impl ProgressMeter {
         self.done += n;
         let due = match self.last_emit {
             None => true,
-            Some(at) => at.elapsed() >= self.interval,
+            Some(at) => at.elapsed() >= INTERVAL,
         };
         if due {
             self.emit();

@@ -62,6 +62,9 @@ pub struct HistogramReport {
     pub count: u64,
     /// Sum of observations.
     pub sum: u64,
+    /// Exact largest observation (absent for empty histograms and in
+    /// reports written before it existed).
+    pub max: Option<u64>,
     /// Interpolated median (absent for empty histograms and in reports
     /// written before quantiles existed).
     pub p50: Option<f64>,
@@ -150,29 +153,7 @@ impl RunReport {
                 .into_iter()
                 .map(|(name, value)| GaugeReport { name, value })
                 .collect(),
-            histograms: snapshot
-                .histograms
-                .into_iter()
-                .map(|h| HistogramReport {
-                    name: h.name,
-                    count: h.count,
-                    sum: h.sum,
-                    p50: h.p50,
-                    p95: h.p95,
-                    p99: h.p99,
-                    p999: h.p999,
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(b, &c)| BucketReport {
-                            upper: metrics::bucket_upper_bound(b),
-                            count: c,
-                        })
-                        .collect(),
-                })
-                .collect(),
+            histograms: snapshot.histograms,
             diagnostics: crate::diagnostics::current(),
             slo: crate::slo::current_report(),
         }

@@ -476,14 +476,11 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         ));
         out.push_str(&format!("# TYPE {prom} histogram\n"));
         let mut cumulative = 0u64;
-        for (b, &c) in h.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cumulative += c;
+        for b in &h.buckets {
+            cumulative += b.count;
             out.push_str(&format!(
                 "{prom}_bucket{{le=\"{}\"}} {cumulative}\n",
-                metrics::bucket_upper_bound(b)
+                b.upper
             ));
         }
         out.push_str(&format!("{prom}_bucket{{le=\"+Inf\"}} {}\n", h.count));
@@ -507,7 +504,8 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+    use crate::metrics::MetricsSnapshot;
+    use crate::report::{BucketReport, HistogramReport};
 
     #[test]
     fn prom_names_are_sanitized() {
@@ -684,19 +682,16 @@ mod tests {
         let snap = MetricsSnapshot {
             counters,
             gauges,
-            histograms: vec![HistogramSnapshot {
+            histograms: vec![HistogramReport {
                 name: "evil\nname with \"quotes\" and \\slashes".to_string(),
                 count: 1,
                 sum: 2,
-                buckets: {
-                    let mut b = vec![0u64; crate::metrics::HISTOGRAM_BUCKETS];
-                    b[1] = 1;
-                    b
-                },
+                max: Some(2),
                 p50: Some(2.0),
                 p95: Some(2.0),
                 p99: Some(2.0),
                 p999: Some(2.0),
+                buckets: vec![BucketReport { upper: 2, count: 1 }],
             }],
         };
         let text = prometheus_text(&snap);
@@ -719,21 +714,23 @@ mod tests {
 
     #[test]
     fn histogram_buckets_render_cumulatively() {
-        let mut buckets = vec![0u64; crate::metrics::HISTOGRAM_BUCKETS];
-        buckets[0] = 2; // two zeros
-        buckets[2] = 3; // three values in [2, 4)
         let snap = MetricsSnapshot {
             counters: vec![("unit/c".to_string(), 7)],
             gauges: vec![("unit/g".to_string(), 0.5)],
-            histograms: vec![HistogramSnapshot {
+            histograms: vec![HistogramReport {
                 name: "unit/h".to_string(),
                 count: 5,
                 sum: 8,
-                buckets,
+                max: Some(3),
                 p50: Some(2.0),
                 p95: Some(3.5),
                 p99: Some(3.9),
                 p999: Some(3.99),
+                // Two zeros, then three values in [2, 4).
+                buckets: vec![
+                    BucketReport { upper: 1, count: 2 },
+                    BucketReport { upper: 4, count: 3 },
+                ],
             }],
         };
         let text = prometheus_text(&snap);

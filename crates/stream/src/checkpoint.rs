@@ -59,8 +59,11 @@ pub const MAGIC: [u8; 8] = *b"WPZCKPT\0";
 /// overload-governor state: the sessionizer's TTL scale and
 /// early-eviction count, the engine's degradation mode / sampling /
 /// hard-shed counters and forced-checkpoint flag, and the process
-/// governor's pressure-state code.
-pub const VERSION: u32 = 3;
+/// governor's pressure-state code. Version 4 dropped the engine's
+/// transfer-size histogram: the registry's `stream/response_bytes`
+/// histogram, which has process lifetime like every metric, is the
+/// only copy.
+pub const VERSION: u32 = 4;
 /// Fixed header size: magic + version + payload length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -263,13 +266,6 @@ impl Enc {
             self.f64(x);
         }
     }
-
-    fn u64_slice(&mut self, xs: &[u64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.u64(x);
-        }
-    }
 }
 
 struct Dec<'a> {
@@ -363,11 +359,6 @@ impl<'a> Dec<'a> {
     fn f64_vec(&mut self) -> DecResult<Vec<f64>> {
         let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn u64_vec(&mut self) -> DecResult<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
     }
 
     fn done(&self) -> DecResult<()> {
@@ -818,9 +809,6 @@ fn enc_engine(e: &mut Enc, s: &EngineState) {
     enc_window_reports(e, &s.request_windows);
     enc_window_reports(e, &s.session_windows);
     enc_welford(e, s.response_bytes);
-    e.u64_slice(&s.bytes_hist.0);
-    e.u64(s.bytes_hist.1);
-    e.u64(s.bytes_hist.2);
     enc_welford(e, s.session_duration);
     enc_welford(e, s.session_requests);
     enc_welford(e, s.session_bytes);
@@ -850,7 +838,6 @@ fn dec_engine(d: &mut Dec) -> DecResult<EngineState> {
         request_windows: dec_window_reports(d)?,
         session_windows: dec_window_reports(d)?,
         response_bytes: dec_welford(d)?,
-        bytes_hist: (d.u64_vec()?, d.u64()?, d.u64()?),
         session_duration: dec_welford(d)?,
         session_requests: dec_welford(d)?,
         session_bytes: dec_welford(d)?,
@@ -1201,12 +1188,16 @@ mod tests {
             Err(CheckpointError::BadMagic)
         ));
 
-        let mut version = bytes.clone();
-        version[8] = 99;
-        assert!(matches!(
-            Checkpoint::decode(&version),
-            Err(CheckpointError::UnsupportedVersion(99))
-        ));
+        // Version 3 (the layout before the engine's transfer-size
+        // histogram was dropped) and an unknown future version.
+        for v in [3u32, 99] {
+            let mut version = bytes.clone();
+            version[8..12].copy_from_slice(&v.to_le_bytes());
+            match Checkpoint::decode(&version) {
+                Err(CheckpointError::UnsupportedVersion(found)) => assert_eq!(found, v),
+                other => panic!("version {v} accepted: {other:?}"),
+            }
+        }
 
         assert!(matches!(
             Checkpoint::decode(&[]),

@@ -16,7 +16,7 @@ use crate::diagnostics;
 use crate::observatory::{
     DriftObservatory, DriftSummary, ObservatoryConfig, ObservatoryState, WindowObservation,
 };
-use crate::online::{LogHistogram, Moments, TopK, Welford};
+use crate::online::{Moments, TopK, Welford};
 use crate::sessionizer::{SessionizerState, StreamSessionizer};
 use crate::window::{ArrivalsState, WindowConfig, WindowReport, WindowedArrivals};
 use crate::Result;
@@ -173,11 +173,11 @@ pub struct StreamSummary {
 /// [`StreamAnalyzer::restore`].
 ///
 /// Welford accumulators travel as `(n, mean, m2)` raw parts, top-k
-/// tails as `(k, seen, retained-values)`, the log histogram as
-/// `(buckets, count, sum)`. Registry metrics (`stream/*` counters,
-/// gauges, histograms) are deliberately **not** part of this state:
-/// they have process lifetime, and a resumed process accumulates its
-/// own from zero — the summary-facing totals here are authoritative.
+/// tails as `(k, seen, retained-values)`. Registry metrics (`stream/*`
+/// counters, gauges, histograms) are deliberately **not** part of this
+/// state: they have process lifetime, and a resumed process accumulates
+/// its own from zero — the summary-facing totals here are
+/// authoritative.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// TTL sessionizer state (open sessions, watermark, counts).
@@ -192,8 +192,6 @@ pub struct EngineState {
     pub session_windows: Vec<WindowReport>,
     /// Per-request transfer-size moments.
     pub response_bytes: (u64, f64, f64),
-    /// Log-bucketed transfer-size histogram `(buckets, count, sum)`.
-    pub bytes_hist: (Vec<u64>, u64, u64),
     /// Session-duration moments.
     pub session_duration: (u64, f64, f64),
     /// Requests-per-session moments.
@@ -251,7 +249,6 @@ pub struct StreamAnalyzer {
     request_windows: Vec<WindowReport>,
     session_windows: Vec<WindowReport>,
     response_bytes: Welford,
-    bytes_hist: LogHistogram,
     session_duration: Welford,
     session_requests: Welford,
     session_bytes: Welford,
@@ -322,7 +319,6 @@ impl StreamAnalyzer {
             request_windows: Vec::new(),
             session_windows: Vec::new(),
             response_bytes: Welford::new(),
-            bytes_hist: LogHistogram::new(),
             session_duration: Welford::new(),
             session_requests: Welford::new(),
             session_bytes: Welford::new(),
@@ -409,7 +405,6 @@ impl StreamAnalyzer {
         self.bytes_counter.add(record.bytes);
         if sampled {
             self.response_bytes.push(record.bytes as f64);
-            self.bytes_hist.record(record.bytes);
             self.live_bytes_hist.record(record.bytes);
         } else {
             self.sampled_out += 1;
@@ -561,11 +556,6 @@ impl StreamAnalyzer {
         }
     }
 
-    /// The per-request transfer-size histogram (log-bucketed).
-    pub fn bytes_histogram(&self) -> &LogHistogram {
-        &self.bytes_hist
-    }
-
     /// Engine configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.cfg
@@ -594,7 +584,6 @@ impl StreamAnalyzer {
             request_windows: self.request_windows.clone(),
             session_windows: self.session_windows.clone(),
             response_bytes: self.response_bytes.raw_parts(),
-            bytes_hist: self.bytes_hist.export_state(),
             session_duration: self.session_duration.raw_parts(),
             session_requests: self.session_requests.raw_parts(),
             session_bytes: self.session_bytes.raw_parts(),
@@ -644,8 +633,6 @@ impl StreamAnalyzer {
         engine.session_windows = state.session_windows.clone();
         let (n, mean, m2) = state.response_bytes;
         engine.response_bytes = Welford::from_raw_parts(n, mean, m2);
-        let (buckets, count, sum) = &state.bytes_hist;
-        engine.bytes_hist = LogHistogram::from_state(buckets, *count, *sum);
         let (n, mean, m2) = state.session_duration;
         engine.session_duration = Welford::from_raw_parts(n, mean, m2);
         let (n, mean, m2) = state.session_requests;

@@ -15,8 +15,7 @@
 //!   sessionization over a TTL hash map; sessions are evicted (emitted)
 //!   once the paper's 30-minute inactivity threshold elapses, so memory
 //!   holds only the *open* sessions.
-//! * [`online`] — fixed-memory estimators: [`Welford`] mean/variance,
-//!   [`LogHistogram`] (reusing the obs log-bucket histogram),
+//! * [`online`] — fixed-memory estimators: [`Welford`] mean/variance and
 //!   [`TopK`] order statistics feeding an incremental Hill tail-index
 //!   estimate.
 //! * [`window`] — [`WindowedArrivals`]: per-second / per-10-ms ring
@@ -90,7 +89,7 @@ pub use observatory::{
     ChannelAlarms, DriftObservatory, DriftSummary, ObservatoryConfig, ObservatoryState,
     WindowObservation,
 };
-pub use online::{LogHistogram, Moments, TopK, Welford};
+pub use online::{Moments, TopK, Welford};
 pub use pipeline::{IterSource, Pipe, Source, Stage};
 pub use reader::ClfSource;
 pub use sessionizer::{SessionizerState, StreamSessionizer};

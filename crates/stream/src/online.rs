@@ -5,17 +5,19 @@
 //! state is independent of stream length:
 //!
 //! * [`Welford`] — numerically stable running mean/variance.
-//! * [`LogHistogram`] — base-2 log-bucket histogram with interpolated
-//!   quantiles, reusing [`webpuzzle_obs::metrics::Histogram`].
 //! * [`TopK`] — the k largest observations, feeding an incremental
 //!   Hill tail-index estimate computed over the retained order
 //!   statistics (the streaming analogue of the batch Hill plot's
 //!   right edge).
+//!
+//! Transfer sizes are bucketed once, by the registry's
+//! `stream/response_bytes` histogram
+//! ([`webpuzzle_obs::metrics::Histogram`]); that histogram serves
+//! observability only, since the tail analysis reads [`TopK`].
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use webpuzzle_obs::metrics::Histogram;
 
 /// Serializable snapshot of a [`Welford`] accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,59 +133,6 @@ impl Welford {
     /// Rebuild an accumulator from [`Welford::raw_parts`] output.
     pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
         Welford { n, mean, m2 }
-    }
-}
-
-/// Streaming base-2 log-bucket histogram over `u64` observations —
-/// a thin owner of the obs metrics [`Histogram`], so snapshots,
-/// quantile interpolation, and Prometheus export all share one bucket
-/// layout.
-#[derive(Debug, Default)]
-pub struct LogHistogram {
-    inner: Histogram,
-}
-
-impl LogHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: u64) {
-        self.inner.record(value);
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.inner.sum()
-    }
-
-    /// Interpolated quantile `q ∈ [0, 1]`; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.inner.quantile(q)
-    }
-
-    /// The wrapped obs histogram (for wiring into snapshots).
-    pub fn inner(&self) -> &Histogram {
-        &self.inner
-    }
-
-    /// Checkpoint state: `(bucket counts, count, sum)`.
-    pub fn export_state(&self) -> (Vec<u64>, u64, u64) {
-        (self.inner.buckets(), self.inner.count(), self.inner.sum())
-    }
-
-    /// Rebuild a histogram from [`LogHistogram::export_state`] output.
-    pub fn from_state(buckets: &[u64], count: u64, sum: u64) -> Self {
-        LogHistogram {
-            inner: Histogram::from_parts(buckets, count, sum),
-        }
     }
 }
 
@@ -399,17 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_delegates() {
-        let mut h = LogHistogram::new();
-        for v in [0u64, 1, 2, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1027);
-        assert!(h.quantile(0.5).is_some());
-    }
-
-    #[test]
     fn topk_retains_the_largest() {
         let mut top = TopK::new(3);
         for x in [5.0, 1.0, 9.0, 3.0, 7.0, -2.0, f64::NAN] {
@@ -463,15 +401,6 @@ mod tests {
         let (n, mean, m2) = w.raw_parts();
         let back = Welford::from_raw_parts(n, mean, m2);
         assert_eq!(back, w, "Welford restore must be bit-identical");
-
-        let mut h = LogHistogram::new();
-        for v in [0u64, 1, 5, 1024, u64::MAX / 2] {
-            h.record(v);
-        }
-        let (buckets, count, sum) = h.export_state();
-        let back = LogHistogram::from_state(&buckets, count, sum);
-        assert_eq!(back.export_state(), (buckets, count, sum));
-        assert_eq!(back.quantile(0.5), h.quantile(0.5));
 
         let mut top = TopK::new(64);
         for i in 1..5_000u32 {
