@@ -1,11 +1,12 @@
 //! Throughput of the one-pass streaming engine: CLF source, TTL
-//! sessionizer, and the fully wired analyzer, against the batch
-//! equivalents benchmarked in `sessionize.rs`.
+//! sessionizer, one window close, and the fully wired analyzer, against
+//! the batch equivalents benchmarked in `sessionize.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use webpuzzle_stream::{
-    ClfSource, Source, StreamAnalyzer, StreamConfig, StreamSessionizer, WindowConfig,
+    ArrivalsState, ClfSource, Source, StreamAnalyzer, StreamConfig, StreamSessionizer,
+    WindowConfig, WindowedArrivals,
 };
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_weblog::LogRecord;
@@ -14,7 +15,11 @@ use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
 const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn records(scale: f64) -> Vec<LogRecord> {
-    WorkloadGenerator::new(ServerProfile::clarknet().with_scale(scale))
+    profile_records(ServerProfile::clarknet(), scale)
+}
+
+fn profile_records(profile: ServerProfile, scale: f64) -> Vec<LogRecord> {
+    WorkloadGenerator::new(profile.with_scale(scale))
         .seed(1)
         .generate()
         .expect("profile generates")
@@ -85,5 +90,41 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clf_source, bench_sessionizer, bench_engine);
+/// One close of a default 4-hour request window (1 s and 10 ms bins)
+/// holding the first window of a WVU week at scale 0.05, about 16 k
+/// whole-second arrivals: the per-window analysis `stream-analyze`
+/// pays 42 times a week.
+fn bench_window_close(c: &mut Criterion) {
+    let cfg = WindowConfig::default();
+    let times: Vec<f64> = profile_records(ServerProfile::wvu(), 0.05)
+        .iter()
+        .map(|r| r.timestamp)
+        .take_while(|&t| t < cfg.window_len)
+        .collect();
+    let state = ArrivalsState {
+        last_time: times.last().copied().unwrap_or(f64::NEG_INFINITY),
+        total_events: times.len() as u64,
+        times,
+        window_index: 0,
+    };
+    let mut group = c.benchmark_group("stream/window");
+    group.sample_size(20);
+    group.bench_function("close_fine", |b| {
+        b.iter(|| {
+            let mut w = WindowedArrivals::restore(cfg.clone(), black_box(state.clone()));
+            let mut out = Vec::new();
+            w.push(cfg.window_len, &mut out).expect("sorted input");
+            out
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_clf_source,
+    bench_sessionizer,
+    bench_window_close,
+    bench_engine
+);
 criterion_main!(benches);

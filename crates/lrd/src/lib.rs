@@ -3,7 +3,8 @@
 //! Implements the five Hurst-exponent estimators the paper applies to
 //! request- and session-arrival series (via the SELFIS tool in the original):
 //!
-//! * time domain — [`variance_time`] and [`rescaled_range`] (R/S);
+//! * time domain — [`variance_time`] (also over sorted event bin indices,
+//!   [`variance_time_events`]) and [`rescaled_range`] (R/S);
 //! * frequency domain — [`periodogram_hurst`] and [`whittle`] (with
 //!   asymptotic 95 % confidence intervals);
 //! * wavelet domain — [`abry_veitch`] (with confidence intervals from the
@@ -51,7 +52,9 @@ pub use extra_estimators::{absolute_moments, variance_of_residuals};
 pub use periodogram_est::periodogram_hurst;
 pub use rs::rescaled_range;
 pub use suite::HurstSuite;
-pub use variance_time::{variance_time, variance_time_detailed, VarianceTimeFit, VT_CI_INFLATION};
+pub use variance_time::{
+    variance_time, variance_time_detailed, variance_time_events, VarianceTimeFit, VT_CI_INFLATION,
+};
 pub use whittle::{fgn_spectral_density, whittle};
 
 pub use webpuzzle_stats::StatsError;

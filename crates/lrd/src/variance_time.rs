@@ -1,4 +1,5 @@
-//! Variance-time plot estimator of the Hurst exponent.
+//! Variance-time plot estimator of the Hurst exponent, over a dense
+//! series or over the sorted bin indices of the events that fill one.
 
 use crate::estimate::{EstimatorKind, HurstEstimate};
 use crate::Result;
@@ -98,12 +99,7 @@ pub fn variance_time(data: &[f64]) -> Result<HurstEstimate> {
 /// # }
 /// ```
 pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
-    if data.len() < 256 {
-        return Err(StatsError::InsufficientData {
-            needed: 256,
-            got: data.len(),
-        });
-    }
+    check_len(data.len())?;
     let levels = aggregation_levels(data.len(), 64);
     let mut log_m = Vec::with_capacity(levels.len());
     let mut log_var = Vec::with_capacity(levels.len());
@@ -116,12 +112,137 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
             log_var.push(var.ln());
         }
     }
+    fit_levels(data.len(), &log_m, &log_var)
+}
+
+/// [`variance_time_detailed`] over an event stream: `bins` holds one
+/// bin index per event, sorted ascending, over a count series of `n`
+/// bins. The result is bit for bit the one [`variance_time_detailed`]
+/// gives on the dense series those events would fill (`n` bins, each
+/// the number of events that name it). Its cost is
+/// `O(events + distinct bins × levels + Σ n/m)` over the aggregation
+/// levels `m`, rather than `O(n)` per level.
+///
+/// Exactness rests on three facts. A block sum of integer counts is
+/// exact in any order. Adding `0.0` is the identity on the non-negative
+/// block means, so the grand mean may skip empty blocks. The sum of
+/// squared deviations does not skip them: each empty block adds
+/// `mean²`, in block order, exactly as the dense loop does. (A closed
+/// form over Σ and Σ² would reassociate that sum and differ in the last
+/// bits.)
+///
+/// # Errors
+///
+/// Those of [`variance_time`] for the dense series, and
+/// [`StatsError::InvalidParameter`] when `bins` is unsorted or names a
+/// bin at or past `n`.
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_lrd::{variance_time_detailed, variance_time_events};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut bins: Vec<usize> = (0..4_000).map(|i| i * i % 1_000).collect();
+/// bins.sort_unstable();
+/// let mut dense = vec![0.0; 1_000];
+/// for &b in &bins {
+///     dense[b] += 1.0;
+/// }
+/// let a = variance_time_events(&bins, dense.len())?;
+/// let b = variance_time_detailed(&dense)?;
+/// assert_eq!(a.estimate.h.to_bits(), b.estimate.h.to_bits());
+/// # Ok(())
+/// # }
+/// ```
+pub fn variance_time_events(bins: &[usize], n: usize) -> Result<VarianceTimeFit> {
+    check_len(n)?;
+    // Collapse equal bins into (bin, count) runs once for all levels.
+    let mut runs: Vec<(usize, u64)> = Vec::new();
+    for &b in bins {
+        match runs.last_mut() {
+            Some((last, count)) if *last == b => *count += 1,
+            Some(&mut (last, _)) if last > b => return Err(bad_bins(b)),
+            _ if b >= n => return Err(bad_bins(b)),
+            _ => runs.push((b, 1)),
+        }
+    }
+    let mut log_m = Vec::new();
+    let mut log_var = Vec::new();
+    // (block, block mean) of the non-empty blocks, reused per level.
+    let mut filled: Vec<(usize, f64)> = Vec::new();
+    for &m in &aggregation_levels(n, 64) {
+        let blocks = n / m;
+        // Bins from `blocks·m` on fall in the dropped partial block.
+        let full = blocks * m;
+        let inv = 1.0 / m as f64;
+        filled.clear();
+        let (mut block, mut end, mut sum) = (0, 0, 0u64);
+        for &(bin, count) in runs.iter().take_while(|&&(bin, _)| bin < full) {
+            if bin >= end {
+                if sum > 0 {
+                    filled.push((block, sum as f64 * inv));
+                }
+                block = bin / m;
+                end = (block + 1) * m;
+                sum = 0;
+            }
+            sum += count;
+        }
+        if sum > 0 {
+            filled.push((block, sum as f64 * inv));
+        }
+        let mean = filled.iter().fold(0.0, |acc, &(_, x)| acc + x) / blocks as f64;
+        let empty = mean * mean;
+        let mut squares = 0.0;
+        let mut next = 0;
+        for &(k, x) in &filled {
+            for _ in next..k {
+                squares += empty;
+            }
+            squares += (x - mean) * (x - mean);
+            next = k + 1;
+        }
+        for _ in next..blocks {
+            squares += empty;
+        }
+        let var = squares / blocks as f64;
+        if var > 0.0 {
+            log_m.push((m as f64).ln());
+            log_var.push(var.ln());
+        }
+    }
+    fit_levels(n, &log_m, &log_var)
+}
+
+fn check_len(n: usize) -> Result<()> {
+    if n < 256 {
+        return Err(StatsError::InsufficientData {
+            needed: 256,
+            got: n,
+        });
+    }
+    Ok(())
+}
+
+fn bad_bins(bin: usize) -> StatsError {
+    StatsError::InvalidParameter {
+        name: "bins",
+        value: bin as f64,
+        constraint: "must be sorted ascending and below n",
+    }
+}
+
+/// The fit both producers share: OLS of `log_var` on `log_m` over a
+/// series of `n` points, the finite-sample bias correction and the
+/// inflated t CI.
+fn fit_levels(n: usize, log_m: &[f64], log_var: &[f64]) -> Result<VarianceTimeFit> {
     if log_m.len() < 3 {
         return Err(StatsError::DegenerateInput {
             what: "too few usable aggregation levels for a variance-time fit",
         });
     }
-    let mut fit = ols(&log_m, &log_var)?;
+    let mut fit = ols(log_m, log_var)?;
     let points = log_m.len();
     let mut h = 1.0 + fit.slope / 2.0;
     // Finite-sample bias correction. The sample variance of the N = n/m
@@ -132,12 +253,12 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
     // (−0.026 at H = 0.85 over 14 400-point windows). Dividing each s²_m
     // by its own attenuation factor needs H, so iterate: fit, correct
     // with the current Ĥ, refit, until the estimate settles.
-    let n = data.len() as f64;
+    let n = n as f64;
     for _ in 0..8 {
         let exponent = 2.0 - 2.0 * h;
         let corrected: Vec<f64> = log_m
             .iter()
-            .zip(&log_var)
+            .zip(log_var)
             .map(|(&lm, &lv)| {
                 // Attenuation capped at 0.9 so a wild intermediate Ĥ (or
                 // Ĥ ≥ 1, where the expansion breaks down) cannot blow
@@ -146,7 +267,7 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
                 lv - (1.0 - attenuation).ln()
             })
             .collect();
-        let refit = ols(&log_m, &corrected)?;
+        let refit = ols(log_m, &corrected)?;
         let new_h = 1.0 + refit.slope / 2.0;
         let settled = (new_h - h).abs() < 1e-4;
         h = new_h;
@@ -178,6 +299,7 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
 mod tests {
     use super::*;
     use crate::fgn::FgnGenerator;
+    use proptest::prelude::*;
 
     #[test]
     fn recovers_h_for_fgn() {
@@ -270,5 +392,95 @@ mod tests {
         assert!(d.points >= 3);
         assert!(d.fit.r_squared > 0.0 && d.fit.r_squared <= 1.0);
         assert!(d.h_ci_half_width > 0.0);
+    }
+
+    /// The dense series `bins` fills, and both producers' results on
+    /// it: same bits of H, CI half-width and R², same level count, or
+    /// the same error variant.
+    fn assert_producers_agree(bins: &[usize], n: usize) {
+        let mut dense = vec![0.0; n];
+        for &b in bins {
+            dense[b] += 1.0;
+        }
+        match (
+            variance_time_events(bins, n),
+            variance_time_detailed(&dense),
+        ) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.estimate.h.to_bits(), b.estimate.h.to_bits(), "H, n = {n}");
+                assert_eq!(a.h_ci_half_width.to_bits(), b.h_ci_half_width.to_bits());
+                assert_eq!(a.fit.r_squared.to_bits(), b.fit.r_squared.to_bits());
+                assert_eq!(a.points, b.points);
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(std::mem::discriminant(&a), std::mem::discriminant(&b));
+            }
+            (a, b) => panic!("n = {n}: events {a:?} vs dense {b:?}"),
+        }
+    }
+
+    #[test]
+    fn event_producer_matches_dense_on_edge_cases() {
+        for n in [256, 1_000, 14_400] {
+            assert_producers_agree(&[], n);
+            assert_producers_agree(&[n / 2], n);
+            assert_producers_agree(&vec![n - 1; 500], n);
+            // One burst of 10 000 events in a single bin.
+            assert_producers_agree(&vec![n / 3; 10_000], n);
+        }
+        // n = 1000 keeps 996..999 outside every full block at m = 6.
+        assert_producers_agree(&[996, 997, 997, 999], 1_000);
+        let mut tail: Vec<usize> = (0..4_000).map(|i| 996 + i % 4).collect();
+        tail.sort_unstable();
+        assert_producers_agree(&tail, 1_000);
+        // Whole-second arrivals on a 10 ms grid: every 100th bin.
+        let mut grid: Vec<usize> = (0..20_000).map(|i| (i * 7 % 200) * 100).collect();
+        grid.sort_unstable();
+        assert_producers_agree(&grid, 20_000);
+    }
+
+    #[test]
+    fn event_producer_refuses_bad_bins() {
+        for (bins, n) in [(vec![5, 3], 1_000), (vec![1, 1_000], 1_000)] {
+            assert!(matches!(
+                variance_time_events(&bins, n),
+                Err(StatsError::InvalidParameter { name: "bins", .. })
+            ));
+        }
+        assert!(matches!(
+            variance_time_events(&[1], 255),
+            Err(StatsError::InsufficientData {
+                needed: 256,
+                got: 255
+            })
+        ));
+    }
+
+    /// `(n, sorted bins)`: bursts of events at random positions, skewed
+    /// towards the end of the series by `skew < 1`.
+    fn arb_events() -> impl Strategy<Value = (usize, Vec<usize>)> {
+        (
+            256usize..20_001,
+            prop::collection::vec((0.0f64..1.0, 1usize..40), 0..600),
+            prop_oneof![Just(1.0f64), 0.05f64..1.0],
+        )
+            .prop_map(|(n, bursts, skew)| {
+                let mut bins = Vec::new();
+                for (pos, size) in bursts {
+                    let bin = ((pos.powf(skew) * n as f64) as usize).min(n - 1);
+                    bins.extend(std::iter::repeat_n(bin, size));
+                }
+                bins.sort_unstable();
+                (n, bins)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn event_producer_is_bit_exact_against_dense((n, bins) in arb_events()) {
+            assert_producers_agree(&bins, n);
+        }
     }
 }

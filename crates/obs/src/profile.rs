@@ -68,7 +68,7 @@ pub enum Stage {
     ClfParse,
     /// TTL-map sessionization of the parsed record.
     Sessionize,
-    /// Online estimators: moments, histograms, tails, arrival rings.
+    /// Online estimators: moments, histograms, tails, arrival times.
     Estimators,
     /// Closing an analysis window (variance-time + Poisson battery).
     WindowClose,

@@ -62,8 +62,9 @@ pub const MAGIC: [u8; 8] = *b"WPZCKPT\0";
 /// governor's pressure-state code. Version 4 dropped the engine's
 /// transfer-size histogram: the registry's `stream/response_bytes`
 /// histogram, which has process lifetime like every metric, is the
-/// only copy.
-pub const VERSION: u32 = 4;
+/// only copy. Version 5 dropped the per-window count rings: a window
+/// close derives them from the window's arrival times.
+pub const VERSION: u32 = 5;
 /// Fixed header size: magic + version + payload length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -502,8 +503,6 @@ fn dec_sessionizer(d: &mut Dec) -> DecResult<SessionizerState> {
 }
 
 fn enc_arrivals(e: &mut Enc, a: &ArrivalsState) {
-    e.f64_slice(&a.coarse);
-    e.f64_slice(&a.fine);
     e.f64_slice(&a.times);
     e.u64(a.window_index);
     e.f64(a.last_time);
@@ -512,8 +511,6 @@ fn enc_arrivals(e: &mut Enc, a: &ArrivalsState) {
 
 fn dec_arrivals(d: &mut Dec) -> DecResult<ArrivalsState> {
     Ok(ArrivalsState {
-        coarse: d.f64_vec()?,
-        fine: d.f64_vec()?,
         times: d.f64_vec()?,
         window_index: d.u64()?,
         last_time: d.f64()?,
@@ -1188,9 +1185,9 @@ mod tests {
             Err(CheckpointError::BadMagic)
         ));
 
-        // Version 3 (the layout before the engine's transfer-size
-        // histogram was dropped) and an unknown future version.
-        for v in [3u32, 99] {
+        // Versions 3 and 4 (before the transfer-size histogram, then the
+        // count rings, were dropped) and an unknown future version.
+        for v in [3u32, 4, 99] {
             let mut version = bytes.clone();
             version[8..12].copy_from_slice(&v.to_le_bytes());
             match Checkpoint::decode(&version) {

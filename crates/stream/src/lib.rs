@@ -18,9 +18,9 @@
 //! * [`online`] — fixed-memory estimators: [`Welford`] mean/variance and
 //!   [`TopK`] order statistics feeding an incremental Hill tail-index
 //!   estimate.
-//! * [`window`] — [`WindowedArrivals`]: per-second / per-10-ms ring
-//!   counts over fixed analysis windows, feeding the existing
-//!   variance-time estimator and §4.2 Poisson battery window by window.
+//! * [`window`] — [`WindowedArrivals`]: the arrival times of each fixed
+//!   analysis window, read at close by the variance-time estimator (at
+//!   per-second and per-10-ms bins) and the §4.2 Poisson battery.
 //! * [`observatory`] — [`DriftObservatory`]: online change-point
 //!   detection (CUSUM, Page–Hinkley, EWMA control bands) over the
 //!   per-window estimates, publishing typed drift events to the
@@ -45,9 +45,9 @@
 //!   beat on progress, silence past a deadline publishes a `Critical`
 //!   event for the supervising loop to escalate on.
 //!
-//! Total memory is `O(open sessions + window bins + window arrivals +
-//! top-k)` — independent of log length. See DESIGN.md §9 for the
-//! memory-bound and estimator-equivalence contracts.
+//! Total memory is `O(open sessions + window arrivals + top-k)` —
+//! independent of log length. See DESIGN.md §9 for the memory-bound
+//! and estimator-equivalence contracts.
 //!
 //! # Examples
 //!

@@ -1,29 +1,29 @@
-//! Windowed arrival analysis: bounded rings of per-second / per-10-ms
-//! counts that feed the existing variance-time estimator and §4.2
-//! Poisson battery, window by window.
+//! Windowed arrival analysis: the existing variance-time estimator and
+//! §4.2 Poisson battery, window by window.
 //!
 //! The batch pipeline bins a whole week of arrivals at once; here a
-//! fixed analysis window (default: the paper's 4-hour interval) is
-//! accumulated in two count rings plus the raw arrival times of the
-//! *current window only*, and when the stream crosses a window
-//! boundary the completed window is analyzed and the rings recycle.
-//! Memory is `O(window bins + window arrivals)` — nothing outlives its
-//! window except the small [`WindowReport`] per window.
+//! fixed analysis window (default: the paper's 4-hour interval) keeps
+//! the raw arrival times of the *current window only*. At a window
+//! boundary each time maps to its per-second (and per-10-ms) bin, and
+//! [`variance_time_events`] reads those bin indices bit for bit as the
+//! dense counts would read. Memory is `O(window arrivals)` — nothing
+//! outlives its window except the small [`WindowReport`] per window.
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_core::{poisson_arrival_test, PoissonVerdict, TieSpreading};
-use webpuzzle_lrd::variance_time_detailed;
+use webpuzzle_lrd::{variance_time_events, VarianceTimeFit};
+use webpuzzle_weblog::WeblogError;
 
 /// Configuration of the per-window analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowConfig {
     /// Window length in seconds (paper: 4-hour intervals).
     pub window_len: f64,
-    /// Coarse ring bin width, seconds (paper: 1 s arrival counts).
+    /// Coarse count bin width, seconds (paper: 1 s arrival counts).
     pub bin_width: f64,
-    /// Optional fine ring bin width, seconds (default 10 ms) for a
-    /// sub-second variance-time reading; `None` disables the fine ring.
+    /// Optional fine count bin width, seconds (default 10 ms) for a
+    /// sub-second variance-time reading; `None` disables it.
     pub fine_bin_width: Option<f64>,
     /// Minimum arrivals per Poisson subinterval; below it the window
     /// verdict is NA (the paper's NASA-Pub2 situation).
@@ -54,18 +54,18 @@ pub struct WindowReport {
     pub start: f64,
     /// Arrivals in the window.
     pub events: u64,
-    /// Variance-time Hurst estimate over the coarse (per-second) ring;
+    /// Variance-time Hurst estimate over the coarse (per-second) counts;
     /// `None` when the window is too quiet for the estimator.
     pub h_variance_time: Option<f64>,
     /// Half-width of the 95% CI on `h_variance_time` (t-based, from
     /// the OLS residuals, inflated per `webpuzzle_lrd::VT_CI_INFLATION`).
     pub h_ci_half_width: Option<f64>,
-    /// R² of the coarse-ring variance-time regression.
+    /// R² of the coarse-count variance-time regression.
     pub h_r_squared: Option<f64>,
-    /// Aggregation levels used by the coarse-ring fit (0 when the
+    /// Aggregation levels used by the coarse-count fit (0 when the
     /// estimator did not run).
     pub h_points: u64,
-    /// Variance-time Hurst estimate over the fine (per-10-ms) ring.
+    /// Variance-time Hurst estimate over the fine (per-10-ms) counts.
     pub h_variance_time_fine: Option<f64>,
     /// §4.2 Poisson verdict at hourly subinterval rates.
     pub poisson_hourly: PoissonVerdict,
@@ -74,15 +74,10 @@ pub struct WindowReport {
 }
 
 /// Complete mutable state of a [`WindowedArrivals`] accumulator, for
-/// checkpointing. Ring contents are carried verbatim: counts are exact
-/// and the raw arrival times of the current (partial) window are what
-/// the Poisson battery will need when the window eventually closes.
+/// checkpointing: the raw arrival times of the current (partial)
+/// window, which the estimators read when it eventually closes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalsState {
-    /// Coarse-ring per-bin counts.
-    pub coarse: Vec<f64>,
-    /// Fine-ring per-bin counts (empty when the fine ring is disabled).
-    pub fine: Vec<f64>,
     /// Raw arrival times of the current window.
     pub times: Vec<f64>,
     /// Index of the current (open) window.
@@ -104,31 +99,19 @@ pub struct ArrivalsState {
 #[derive(Debug)]
 pub struct WindowedArrivals {
     cfg: WindowConfig,
-    coarse: Vec<f64>,
-    fine: Vec<f64>,
-    times: Vec<f64>,
-    window_index: u64,
-    last_time: f64,
-    total_events: u64,
+    state: ArrivalsState,
 }
 
 impl WindowedArrivals {
     /// Create an accumulator with the given window configuration.
     pub fn new(cfg: WindowConfig) -> Self {
-        let coarse_bins = (cfg.window_len / cfg.bin_width).ceil().max(1.0) as usize;
-        let fine_bins = cfg
-            .fine_bin_width
-            .map(|w| (cfg.window_len / w).ceil().max(1.0) as usize)
-            .unwrap_or(0);
-        WindowedArrivals {
-            cfg,
-            coarse: vec![0.0; coarse_bins],
-            fine: vec![0.0; fine_bins],
+        let state = ArrivalsState {
             times: Vec::new(),
             window_index: 0,
             last_time: f64::NEG_INFINITY,
             total_events: 0,
-        }
+        };
+        WindowedArrivals { cfg, state }
     }
 
     /// Feed one arrival time (seconds, nondecreasing). Completed
@@ -136,28 +119,24 @@ impl WindowedArrivals {
     ///
     /// # Errors
     ///
-    /// Propagates estimator failures other than the expected
+    /// Returns [`WeblogError::Unsorted`] (at this accumulator's arrival
+    /// index) for a time below the previous one or a NaN, and
+    /// propagates estimator failures other than the expected
     /// too-little-data cases (which map to `None`/NA in the report).
     pub fn push(&mut self, t: f64, out: &mut Vec<WindowReport>) -> Result<()> {
-        debug_assert!(t >= self.last_time, "arrival times must be nondecreasing");
-        self.last_time = t;
+        if t.is_nan() || t < self.state.last_time {
+            let at = self.state.total_events as usize;
+            return Err(WeblogError::Unsorted { at }.into());
+        }
+        self.state.last_time = t;
         // Close every window the stream has moved past (quiet stretches
         // produce empty windows, which are reported as such).
-        while t >= (self.window_index + 1) as f64 * self.cfg.window_len {
-            let report = self.close_window()?;
-            out.push(report);
+        while self.would_close(t) {
+            out.push(self.close_window()?);
         }
-        let start = self.window_index as f64 * self.cfg.window_len;
-        let offset = t - start;
-        if offset >= 0.0 {
-            let c = ((offset / self.cfg.bin_width) as usize).min(self.coarse.len() - 1);
-            self.coarse[c] += 1.0;
-            if let Some(w) = self.cfg.fine_bin_width {
-                let f = ((offset / w) as usize).min(self.fine.len().saturating_sub(1));
-                self.fine[f] += 1.0;
-            }
-            self.times.push(t);
-            self.total_events += 1;
+        if t >= self.window_start() {
+            self.state.times.push(t);
+            self.state.total_events += 1;
         }
         Ok(())
     }
@@ -170,11 +149,9 @@ impl WindowedArrivals {
     /// Propagates unexpected estimator failures, as in
     /// [`WindowedArrivals::push`].
     pub fn finish(&mut self, out: &mut Vec<WindowReport>) -> Result<()> {
-        let start = self.window_index as f64 * self.cfg.window_len;
-        let covered = self.last_time - start;
-        if !self.times.is_empty() && covered >= self.cfg.window_len / 2.0 {
-            let report = self.close_window()?;
-            out.push(report);
+        let covered = self.state.last_time - self.window_start();
+        if !self.state.times.is_empty() && covered >= self.cfg.window_len / 2.0 {
+            out.push(self.close_window()?);
         }
         Ok(())
     }
@@ -184,78 +161,57 @@ impl WindowedArrivals {
     /// time the window section for the flight recorder before paying
     /// for any timestamps.
     pub fn would_close(&self, t: f64) -> bool {
-        t >= (self.window_index + 1) as f64 * self.cfg.window_len
+        t >= (self.state.window_index + 1) as f64 * self.cfg.window_len
     }
 
     /// Total arrivals accepted so far.
     pub fn total_events(&self) -> u64 {
-        self.total_events
-    }
-
-    /// Memory footprint of the rings, in bins (diagnostic).
-    pub fn ring_bins(&self) -> usize {
-        self.coarse.len() + self.fine.len()
+        self.state.total_events
     }
 
     /// Export the accumulator's mutable state for checkpointing.
     pub fn export_state(&self) -> ArrivalsState {
-        ArrivalsState {
-            coarse: self.coarse.clone(),
-            fine: self.fine.clone(),
-            times: self.times.clone(),
-            window_index: self.window_index,
-            last_time: self.last_time,
-            total_events: self.total_events,
-        }
+        self.state.clone()
     }
 
     /// Rebuild an accumulator from a configuration plus exported state.
-    /// Ring sizing comes from `cfg`; exported rings are carried over
-    /// verbatim when their lengths agree and are otherwise clamped to
-    /// the configured sizes (a config/state mismatch is a caller bug,
-    /// but restore degrades to a ring reset instead of panicking).
     pub fn restore(cfg: WindowConfig, state: ArrivalsState) -> Self {
-        let mut w = WindowedArrivals::new(cfg);
-        if state.coarse.len() == w.coarse.len() {
-            w.coarse = state.coarse;
-        }
-        if state.fine.len() == w.fine.len() {
-            w.fine = state.fine;
-        }
-        w.times = state.times;
-        w.window_index = state.window_index;
-        w.last_time = state.last_time;
-        w.total_events = state.total_events;
-        w
+        WindowedArrivals { cfg, state }
+    }
+
+    fn window_start(&self) -> f64 {
+        self.state.window_index as f64 * self.cfg.window_len
+    }
+
+    /// Variance-time fit of the window's counts at bins of `width`
+    /// seconds, read from the arrivals' (sorted) bin indices.
+    fn variance_time(&self, width: f64) -> Option<VarianceTimeFit> {
+        let n = (self.cfg.window_len / width).ceil().max(1.0) as usize;
+        let start = self.window_start();
+        let bins: Vec<usize> = (self.state.times.iter())
+            .map(|&t| (((t - start) / width) as usize).min(n - 1))
+            .collect();
+        variance_time_events(&bins, n).ok()
     }
 
     fn close_window(&mut self) -> Result<WindowReport> {
         let _span = webpuzzle_obs::span!("stream/window_analysis");
-        let start = self.window_index as f64 * self.cfg.window_len;
-        let events = self.times.len() as u64;
-
-        let vt = variance_time_detailed(&self.coarse).ok();
+        let start = self.window_start();
+        let vt = self.variance_time(self.cfg.bin_width);
         let h_variance_time = vt.as_ref().map(|d| d.estimate.h);
         let h_ci_half_width = vt.as_ref().map(|d| d.h_ci_half_width);
         let h_r_squared = vt.as_ref().map(|d| d.fit.r_squared);
         let h_points = vt.as_ref().map_or(0, |d| d.points as u64);
-        let h_variance_time_fine = if self.fine.is_empty() {
-            None
-        } else {
-            variance_time_detailed(&self.fine)
-                .ok()
-                .map(|d| d.estimate.h)
-        };
-
-        let subs_hourly = ((self.cfg.window_len / 3_600.0).round() as usize).max(2);
-        let subs_ten_min = ((self.cfg.window_len / 600.0).round() as usize).max(2);
-        let poisson_hourly = self.poisson_verdict(start, subs_hourly)?;
-        let poisson_ten_min = self.poisson_verdict(start, subs_ten_min)?;
+        let h_variance_time_fine = (self.cfg.fine_bin_width)
+            .and_then(|width| self.variance_time(width))
+            .map(|d| d.estimate.h);
+        let poisson_hourly = self.poisson_verdict(start, 3_600.0)?;
+        let poisson_ten_min = self.poisson_verdict(start, 600.0)?;
 
         let report = WindowReport {
-            index: self.window_index,
+            index: self.state.window_index,
             start,
-            events,
+            events: self.state.times.len() as u64,
             h_variance_time,
             h_ci_half_width,
             h_r_squared,
@@ -265,22 +221,21 @@ impl WindowedArrivals {
             poisson_ten_min,
         };
 
-        self.coarse.fill(0.0);
-        self.fine.fill(0.0);
-        self.times.clear();
-        self.window_index += 1;
+        self.state.times.clear();
+        self.state.window_index += 1;
         Ok(report)
     }
 
-    fn poisson_verdict(&self, start: f64, subintervals: usize) -> Result<PoissonVerdict> {
-        if self.times.is_empty() {
+    /// §4.2 verdict at subintervals of about `sub_len` seconds.
+    fn poisson_verdict(&self, start: f64, sub_len: f64) -> Result<PoissonVerdict> {
+        if self.state.times.is_empty() {
             return Ok(PoissonVerdict::NotApplicable);
         }
         let outcome = poisson_arrival_test(
-            &self.times,
+            &self.state.times,
             start,
             self.cfg.window_len,
-            subintervals,
+            ((self.cfg.window_len / sub_len).round() as usize).max(2),
             TieSpreading::Uniform,
             self.cfg.min_poisson_arrivals,
             self.cfg.seed,
@@ -292,8 +247,10 @@ impl WindowedArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use webpuzzle_lrd::variance_time_detailed;
     use webpuzzle_stats::dist::{Exponential, Sampler};
 
     fn cfg(window_len: f64) -> WindowConfig {
@@ -426,12 +383,54 @@ mod tests {
             seed: 0,
         });
         let mut out = Vec::new();
-        for t in poisson_times(5.0, 1_200.0, 9) {
+        // Whole-second bursts, as CLF timestamps give.
+        let times: Vec<f64> = poisson_times(5.0, 1_200.0, 9)
+            .into_iter()
+            .map(f64::floor)
+            .collect();
+        for &t in &times {
             w.push(t, &mut out).unwrap();
         }
+        // The exported state holds the open window's times and no counts.
+        let split = times.partition_point(|&t| t < 600.0);
+        assert_eq!(w.export_state().times, &times[split..]);
         w.finish(&mut out).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out[0].h_variance_time_fine.is_some());
-        assert_eq!(w.ring_bins(), 600 + 6_000);
+        // Both readings equal those of the window's dense count rings.
+        for (r, window) in out.iter().zip([&times[..split], &times[split..]]) {
+            let ring = |width: f64| {
+                let n = (600.0 / width).ceil() as usize;
+                let mut ring = vec![0.0; n];
+                for &t in window {
+                    ring[(((t - r.start) / width) as usize).min(n - 1)] += 1.0;
+                }
+                variance_time_detailed(&ring).unwrap()
+            };
+            let (coarse, fine) = (ring(1.0), ring(0.1));
+            assert_eq!(r.h_variance_time, Some(coarse.estimate.h));
+            assert_eq!(r.h_ci_half_width, Some(coarse.h_ci_half_width));
+            assert_eq!(r.h_r_squared, Some(coarse.fit.r_squared));
+            assert_eq!(r.h_points, coarse.points as u64);
+            assert_eq!(r.h_variance_time_fine, Some(fine.estimate.h));
+        }
+    }
+
+    #[test]
+    fn out_of_order_and_nan_times_are_refused() {
+        let mut w = WindowedArrivals::new(cfg(600.0));
+        let mut out = Vec::new();
+        for t in [1.0, 2.0, 2.0] {
+            w.push(t, &mut out).unwrap();
+        }
+        for t in [1.5, f64::NAN] {
+            let err = w.push(t, &mut out).unwrap_err();
+            assert!(
+                matches!(err, StreamError::Weblog(WeblogError::Unsorted { at: 3 })),
+                "{t}"
+            );
+        }
+        w.push(3.0, &mut out).unwrap();
+        assert_eq!(w.total_events(), 4);
     }
 }
