@@ -3,8 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use webpuzzle_lrd::{
-    abry_veitch, fgn::FgnGenerator, periodogram_hurst, rescaled_range, variance_time, whittle,
-    HurstSuite,
+    abry_veitch, aggregated_hurst_sweep, fgn::FgnGenerator, periodogram_hurst, rescaled_range,
+    variance_time, whittle, HurstSuite, SweepEstimator,
 };
 
 fn bench_estimators(c: &mut Criterion) {
@@ -40,6 +40,24 @@ fn bench_estimators(c: &mut Criterion) {
         .expect("fGn generates");
     group.bench_function("suite/16384", |b| {
         b.iter(|| HurstSuite::estimate(black_box(&data)).unwrap())
+    });
+    // One week at the fast config's 60 s bins: 10 080 points, a length the
+    // FFT reaches through Bluestein. The sweep is both Ĥ(m) sweeps with the
+    // fast config's 512-point floor.
+    let week = FgnGenerator::new(0.8)
+        .expect("valid H")
+        .seed(4)
+        .generate(10_080)
+        .expect("fGn generates");
+    group.bench_function("whittle/10080", |b| {
+        b.iter(|| whittle(black_box(&week)).unwrap())
+    });
+    group.bench_function("sweep/10080", |b| {
+        b.iter(|| {
+            for est in [SweepEstimator::Whittle, SweepEstimator::AbryVeitch] {
+                aggregated_hurst_sweep(black_box(&week), est, 512).unwrap();
+            }
+        })
     });
     group.finish();
 }

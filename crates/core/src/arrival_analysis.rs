@@ -4,7 +4,9 @@
 use crate::config::AnalysisConfig;
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use webpuzzle_lrd::{aggregated_hurst_sweep, AggregatedEstimate, HurstSuite, SweepEstimator};
+use webpuzzle_lrd::{
+    aggregated_hurst_sweep_reusing, AggregatedEstimate, HurstSuite, SweepEstimator,
+};
 use webpuzzle_stats::descriptive::Summary;
 use webpuzzle_stats::htest::{kpss_test, KpssResult, KpssType};
 use webpuzzle_timeseries::{acf, decompose, CountSeries};
@@ -105,17 +107,20 @@ impl ArrivalAnalysis {
             let _span = webpuzzle_obs::span!("arrival/hurst_stationary");
             HurstSuite::estimate(&dec.stationary)?
         };
+        // The sweep's m = 1 level is the stationary suite's own fit.
         let sweep_span = webpuzzle_obs::span!("arrival/hurst_sweep");
-        let whittle_sweep = aggregated_hurst_sweep(
+        let whittle_sweep = aggregated_hurst_sweep_reusing(
             &dec.stationary,
             SweepEstimator::Whittle,
             cfg.sweep_min_points,
+            hurst_stationary.whittle,
         )
         .unwrap_or_default();
-        let abry_veitch_sweep = aggregated_hurst_sweep(
+        let abry_veitch_sweep = aggregated_hurst_sweep_reusing(
             &dec.stationary,
             SweepEstimator::AbryVeitch,
             cfg.sweep_min_points,
+            hurst_stationary.abry_veitch,
         )
         .unwrap_or_default();
         drop(sweep_span);
@@ -206,6 +211,23 @@ mod tests {
         assert!(a.long_range_dependent(), "{}", a.hurst_stationary);
         assert!(!a.whittle_sweep.is_empty());
         assert!(!a.abry_veitch_sweep.is_empty());
+    }
+
+    #[test]
+    fn sweep_level_one_is_the_stationary_suite_fit() {
+        let events = cox_events(0.8, 150_000, 7);
+        let a = ArrivalAnalysis::analyze(&events, WEEK, &AnalysisConfig::fast()).unwrap();
+        let bits = |e: &webpuzzle_lrd::HurstEstimate| {
+            let (lo, hi) = e.ci95.unwrap();
+            [e.h.to_bits(), lo.to_bits(), hi.to_bits()]
+        };
+        for (sweep, suite) in [
+            (&a.whittle_sweep, a.hurst_stationary.whittle),
+            (&a.abry_veitch_sweep, a.hurst_stationary.abry_veitch),
+        ] {
+            assert_eq!(sweep[0].m, 1);
+            assert_eq!(bits(&sweep[0].estimate), bits(&suite.unwrap()));
+        }
     }
 
     #[test]

@@ -59,17 +59,38 @@ pub fn aggregated_hurst_sweep(
     estimator: SweepEstimator,
     min_points: usize,
 ) -> Result<Vec<AggregatedEstimate>> {
+    aggregated_hurst_sweep_reusing(data, estimator, min_points, None)
+}
+
+/// [`aggregated_hurst_sweep`], taking the `m = 1` point from `level_one`
+/// when the caller has already run `estimator` on `data` itself. With
+/// `None` the sweep estimates every level, `m = 1` included.
+///
+/// # Errors
+///
+/// As [`aggregated_hurst_sweep`].
+pub fn aggregated_hurst_sweep_reusing(
+    data: &[f64],
+    estimator: SweepEstimator,
+    min_points: usize,
+    level_one: Option<HurstEstimate>,
+) -> Result<Vec<AggregatedEstimate>> {
     let levels = aggregation_levels(data.len(), min_points.max(128));
     let mut out = Vec::new();
     for &m in &levels {
+        let aggregated;
         let series = if m == 1 {
-            data.to_vec()
+            data
         } else {
-            aggregate(data, m)?
+            aggregated = aggregate(data, m)?;
+            &aggregated
         };
-        let est = match estimator {
-            SweepEstimator::Whittle => whittle(&series),
-            SweepEstimator::AbryVeitch => abry_veitch(&series),
+        let est = match (m, level_one) {
+            (1, Some(estimate)) => Ok(estimate),
+            _ => match estimator {
+                SweepEstimator::Whittle => whittle(series),
+                SweepEstimator::AbryVeitch => abry_veitch(series),
+            },
         };
         if let Ok(estimate) = est {
             out.push(AggregatedEstimate {
@@ -156,5 +177,20 @@ mod tests {
     #[test]
     fn tiny_series_rejected() {
         assert!(aggregated_hurst_sweep(&[1.0; 50], SweepEstimator::Whittle, 128).is_err());
+    }
+
+    #[test]
+    fn reusing_without_level_one_equals_the_plain_sweep() {
+        let x = FgnGenerator::new(0.75)
+            .unwrap()
+            .seed(303)
+            .generate(10_080)
+            .unwrap();
+        for est in [SweepEstimator::Whittle, SweepEstimator::AbryVeitch] {
+            assert_eq!(
+                aggregated_hurst_sweep_reusing(&x, est, 512, None).unwrap(),
+                aggregated_hurst_sweep(&x, est, 512).unwrap()
+            );
+        }
     }
 }

@@ -46,7 +46,9 @@ pub mod wavelet;
 mod whittle;
 
 pub use abry_veitch::{abry_veitch, abry_veitch_with_scales};
-pub use aggregation::{aggregated_hurst_sweep, AggregatedEstimate, SweepEstimator};
+pub use aggregation::{
+    aggregated_hurst_sweep, aggregated_hurst_sweep_reusing, AggregatedEstimate, SweepEstimator,
+};
 pub use estimate::{EstimatorKind, HurstEstimate};
 pub use extra_estimators::{absolute_moments, variance_of_residuals};
 pub use periodogram_est::periodogram_hurst;

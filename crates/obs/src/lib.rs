@@ -55,7 +55,8 @@
 //!
 //! {
 //!     let _span = obs::span!("hurst/whittle");
-//!     obs::metrics::counter("lrd/whittle_iterations").add(17);
+//!     // One Whittle fit's likelihood evaluations.
+//!     obs::metrics::counter("lrd/whittle_iterations").add(12);
 //! } // span recorded here
 //!
 //! let report = obs::report::RunReport::collect(
