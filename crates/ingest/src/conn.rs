@@ -14,6 +14,10 @@
 //!   [`webpuzzle_obs::http`] — the same request parser the telemetry
 //!   endpoint runs — under the same size/timeout limits.
 //!
+//! Both paths hand each line's raw bytes to
+//! [`webpuzzle_weblog::clf::parse_raw_line`]: no UTF-8 decoding, and
+//! invalid bytes parse as their `String::from_utf8_lossy` decoding would.
+//!
 //! Robustness rules, shared by both paths: lines longer than
 //! `max_line_bytes` are discarded-to-newline and counted
 //! (`ingest/lines_oversized`); a partial line cut off by a disconnect
@@ -37,7 +41,7 @@ use std::time::Duration;
 
 use webpuzzle_obs::http::{self, HttpError, HttpLimits};
 use webpuzzle_obs::metrics;
-use webpuzzle_weblog::clf::parse_line;
+use webpuzzle_weblog::clf::parse_raw_line;
 use webpuzzle_weblog::{LogRecord, MalformedKind, WeblogError};
 
 use crate::hub::{IngestHub, Priority, SourceHandle};
@@ -264,17 +268,17 @@ fn handle_line_protocol<R: BufRead>(reader: &mut R, hub: &Arc<IngestHub>, cfg: &
                 };
                 bytes_acc += n as u64;
                 lines_acc += 1;
-                let line = String::from_utf8_lossy(&buf);
-                let line = line.trim_end_matches(['\n', '\r']);
-                if let Some(decl) = line.strip_prefix("#priority ") {
+                if let Some(decl) = buf.strip_prefix(b"#priority ") {
                     // In-band control line, not a record; an unknown
-                    // class is counted malformed rather than ignored.
-                    match Priority::parse(decl.trim()) {
+                    // class (or one that is not UTF-8) is counted
+                    // malformed rather than ignored. `Priority::parse`
+                    // trims, line terminator included.
+                    match std::str::from_utf8(decl).ok().and_then(Priority::parse) {
                         Some(p) => handle.set_priority(p),
                         None => handle.note_malformed(MalformedKind::Other),
                     }
-                } else if !line.trim().is_empty() {
-                    match parse_line(line, cfg.base_epoch) {
+                } else if let Some(parsed) = parse_raw_line(&buf, cfg.base_epoch) {
+                    match parsed {
                         Ok(rec) => {
                             batch.push(rec);
                             if batch.len() >= cfg.batch_records {
@@ -434,12 +438,10 @@ fn push_body_lines(handle: &SourceHandle, body: &[u8], cfg: &ConnConfig) -> (u64
             Ok(LineRead::Line(n)) | Ok(LineRead::Partial(n)) => {
                 bytes += n as u64;
                 lines += 1;
-                let line = String::from_utf8_lossy(&buf);
-                let line = line.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
+                let Some(parsed) = parse_raw_line(&buf, cfg.base_epoch) else {
                     continue;
-                }
-                match parse_line(line, cfg.base_epoch) {
+                };
+                match parsed {
                     Ok(rec) => {
                         accepted += 1;
                         batch.push(rec);

@@ -10,7 +10,10 @@
 //!   fills the kernel TCP buffers, which blocks the *sender's* socket.
 //!   The slow consumer slows the producer; nothing is dropped silently,
 //!   and everything that is dropped (late, resume-duplicate,
-//!   stall-late) is counted.
+//!   stall-late) is counted. A blocked pusher is woken once its buffer
+//!   is half drained, or when the merge has nothing to release and the
+//!   pusher has room, so a saturated source costs one wake-up per half
+//!   buffer, not per record.
 //! - **Stall grace**: a source that stays open but silent would dam the
 //!   merge forever (its watermark vetoes every release). When nothing
 //!   has moved for `stall_grace` and records are buffered, the hub
@@ -144,6 +147,10 @@ struct Admission {
     window_lines: u64,
     window_bad: u64,
     shed_accum: f64,
+    /// Pushers of this source waiting for room in its buffer.
+    waiting: u32,
+    /// Times a pusher of this source has returned from that wait.
+    wakeups: u64,
 }
 
 impl Admission {
@@ -154,6 +161,8 @@ impl Admission {
             window_lines: 0,
             window_bad: 0,
             shed_accum: 0.0,
+            waiting: 0,
+            wakeups: 0,
         }
     }
 }
@@ -514,7 +523,8 @@ impl IngestHub {
     pub fn pop_blocking(&self) -> Option<LogRecord> {
         let mut st = self.state.lock().expect("hub lock");
         loop {
-            if let Some(record) = self.gate_open(&st).then(|| st.merger.pop()).flatten() {
+            let popped = self.gate_open(&st).then(|| st.merger.pop_with_source());
+            if let Some((source, record)) = popped.flatten() {
                 st.last_progress = Instant::now();
                 st.pops_since_gauges += 1;
                 if st.pops_since_gauges >= GAUGE_EVERY {
@@ -524,11 +534,18 @@ impl IngestHub {
                 let merge_late = st.merger.merge_late();
                 let delta = merge_late - st.merge_late_reported;
                 st.merge_late_reported = merge_late;
+                // Wake a full source's pusher once its buffer is half
+                // drained, not on every pop: a saturated source then
+                // costs one wake-up per half buffer.
+                let wake = st.admissions[source].waiting > 0
+                    && st.merger.buffered_of(source) <= self.cfg.queue_capacity / 2;
                 drop(st);
                 if delta > 0 {
                     self.counters.merge_late.add(delta);
                 }
-                self.writable.notify_all();
+                if wake {
+                    self.writable.notify_all();
+                }
                 return Some(record);
             }
             if self.ended(&st) {
@@ -537,6 +554,18 @@ impl IngestHub {
                 // Unblock any pusher still waiting on capacity.
                 self.writable.notify_all();
                 return None;
+            }
+            // Nothing releasable: a waiting pusher with room may hold the
+            // record the merge needs next. Pushers whose buffers are still
+            // full stay asleep; waking them would only wake this loop back.
+            let cap = self.cfg.queue_capacity;
+            let pushable = st
+                .admissions
+                .iter()
+                .enumerate()
+                .any(|(source, adm)| adm.waiting > 0 && st.merger.buffered_of(source) < cap);
+            if pushable {
+                self.writable.notify_all();
             }
             let (guard, _timeout) = self.readable.wait_timeout(st, POP_TICK).expect("hub lock");
             st = guard;
@@ -928,8 +957,15 @@ impl SourceHandle {
                 }
             }
             while st.merger.buffered_of(self.id) >= self.hub.cfg.queue_capacity && !st.finished {
-                let guard = self.hub.writable.wait(st).expect("hub lock");
-                st = guard;
+                // The records pushed so far may be what the merge waits
+                // for: with a reorder window the consumer can be asleep
+                // with this buffer full, and would otherwise only see them
+                // at its next tick.
+                self.hub.readable.notify_all();
+                st.admissions[self.id].waiting += 1;
+                st = self.hub.writable.wait(st).expect("hub lock");
+                st.admissions[self.id].waiting -= 1;
+                st.admissions[self.id].wakeups += 1;
             }
             if st.finished {
                 // The analyzer is gone; the rest of the batch cannot be
@@ -1157,6 +1193,84 @@ mod tests {
         let stats = h.stats();
         assert_eq!(stats.admitted, 64);
         assert_eq!(stats.late_dropped, 0);
+    }
+
+    #[test]
+    fn a_blocked_pusher_is_woken_when_the_merge_needs_its_records() {
+        // With a reorder window, a full buffer's newest records are not
+        // yet releasable: the pops stop above half capacity, and only
+        // the pusher's next records let the merge go on. The long stall
+        // grace keeps a stall release from standing in for the wake-up.
+        // About 50 such rounds must not each wait out a 100 ms pop tick.
+        let h = hub(HubConfig {
+            queue_capacity: 8,
+            reorder_window: 0.5,
+            expected_sources: Some(1),
+            stall_grace: Some(Duration::from_secs(20)),
+            ..HubConfig::default()
+        });
+        let started = Instant::now();
+        let handle = h.register_source("tcp").unwrap();
+        let records: Vec<LogRecord> = (0..160).map(|i| rec(i as f64 * 0.1, 1)).collect();
+        let pusher = std::thread::spawn(move || {
+            handle.push_batch(&records);
+            drop(handle);
+        });
+        let mut popped = 0;
+        while let Some(_r) = h.pop_blocking() {
+            popped += 1;
+        }
+        assert_eq!(popped, 160);
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "waited for pop ticks or a stall release"
+        );
+        pusher.join().unwrap();
+    }
+
+    #[test]
+    fn a_silent_source_leaves_a_full_pusher_asleep() {
+        // One source floods a small buffer while another stays open and
+        // silent, with no stall grace: nothing can be released, so the
+        // merge and the full source's pusher must both sleep instead of
+        // waking each other until the silent source closes.
+        let h = hub(HubConfig {
+            queue_capacity: 8,
+            expected_sources: Some(2),
+            stall_grace: None,
+            ..HubConfig::default()
+        });
+        let flood = h.register_source("tcp").unwrap();
+        let silent = h.register_source("tcp").unwrap();
+        let flood_id = flood.id;
+        let wakeups = |h: &IngestHub| h.state.lock().unwrap().admissions[flood_id].wakeups;
+        let records: Vec<LogRecord> = (0..64).map(|i| rec(i as f64 * 0.1, 1)).collect();
+        let pusher = std::thread::spawn(move || {
+            flood.push_batch(&records);
+            drop(flood);
+        });
+        let consumer = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || std::iter::from_fn(|| h.pop_blocking()).count())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.stats().buffered < 8 {
+            assert!(
+                Instant::now() < deadline,
+                "the flooding source never filled its buffer"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        let idle = wakeups(&h);
+        assert!(
+            idle <= 2,
+            "pusher woken {idle} times while nothing could move"
+        );
+        drop(silent);
+        assert_eq!(consumer.join().unwrap(), 64);
+        pusher.join().unwrap();
+        assert!(wakeups(&h) > idle, "draining woke the pusher");
     }
 
     #[test]

@@ -267,6 +267,12 @@ impl WatermarkMerger {
     /// one. `None` means "nothing releasable *now*" — not end of
     /// stream; see [`WatermarkMerger::is_drained`].
     pub fn pop(&mut self) -> Option<LogRecord> {
+        self.pop_with_source().map(|(_, record)| record)
+    }
+
+    /// [`WatermarkMerger::pop`], also naming the source the record came
+    /// from.
+    pub fn pop_with_source(&mut self) -> Option<(usize, LogRecord)> {
         loop {
             let idx = self.pop_candidate()?;
             let p = self.sources[idx].buf.pop().expect("candidate has a head");
@@ -281,7 +287,7 @@ impl WatermarkMerger {
             }
             self.emitted_watermark = p.t;
             self.emitted += 1;
-            return Some(p.record);
+            return Some((idx, p.record));
         }
     }
 

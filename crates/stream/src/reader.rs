@@ -2,7 +2,9 @@
 //!
 //! [`ClfSource`] pulls lines from any [`BufRead`] — a file, stdin, a
 //! socket — through a reusable byte buffer, so memory is one line at a
-//! time no matter how long the log is. Malformed lines either abort
+//! time no matter how long the log is. Each line's bytes go straight to
+//! [`parse_raw_line`], with no UTF-8 decoding; invalid UTF-8 parses as
+//! its `String::from_utf8_lossy` decoding would. Malformed lines either abort
 //! (strict mode, mirroring [`webpuzzle_weblog::clf::parse_log`]) or are
 //! skipped and counted (lenient mode, mirroring
 //! [`webpuzzle_weblog::clf::parse_log_lenient`]).
@@ -14,7 +16,7 @@ use crate::Result;
 use std::io::BufRead;
 use std::sync::Arc;
 use webpuzzle_obs::{metrics, profile};
-use webpuzzle_weblog::clf::{parse_line, MALFORMED_SKIPPED_COUNTER};
+use webpuzzle_weblog::clf::{parse_raw_line, MALFORMED_SKIPPED_COUNTER};
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind, WeblogError};
 
 /// Registry counters for the per-cause malformed-line breakdown, in
@@ -101,7 +103,9 @@ impl<R: BufRead> ClfSource<R> {
     }
 
     /// Skip (and count) malformed lines instead of aborting the stream.
-    /// Invalid UTF-8 bytes are always replaced, never fatal.
+    /// Lines are parsed as bytes: invalid UTF-8 reads as its lossy
+    /// decoding (U+FFFD), so it fails a line only inside a field that must
+    /// be ASCII (a number, a month name).
     pub fn lenient(mut self, lenient: bool) -> Self {
         self.lenient = lenient;
         self
@@ -195,16 +199,14 @@ impl<R: BufRead> Source for ClfSource<R> {
                 }
             }
             self.line_no += 1;
-            let line = String::from_utf8_lossy(&self.buf);
-            let line = line.trim_end_matches(['\n', '\r']);
-            if line.trim().is_empty() {
-                continue;
-            }
             let t_parse = sample.then(std::time::Instant::now);
-            let parsed = parse_line(line, self.base_epoch);
+            let parsed = parse_raw_line(&self.buf, self.base_epoch);
             if let Some(t0) = t_parse {
                 parse_ns += t0.elapsed().as_nanos() as u64;
             }
+            let Some(parsed) = parsed else {
+                continue;
+            };
             match parsed {
                 Ok(rec) => {
                     if sample {

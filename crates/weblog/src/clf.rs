@@ -64,7 +64,7 @@ pub fn format_line(record: &LogRecord, base_epoch: i64) -> String {
 /// Parse one CLF line into a record with timestamp relative to `base_epoch`.
 ///
 /// Accepts `-` for the byte count (written by servers for bodyless
-/// responses) and maps it to 0.
+/// responses) and maps it to 0. The same as [`parse_line_bytes`].
 ///
 /// # Errors
 ///
@@ -85,53 +85,96 @@ pub fn format_line(record: &LogRecord, base_epoch: i64) -> String {
 /// # }
 /// ```
 pub fn parse_line(line: &str, base_epoch: i64) -> Result<LogRecord> {
-    let bad = |reason: &str| WeblogError::ParseLine {
+    parse_line_bytes(line.as_bytes(), base_epoch)
+}
+
+/// Parse one CLF line (without its terminator) from raw bytes.
+///
+/// It never decodes UTF-8 and never allocates on a well-formed line, yet
+/// its result on any byte string equals [`parse_line`] on that string's
+/// `String::from_utf8_lossy` decoding: fields are split on the UTF-8
+/// encodings of exactly the `char::is_whitespace` characters, and every
+/// other delimiter is ASCII, which lossy decoding never touches.
+///
+/// # Errors
+///
+/// Returns [`WeblogError::ParseLine`] (line number 0) with the same
+/// reason [`parse_line`] gives.
+pub fn parse_line_bytes(line: &[u8], base_epoch: i64) -> Result<LogRecord> {
+    fields(line, base_epoch).map_err(|reason| WeblogError::ParseLine {
         line: 0,
         reason: reason.to_string(),
-    };
+    })
+}
 
-    // host ident user [date tz] "request" status bytes
-    let (host, rest) = line.split_once(' ').ok_or_else(|| bad("missing host"))?;
-    let client = parse_ipv4(host).ok_or_else(|| bad("bad host address"))?;
+/// Parse one line as read from a stream: trailing `\n`/`\r` bytes are
+/// trimmed, a blank (all-whitespace) line gives `None`, anything else
+/// goes to [`parse_line_bytes`].
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_weblog::clf::parse_raw_line;
+///
+/// let base = 1_073_865_600;
+/// let line = b"10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/1 HTTP/1.0\" 200 10\r\n";
+/// let rec = parse_raw_line(line, base).unwrap().unwrap();
+/// assert_eq!(rec.timestamp, 7.0);
+/// assert!(parse_raw_line(b" \t\r\n", base).is_none());
+/// ```
+pub fn parse_raw_line(raw: &[u8], base_epoch: i64) -> Option<Result<LogRecord>> {
+    let mut line = raw;
+    while let [rest @ .., b'\n' | b'\r'] = line {
+        line = rest;
+    }
+    if is_blank(line) {
+        None
+    } else {
+        Some(parse_line_bytes(line, base_epoch))
+    }
+}
 
-    let open = rest.find('[').ok_or_else(|| bad("missing [date]"))?;
-    let close = rest[open..]
-        .find(']')
+// host ident user [date tz] "request" status bytes
+fn fields(line: &[u8], base_epoch: i64) -> std::result::Result<LogRecord, &'static str> {
+    let sp = find(line, b' ').ok_or("missing host")?;
+    let client = parse_ipv4(&line[..sp]).ok_or("bad host address")?;
+    let rest = &line[sp + 1..];
+
+    let open = find(rest, b'[').ok_or("missing [date]")?;
+    let close = find(&rest[open..], b']')
         .map(|i| i + open)
-        .ok_or_else(|| bad("unterminated [date]"))?;
-    let epoch = parse_clf_date(&rest[open + 1..close]).ok_or_else(|| bad("bad date"))?;
+        .ok_or("unterminated [date]")?;
+    let epoch = parse_clf_date(&rest[open + 1..close]).ok_or("bad date")?;
 
     let after_date = &rest[close + 1..];
-    let q1 = after_date.find('"').ok_or_else(|| bad("missing request"))?;
-    let q2 = after_date[q1 + 1..]
-        .find('"')
+    let q1 = find(after_date, b'"').ok_or("missing request")?;
+    let q2 = find(&after_date[q1 + 1..], b'"')
         .map(|i| i + q1 + 1)
-        .ok_or_else(|| bad("unterminated request"))?;
-    let request = &after_date[q1 + 1..q2];
-    let mut req_parts = request.split_whitespace();
-    let method = Method::parse(req_parts.next().ok_or_else(|| bad("empty request"))?);
-    let uri = req_parts.next().ok_or_else(|| bad("request missing URI"))?;
-    let resource = uri
-        .rsplit('/')
-        .next()
-        .and_then(|tail| tail.parse::<u32>().ok())
-        .unwrap_or_else(|| fnv1a(uri));
+        .ok_or("unterminated request")?;
+    let mut request = Words(&after_date[q1 + 1..q2]);
+    let method = Method::parse_bytes(request.next().ok_or("empty request")?);
+    let uri = request.next().ok_or("request missing URI")?;
+    let last_segment = match uri.iter().rposition(|&b| b == b'/') {
+        Some(i) => &uri[i + 1..],
+        None => uri,
+    };
+    let resource = parse_u64(last_segment)
+        .and_then(|v| u32::try_from(v).ok())
+        .unwrap_or_else(|| fnv1a(String::from_utf8_lossy(uri).as_bytes()));
 
-    let mut tail = after_date[q2 + 1..].split_whitespace();
-    let status: u16 = tail
-        .next()
-        .ok_or_else(|| bad("missing status"))?
-        .parse()
-        .map_err(|_| bad("bad status"))?;
-    let bytes_tok = tail.next().ok_or_else(|| bad("missing bytes"))?;
-    let bytes: u64 = if bytes_tok == "-" {
+    let mut tail = Words(&after_date[q2 + 1..]);
+    let status = parse_u64(tail.next().ok_or("missing status")?)
+        .and_then(|v| u16::try_from(v).ok())
+        .ok_or("bad status")?;
+    let bytes_tok = tail.next().ok_or("missing bytes")?;
+    let bytes = if bytes_tok == b"-" {
         0
     } else {
-        bytes_tok.parse().map_err(|_| bad("bad byte count"))?
+        parse_u64(bytes_tok).ok_or("bad byte count")?
     };
 
     Ok(LogRecord {
-        timestamp: (epoch - base_epoch) as f64,
+        timestamp: epoch.wrapping_sub(base_epoch) as f64,
         client,
         method,
         resource,
@@ -151,7 +194,9 @@ pub const MALFORMED_SKIPPED_COUNTER: &str = "weblog/malformed_lines_skipped";
 pub enum MalformedKind {
     /// The `[date]` body was present but unparseable.
     BadTimestamp,
-    /// The status field was present but not a number in 100..=999.
+    /// The status field was present but not a `u16` (an optional `+` and
+    /// decimal digits, at most 65535). Out-of-range codes such as 42 or
+    /// 1000 parse.
     BadStatus,
     /// The line ended before a required field (truncated write): a
     /// missing, unterminated, or empty field.
@@ -198,7 +243,7 @@ impl MalformedKind {
 pub struct MalformedBreakdown {
     /// Lines with an unparseable `[date]` body.
     pub bad_timestamp: u64,
-    /// Lines with a non-numeric / out-of-range status.
+    /// Lines whose status is not a `u16`.
     pub bad_status: u64,
     /// Lines truncated before a required field.
     pub truncated: u64,
@@ -330,11 +375,11 @@ pub fn parse_log_lenient(text: &str, base_epoch: i64) -> LenientParse {
     }
 }
 
-fn parse_ipv4(s: &str) -> Option<u32> {
-    let mut parts = s.split('.');
+fn parse_ipv4(s: &[u8]) -> Option<u32> {
+    let mut parts = s.split(|&b| b == b'.');
     let mut bytes = [0u8; 4];
     for b in &mut bytes {
-        *b = parts.next()?.parse().ok()?;
+        *b = u8::try_from(parse_u64(parts.next()?)?).ok()?;
     }
     if parts.next().is_some() {
         return None;
@@ -343,48 +388,164 @@ fn parse_ipv4(s: &str) -> Option<u32> {
 }
 
 // [dd/Mon/yyyy:HH:MM:SS +ZZZZ] body (without brackets) → Unix seconds.
-fn parse_clf_date(s: &str) -> Option<i64> {
-    let (datetime, tz) = match s.split_once(' ') {
+// The arithmetic wraps on absurd years and offsets rather than panicking.
+fn parse_clf_date(s: &[u8]) -> Option<i64> {
+    let (datetime, tz) = match split_once(s, b' ') {
         Some((d, t)) => (d, Some(t)),
         None => (s, None),
     };
-    let mut it = datetime.splitn(3, '/');
-    let day: i64 = it.next()?.parse().ok()?;
-    let mon_name = it.next()?;
-    let month = MONTHS.iter().position(|m| *m == mon_name)? as i64 + 1;
-    let mut rest = it.next()?.splitn(4, ':');
-    let year: i64 = rest.next()?.parse().ok()?;
-    let hh: i64 = rest.next()?.parse().ok()?;
-    let mm: i64 = rest.next()?.parse().ok()?;
-    let ss: i64 = rest.next()?.parse().ok()?;
+    let (day, rest) = split_once(datetime, b'/')?;
+    let (mon_name, rest) = split_once(rest, b'/')?;
+    let (year, rest) = split_once(rest, b':')?;
+    let (hh, rest) = split_once(rest, b':')?;
+    let (mm, ss) = split_once(rest, b':')?;
+    let day = parse_i64(day)?;
+    let month = MONTHS.iter().position(|m| m.as_bytes() == mon_name)? as i64 + 1;
+    let year = parse_i64(year)?;
+    let hh = parse_i64(hh)?;
+    let mm = parse_i64(mm)?;
+    let ss = parse_i64(ss)?;
     if !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
         return None;
     }
     let days = days_from_civil(year, month, day);
-    let mut epoch = days * 86_400 + hh * 3_600 + mm * 60 + ss;
+    let mut epoch = days
+        .wrapping_mul(86_400)
+        .wrapping_add(hh.wrapping_mul(3_600))
+        .wrapping_add(mm.wrapping_mul(60))
+        .wrapping_add(ss);
     if let Some(tz) = tz {
         // ±HHMM offset: logged local time minus offset = UTC.
-        let sign = match tz.as_bytes().first()? {
+        let sign: i64 = match tz.first()? {
             b'+' => 1,
             b'-' => -1,
             _ => return None,
         };
-        let hhmm: i64 = tz[1..].parse().ok()?;
-        let offset = (hhmm / 100) * 3_600 + (hhmm % 100) * 60;
-        epoch -= sign * offset;
+        let hhmm = parse_i64(&tz[1..])?;
+        let offset = (hhmm / 100)
+            .wrapping_mul(3_600)
+            .wrapping_add((hhmm % 100) * 60);
+        epoch = epoch.wrapping_sub(sign.wrapping_mul(offset));
     }
     Some(epoch)
 }
 
+/// Byte length of the `char::is_whitespace` character whose UTF-8
+/// encoding starts `s`, or 0: the 6 ASCII ones and the 19 non-ASCII ones.
+/// Every encoding begins with an ASCII or lead byte, so a match is always
+/// a character boundary of the lossy decoding too.
+fn whitespace_len(s: &[u8]) -> usize {
+    match *s {
+        [b'\t'..=b'\r' | b' ', ..] => 1,
+        // U+0085, U+00A0
+        [0xC2, 0x85 | 0xA0, ..] => 2,
+        // U+1680
+        [0xE1, 0x9A, 0x80, ..] => 3,
+        // U+2000..=U+200A, U+2028, U+2029, U+202F
+        [0xE2, 0x80, 0x80..=0x8A | 0xA8 | 0xA9 | 0xAF, ..] => 3,
+        // U+205F
+        [0xE2, 0x81, 0x9F, ..] => 3,
+        // U+3000
+        [0xE3, 0x80, 0x80, ..] => 3,
+        _ => 0,
+    }
+}
+
+// `str::trim().is_empty()` on the lossy decoding.
+fn is_blank(mut s: &[u8]) -> bool {
+    while !s.is_empty() {
+        match whitespace_len(s) {
+            0 => return false,
+            n => s = &s[n..],
+        }
+    }
+    true
+}
+
+/// `str::split_whitespace` on bytes.
+struct Words<'a>(&'a [u8]);
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let s = self.0;
+        let mut start = 0;
+        while start < s.len() {
+            match whitespace_len(&s[start..]) {
+                0 => break,
+                n => start += n,
+            }
+        }
+        if start == s.len() {
+            self.0 = &s[start..];
+            return None;
+        }
+        let mut end = start + 1;
+        // Printable ASCII is never whitespace: skip the full check.
+        while end < s.len() && ((b'!'..=b'~').contains(&s[end]) || whitespace_len(&s[end..]) == 0) {
+            end += 1;
+        }
+        self.0 = &s[end..];
+        Some(&s[start..end])
+    }
+}
+
+fn split_once(s: &[u8], byte: u8) -> Option<(&[u8], &[u8])> {
+    let i = find(s, byte)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+fn find(s: &[u8], byte: u8) -> Option<usize> {
+    s.iter().position(|&b| b == byte)
+}
+
+// One or more ASCII digits, no sign; overflow is an error.
+fn parse_digits(s: &[u8]) -> Option<u64> {
+    if s.is_empty() {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for &b in s {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    Some(v)
+}
+
+// `u64::from_str` on bytes: an optional `+`, then digits.
+fn parse_u64(s: &[u8]) -> Option<u64> {
+    parse_digits(s.strip_prefix(b"+").unwrap_or(s))
+}
+
+// `i64::from_str` on bytes: an optional `+` or `-`, then digits.
+fn parse_i64(s: &[u8]) -> Option<i64> {
+    match s.strip_prefix(b"-") {
+        Some(digits) => {
+            let magnitude = parse_digits(digits)?;
+            (magnitude <= i64::MIN.unsigned_abs()).then(|| (magnitude as i64).wrapping_neg())
+        }
+        None => i64::try_from(parse_u64(s)?).ok(),
+    }
+}
+
 // Days since 1970-01-01 (Howard Hinnant's days_from_civil).
 fn days_from_civil(y: i64, m: i64, d: i64) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = y - era * 400;
+    let y = if m <= 2 { y.wrapping_sub(1) } else { y };
+    let era = if y >= 0 { y } else { y.wrapping_sub(399) } / 400;
+    let yoe = y.wrapping_sub(era.wrapping_mul(400));
     let mp = (m + 9) % 12;
     let doy = (153 * mp + 2) / 5 + d - 1;
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    era * 146_097 + doe - 719_468
+    let doe = yoe
+        .wrapping_mul(365)
+        .wrapping_add(yoe / 4 - yoe / 100)
+        .wrapping_add(doy);
+    era.wrapping_mul(146_097)
+        .wrapping_add(doe)
+        .wrapping_sub(719_468)
 }
 
 // Inverse of days_from_civil.
@@ -412,14 +573,17 @@ fn split_epoch(epoch: i64) -> ((i64, i64, i64), (i64, i64, i64)) {
 }
 
 // FNV-1a hash for non-numeric URIs so foreign logs can still be interned.
-fn fnv1a(s: &str) -> u32 {
+fn fnv1a(s: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
-    for b in s.bytes() {
+    for &b in s {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
     h
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

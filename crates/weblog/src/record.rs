@@ -30,14 +30,23 @@ impl Method {
         }
     }
 
-    /// Parse a request-line token (case-insensitive); unknown methods map to
-    /// [`Method::Other`].
+    /// Parse a request-line token (ASCII case-insensitive); unknown methods
+    /// map to [`Method::Other`].
     pub fn parse(token: &str) -> Method {
-        match token.to_ascii_uppercase().as_str() {
-            "GET" => Method::Get,
-            "POST" => Method::Post,
-            "HEAD" => Method::Head,
-            _ => Method::Other,
+        Method::parse_bytes(token.as_bytes())
+    }
+
+    /// [`Method::parse`] on raw bytes: a token that is not valid UTF-8 is
+    /// never a known method, so it maps to [`Method::Other`].
+    pub fn parse_bytes(token: &[u8]) -> Method {
+        if token.eq_ignore_ascii_case(b"GET") {
+            Method::Get
+        } else if token.eq_ignore_ascii_case(b"POST") {
+            Method::Post
+        } else if token.eq_ignore_ascii_case(b"HEAD") {
+            Method::Head
+        } else {
+            Method::Other
         }
     }
 }
@@ -128,6 +137,32 @@ mod tests {
         assert_eq!(Method::parse("get"), Method::Get);
         assert_eq!(Method::parse("DELETE"), Method::Other);
         assert_eq!(Method::default(), Method::Get);
+    }
+
+    #[test]
+    fn method_parse_is_ascii_case_insensitive_and_exact() {
+        for (token, want) in [
+            ("GeT", Method::Get),
+            ("pOsT", Method::Post),
+            ("head", Method::Head),
+            ("HEAD", Method::Head),
+            ("", Method::Other),
+            ("GETS", Method::Other),
+            ("GE", Method::Other),
+            (" GET", Method::Other),
+            ("PUT", Method::Other),
+            ("OTHER", Method::Other),
+            // Only ASCII letters fold: non-ASCII look-alikes stay unknown.
+            ("G\u{c9}T", Method::Other),
+            ("\u{ff27}ET", Method::Other),
+            ("HEA\u{1e0a}", Method::Other),
+            ("GET\u{0}", Method::Other),
+        ] {
+            assert_eq!(Method::parse(token), want, "{token:?}");
+            assert_eq!(Method::parse_bytes(token.as_bytes()), want, "{token:?}");
+        }
+        assert_eq!(Method::parse_bytes(b"G\xFFT"), Method::Other);
+        assert_eq!(Method::parse_bytes(b"pos\xC3"), Method::Other);
     }
 
     #[test]
