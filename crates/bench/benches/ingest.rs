@@ -10,13 +10,12 @@ use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
 use webpuzzle_ingest::{bind, ConnConfig, HubConfig, IngestHub, WatermarkMerger};
 use webpuzzle_stream::{ClfSource, Source};
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_weblog::LogRecord;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn records(scale: f64) -> Vec<LogRecord> {
     WorkloadGenerator::new(ServerProfile::clarknet().with_scale(scale))
@@ -27,7 +26,7 @@ fn records(scale: f64) -> Vec<LogRecord> {
 
 fn log_text(recs: &[LogRecord]) -> String {
     recs.iter()
-        .map(|r| format_line(r, BASE_EPOCH) + "\n")
+        .map(|r| format_line(r, DEFAULT_BASE_EPOCH) + "\n")
         .collect()
 }
 
@@ -38,7 +37,7 @@ fn bench_file_drain(c: &mut Criterion) {
     let text = log_text(&recs);
     c.bench_function(format!("ingest/file_drain/{}", recs.len()), |b| {
         b.iter(|| {
-            let mut src = ClfSource::new(black_box(text.as_bytes()), BASE_EPOCH);
+            let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
             let mut n = 0u64;
             while let Some(item) = src.next_item() {
                 item.expect("well-formed");
@@ -72,7 +71,7 @@ fn wire_drain(shares: &[Vec<u8>]) -> u64 {
         ..HubConfig::default()
     });
     let cfg = ConnConfig {
-        base_epoch: BASE_EPOCH,
+        base_epoch: DEFAULT_BASE_EPOCH,
         ..ConnConfig::default()
     };
     let listener = bind("127.0.0.1:0", Arc::clone(&hub), cfg, shares.len() + 1).expect("bind");

@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
 use webpuzzle_stream::checkpoint::{Checkpoint, SourcePosition};
 use webpuzzle_stream::{
     ClfSource, FaultSource, FaultSpec, IterSource, Source, StreamAnalyzer, StreamConfig,
@@ -21,8 +22,6 @@ use webpuzzle_stream::{
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_weblog::LogRecord;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn records(scale: f64) -> Vec<LogRecord> {
     WorkloadGenerator::new(ServerProfile::clarknet().with_scale(scale))
@@ -117,11 +116,11 @@ fn bench_fault_source(c: &mut Criterion) {
     // is the drain whose wrapped/bare ratio must stay under 2 %.
     let text: String = recs
         .iter()
-        .map(|r| format_line(r, BASE_EPOCH) + "\n")
+        .map(|r| format_line(r, DEFAULT_BASE_EPOCH) + "\n")
         .collect();
     group.bench_function(format!("clf_drain/{}", recs.len()), |b| {
         b.iter(|| {
-            let mut src = ClfSource::new(black_box(text.as_bytes()), BASE_EPOCH);
+            let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
             let mut n = 0u64;
             while let Some(item) = src.next_item() {
                 item.expect("well-formed");
@@ -132,7 +131,7 @@ fn bench_fault_source(c: &mut Criterion) {
     });
     group.bench_function(format!("clf_drain_wrapped/{}", recs.len()), |b| {
         b.iter(|| {
-            let inner = ClfSource::new(black_box(text.as_bytes()), BASE_EPOCH);
+            let inner = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
             let mut src = FaultSource::new(inner, FaultSpec::default());
             let mut n = 0u64;
             while let Some(item) = src.next_item() {

@@ -2,11 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
 use webpuzzle_weblog::clf::{format_line, parse_log};
 use webpuzzle_weblog::{merge_sorted, sessionize, LogRecord, WeekDataset};
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn records(scale: f64) -> Vec<LogRecord> {
     WorkloadGenerator::new(ServerProfile::clarknet().with_scale(scale))
@@ -38,17 +37,21 @@ fn bench_clf(c: &mut Criterion) {
     let recs = records(0.02);
     let text: String = recs
         .iter()
-        .map(|r| format_line(r, BASE_EPOCH) + "\n")
+        .map(|r| format_line(r, DEFAULT_BASE_EPOCH) + "\n")
         .collect();
     group.bench_function(format!("format/{}", recs.len()), |b| {
         b.iter(|| {
             recs.iter()
-                .map(|r| format_line(black_box(r), BASE_EPOCH).len())
+                .map(|r| format_line(black_box(r), DEFAULT_BASE_EPOCH).len())
                 .sum::<usize>()
         })
     });
     group.bench_function(format!("parse/{}", recs.len()), |b| {
-        b.iter(|| parse_log(black_box(&text), BASE_EPOCH).unwrap().len())
+        b.iter(|| {
+            parse_log(black_box(&text), DEFAULT_BASE_EPOCH)
+                .unwrap()
+                .len()
+        })
     });
     group.finish();
 }

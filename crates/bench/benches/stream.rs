@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
 use webpuzzle_stream::{
     ArrivalsState, ClfSource, Source, StreamAnalyzer, StreamConfig, StreamSessionizer,
     WindowConfig, WindowedArrivals,
@@ -11,8 +12,6 @@ use webpuzzle_stream::{
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_weblog::LogRecord;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn records(scale: f64) -> Vec<LogRecord> {
     profile_records(ServerProfile::clarknet(), scale)
@@ -39,11 +38,11 @@ fn bench_clf_source(c: &mut Criterion) {
     let recs = records(0.02);
     let text: String = recs
         .iter()
-        .map(|r| format_line(r, BASE_EPOCH) + "\n")
+        .map(|r| format_line(r, DEFAULT_BASE_EPOCH) + "\n")
         .collect();
     c.bench_function(format!("stream/clf_source/{}", recs.len()), |b| {
         b.iter(|| {
-            let mut src = ClfSource::new(black_box(text.as_bytes()), BASE_EPOCH);
+            let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
             let mut n = 0u64;
             while let Some(item) = src.next_item() {
                 item.expect("well-formed");

@@ -8,12 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
 use webpuzzle_obs as obs;
 use webpuzzle_stream::{ClfSource, Source, StreamAnalyzer, StreamConfig, WindowConfig};
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn log_text(scale: f64) -> String {
     WorkloadGenerator::new(ServerProfile::clarknet().with_scale(scale))
@@ -21,7 +20,7 @@ fn log_text(scale: f64) -> String {
         .generate()
         .expect("tsdb bench generates")
         .iter()
-        .map(|r| format_line(r, BASE_EPOCH) + "\n")
+        .map(|r| format_line(r, DEFAULT_BASE_EPOCH) + "\n")
         .collect()
 }
 
@@ -37,7 +36,7 @@ fn small_windows() -> StreamConfig {
 
 fn run(text: &str) -> u64 {
     let mut engine = StreamAnalyzer::new(small_windows()).expect("valid config");
-    let mut src = ClfSource::new(black_box(text.as_bytes()), BASE_EPOCH);
+    let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
     while let Some(item) = src.next_item() {
         engine.push(&item.expect("well-formed")).expect("sorted");
     }

@@ -25,6 +25,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use webpuzzle_bench::run::Cli;
 
 /// One benchmark's aggregated timing, as written by criterion-lite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -194,7 +195,11 @@ fn compare(dir: &PathBuf, against: Option<PathBuf>, latest: Option<PathBuf>, thr
     std::process::exit(1);
 }
 
+const USAGE: &str = "usage: bench-report [--input PATH] [--out PATH] | \
+     --compare [--dir PATH] [--threshold FRACTION] [--against OLD --latest NEW]";
+
 fn main() {
+    let mut cli = Cli::from_env("bench-report", USAGE);
     let mut input = PathBuf::from("target/criterion-lite/results.jsonl");
     let mut out: Option<PathBuf> = None;
     let mut do_compare = false;
@@ -202,39 +207,20 @@ fn main() {
     let mut against: Option<PathBuf> = None;
     let mut latest: Option<PathBuf> = None;
     let mut threshold = 0.20f64;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--input" => input = it.next().map(PathBuf::from).expect("--input needs a path"),
-            "--out" => out = Some(it.next().map(PathBuf::from).expect("--out needs a path")),
+    while let Some(arg) = cli.next_arg() {
+        match arg.as_str() {
+            "--input" => input = cli.value(&arg, "path").into(),
+            "--out" => out = Some(cli.value(&arg, "path").into()),
             "--compare" => do_compare = true,
-            "--dir" => dir = it.next().map(PathBuf::from).expect("--dir needs a path"),
-            "--against" => {
-                against = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .expect("--against needs a path"),
-                )
-            }
-            "--latest" => {
-                latest = Some(it.next().map(PathBuf::from).expect("--latest needs a path"))
-            }
+            "--dir" => dir = cli.value(&arg, "path").into(),
+            "--against" => against = Some(cli.value(&arg, "path").into()),
+            "--latest" => latest = Some(cli.value(&arg, "path").into()),
             "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t > 0.0)
-                    .expect("--threshold needs a positive fraction, e.g. 0.2")
+                threshold = cli.parse_with(&arg, "positive fraction, e.g. 0.2", |t| {
+                    t.parse().ok().filter(|t: &f64| *t > 0.0)
+                })
             }
-            other => {
-                eprintln!(
-                    "usage: bench-report [--input PATH] [--out PATH] | \
-                     --compare [--dir PATH] [--threshold FRACTION] \
-                     [--against OLD --latest NEW]"
-                );
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            _ => cli.unknown(&arg),
         }
     }
 

@@ -37,96 +37,59 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 
+use webpuzzle_bench::run::{Cli, Frontend, OutputArgs, DEFAULT_BASE_EPOCH};
 use webpuzzle_obs as obs;
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_workload::{
     ArrivalModel, ServerProfile, ShiftInjector, ShiftSpec, WorkloadGenerator,
 };
 
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start.
-const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
+const USAGE: &str = "usage: genlog --profile wvu|clarknet|csee|nasa \
+     [--scale S] [--seed N] [--base-epoch SECS] [--out PATH] \
+     [--quiet] [--json] [--telemetry-addr HOST:PORT] \
+     [--stationary] [--inject-shift KIND:AT:MAGNITUDE] \
+     [--calibration H:ALPHA] [--markov]";
+
+/// Report an output failure and exit 1.
+fn fail(what: &str, e: io::Error) -> ! {
+    eprintln!("genlog: {what}: {e}");
+    std::process::exit(1);
+}
 
 fn main() {
+    let mut cli = Cli::from_env("genlog", USAGE);
     let mut profile_name = "csee".to_string();
     let mut scale = 0.05f64;
     let mut seed = 0u64;
     let mut base_epoch = DEFAULT_BASE_EPOCH;
     let mut out_path: Option<String> = None;
-    let mut quiet = false;
-    let mut json = false;
-    let mut telemetry_addr: Option<String> = None;
+    let mut output = OutputArgs::default();
     let mut stationary = false;
     let mut inject_shift: Option<String> = None;
     let mut calibration: Option<String> = None;
     let mut markov = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--profile" => profile_name = value("--profile"),
-            "--scale" => scale = value("--scale").parse().expect("--scale must be a number"),
-            "--seed" => seed = value("--seed").parse().expect("--seed must be an integer"),
-            "--base-epoch" => {
-                base_epoch = value("--base-epoch")
-                    .parse()
-                    .expect("--base-epoch must be an integer")
+    while let Some(flag) = cli.next_arg() {
+        match flag.as_str() {
+            "--profile" => profile_name = cli.value(&flag, "wvu|clarknet|csee|nasa"),
+            "--scale" => scale = cli.parse(&flag, "volume multiplier"),
+            "--seed" => seed = cli.parse(&flag, "integer"),
+            "--base-epoch" => base_epoch = cli.parse(&flag, "integer seconds"),
+            "--out" => out_path = Some(cli.value(&flag, "path")),
+            // The output flags but `--report`: genlog writes no report.
+            "--quiet" | "--json" | "--telemetry-addr" => {
+                output.parse_flag(&flag, &mut cli);
             }
-            "--out" => out_path = Some(value("--out")),
-            "--quiet" => quiet = true,
-            "--json" => json = true,
-            "--telemetry-addr" => telemetry_addr = Some(value("--telemetry-addr")),
             "--stationary" => stationary = true,
-            "--inject-shift" => inject_shift = Some(value("--inject-shift")),
-            "--calibration" => calibration = Some(value("--calibration")),
+            "--inject-shift" => inject_shift = Some(cli.value(&flag, "KIND:AT:MAGNITUDE")),
+            "--calibration" => calibration = Some(cli.value(&flag, "H:ALPHA")),
             "--markov" => markov = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: genlog --profile wvu|clarknet|csee|nasa \
-                     [--scale S] [--seed N] [--base-epoch SECS] [--out PATH] \
-                     [--quiet] [--json] [--telemetry-addr HOST:PORT] \
-                     [--stationary] [--inject-shift KIND:AT:MAGNITUDE] \
-                     [--calibration H:ALPHA] [--markov]"
-                );
-                std::process::exit(2);
-            }
+            _ => cli.unknown(&flag),
         }
     }
 
-    if quiet {
-        // NullSink is the default: nothing reaches stderr.
-    } else if json {
-        obs::set_sink(Box::new(obs::JsonSink));
-    } else {
-        obs::set_sink(Box::new(obs::StderrSink::default()));
-    }
-
-    let _telemetry = telemetry_addr.as_ref().map(|addr| {
-        let server = obs::serve(
-            addr,
-            obs::ReportContext {
-                tool: "genlog".to_string(),
-                seed: Some(seed),
-                config: serde::Value::Null,
-                args: std::env::args().skip(1).collect(),
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("genlog: cannot bind telemetry endpoint {addr}: {e}");
-            std::process::exit(2);
-        });
-        if !quiet {
-            eprintln!(
-                "genlog: telemetry listening on http://{} (/metrics /healthz /report)",
-                server.local_addr()
-            );
-        }
-        server
-    });
+    let mut front = Frontend::start("genlog", Some(seed), &output);
+    front.serve_telemetry(serde::Value::Null);
 
     let mut profile = match calibration.as_deref() {
         Some(spec) => {
@@ -189,7 +152,7 @@ fn main() {
     let stdout = io::stdout();
     let mut sink: Box<dyn Write> = match out_path {
         Some(path) => Box::new(BufWriter::new(
-            File::create(&path).expect("cannot create output file"),
+            File::create(&path).unwrap_or_else(|e| fail(&format!("cannot create {path}"), e)),
         )),
         None => Box::new(BufWriter::new(stdout.lock())),
     };
@@ -202,11 +165,14 @@ fn main() {
             if let Some(inj) = injector.as_mut() {
                 record.timestamp = inj.warp(record.timestamp);
             }
-            writeln!(sink, "{}", format_line(&record, base_epoch)).expect("write failed");
+            writeln!(sink, "{}", format_line(&record, base_epoch))
+                .unwrap_or_else(|e| fail("cannot write the log", e));
             progress.tick(1);
         })
         .expect("built-in profiles generate cleanly");
     progress.finish();
-    sink.flush().expect("flush failed");
+    if let Err(e) = sink.flush() {
+        fail("cannot write the log", e);
+    }
     obs::info(&format!("genlog: {written} records"));
 }

@@ -19,31 +19,25 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use webpuzzle_bench::run::Cli;
 use webpuzzle_obs::fidelity::{check, PaperTargets};
 use webpuzzle_obs::RunReport;
 
+const USAGE: &str = "usage: paper-check [--targets PATH] [REPORT.json]";
+
 fn main() -> ExitCode {
+    let mut cli = Cli::from_env("paper-check", USAGE);
     let mut targets_path = PathBuf::from("paper_targets.toml");
     let mut report_path = PathBuf::from("report.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--targets" => {
-                targets_path = it
-                    .next()
-                    .map(PathBuf::from)
-                    .expect("--targets needs a path")
-            }
+    while let Some(arg) = cli.next_arg() {
+        match arg.as_str() {
+            "--targets" => targets_path = cli.value(&arg, "path").into(),
             "-h" | "--help" => {
-                eprintln!("usage: paper-check [--targets PATH] [REPORT.json]");
+                eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other if other.starts_with('-') => {
-                eprintln!("paper-check: unknown flag `{other}`");
-                eprintln!("usage: paper-check [--targets PATH] [REPORT.json]");
-                return ExitCode::from(2);
-            }
-            other => report_path = PathBuf::from(other),
+            flag if flag.starts_with('-') => cli.unknown(flag),
+            _ => report_path = arg.into(),
         }
     }
 

@@ -62,8 +62,11 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start (genlog default).
-const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
+use webpuzzle_bench::run::{Cli, DEFAULT_BASE_EPOCH};
+
+const USAGE: &str = "usage: replay FILE --addr HOST:PORT [--connections N] [--speed X] \
+     [--chunk BYTES] [--http] [--batch-lines N] [--base-epoch SECS] \
+     [--truncate-bytes N] [--storm] [--storm-seed N] [--quiet]";
 
 struct Args {
     file: String,
@@ -80,16 +83,8 @@ struct Args {
     quiet: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: replay FILE --addr HOST:PORT [--connections N] [--speed X] \
-         [--chunk BYTES] [--http] [--batch-lines N] [--base-epoch SECS] \
-         [--truncate-bytes N] [--storm] [--storm-seed N] [--quiet]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
+    let mut cli = Cli::from_env("replay", USAGE);
     let mut parsed = Args {
         file: String::new(),
         addr: String::new(),
@@ -104,59 +99,36 @@ fn parse_args() -> Args {
         storm_seed: 42,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => parsed.addr = value("--addr"),
+    while let Some(arg) = cli.next_arg() {
+        match arg.as_str() {
+            "--addr" => parsed.addr = cli.value(&arg, "HOST:PORT"),
             "--connections" => {
-                let n: usize = value("--connections")
-                    .parse()
-                    .expect("--connections: integer");
+                let n: usize = cli.parse(&arg, "integer");
                 parsed.connections = n.max(1);
             }
-            "--speed" => parsed.speed = value("--speed").parse().expect("--speed: factor"),
-            "--chunk" => parsed.chunk = value("--chunk").parse().expect("--chunk: bytes"),
+            "--speed" => parsed.speed = cli.parse(&arg, "factor"),
+            "--chunk" => parsed.chunk = cli.parse(&arg, "bytes"),
             "--http" => parsed.http = true,
             "--batch-lines" => {
-                let n: usize = value("--batch-lines")
-                    .parse()
-                    .expect("--batch-lines: integer");
+                let n: usize = cli.parse(&arg, "integer");
                 parsed.batch_lines = n.max(1);
             }
-            "--base-epoch" => {
-                parsed.base_epoch = value("--base-epoch")
-                    .parse()
-                    .expect("--base-epoch: integer")
-            }
-            "--truncate-bytes" => {
-                parsed.truncate_bytes = Some(
-                    value("--truncate-bytes")
-                        .parse()
-                        .expect("--truncate-bytes: bytes"),
-                )
-            }
+            "--base-epoch" => parsed.base_epoch = cli.parse(&arg, "integer seconds"),
+            "--truncate-bytes" => parsed.truncate_bytes = Some(cli.parse(&arg, "bytes")),
             "--storm" => parsed.storm = true,
-            "--storm-seed" => {
-                parsed.storm_seed = value("--storm-seed")
-                    .parse()
-                    .expect("--storm-seed: integer")
-            }
+            "--storm-seed" => parsed.storm_seed = cli.parse(&arg, "integer"),
             "--quiet" => parsed.quiet = true,
-            other if !other.starts_with('-') => {
+            file if !file.starts_with('-') => {
                 if !parsed.file.is_empty() {
-                    usage();
+                    cli.usage();
                 }
-                parsed.file = other.to_string();
+                parsed.file = arg;
             }
-            _ => usage(),
+            _ => cli.unknown(&arg),
         }
     }
     if parsed.file.is_empty() || parsed.addr.is_empty() {
-        usage();
+        cli.usage();
     }
     parsed
 }

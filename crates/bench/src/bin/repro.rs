@@ -30,10 +30,10 @@
 //! embeds it in the run report.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use webpuzzle_bench::cell;
+use webpuzzle_bench::run::{Cli, Frontend, HistoryArgs, OutputArgs};
+use webpuzzle_bench::{cell, say};
 use webpuzzle_core::{AnalysisConfig, FullWebModel, PoissonVerdict};
 use webpuzzle_heavytail::{hill_plot, llcd_fit, EmpiricalCcdf};
 use webpuzzle_lrd::SweepEstimator;
@@ -43,17 +43,6 @@ use webpuzzle_weblog::{WeekDataset, SECONDS_PER_WEEK};
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
 
 const SERVER_ORDER: [&str; 4] = ["WVU", "ClarkNet", "CSEE", "NASA-Pub2"];
-
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Print a stdout table line unless `--quiet` was given.
-macro_rules! say {
-    ($($arg:tt)*) => {
-        if !QUIET.load(Ordering::Relaxed) {
-            println!($($arg)*);
-        }
-    };
-}
 
 /// Paper values for Tables 2–4 (α_LLCD per Low/Med/High/Week) so the output
 /// can show paper-vs-measured side by side. `None` marks the paper's NA.
@@ -152,78 +141,33 @@ impl Ctx {
     }
 }
 
+const USAGE: &str = "usage: repro [--scale S] [--seed N] [--fast] [--quiet] [--json] \
+     [--report PATH] [--telemetry-addr HOST:PORT] [--telemetry-history] \
+     [--telemetry-interval-ms MS] [--slo] [--slo-file PATH] \
+     <table1|fig2|…|table4|curv|all>";
+
 fn main() {
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = Cli::from_env("repro", USAGE);
     let mut scale = 0.05;
     let mut seed = 1u64;
     let mut fast = false;
-    let mut quiet = false;
-    let mut json = false;
-    let mut report_path = std::path::PathBuf::from("report.json");
-    let mut telemetry_addr: Option<String> = None;
-    let mut telemetry_history = false;
-    let mut telemetry_interval_ms = 1_000u64;
-    let mut slo = false;
-    let mut slo_file = std::path::PathBuf::from("slo.toml");
+    let mut output = OutputArgs::default();
+    let mut history = HistoryArgs::default();
     let mut experiments: Vec<String> = Vec::new();
-    let mut it = raw_args.clone().into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a positive number")
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer")
-            }
+    while let Some(arg) = cli.next_arg() {
+        if output.parse_flag(&arg, &mut cli) || history.parse_flag(&arg, &mut cli) {
+            continue;
+        }
+        match arg.as_str() {
+            "--scale" => scale = cli.parse(&arg, "volume multiplier"),
+            "--seed" => seed = cli.parse(&arg, "integer"),
             "--fast" => fast = true,
-            "--quiet" => quiet = true,
-            "--json" => json = true,
-            "--report" => {
-                report_path = it
-                    .next()
-                    .map(std::path::PathBuf::from)
-                    .expect("--report needs a path")
-            }
-            "--telemetry-addr" => {
-                telemetry_addr = Some(
-                    it.next()
-                        .expect("--telemetry-addr needs HOST:PORT (port 0 = ephemeral)"),
-                )
-            }
-            "--telemetry-history" => telemetry_history = true,
-            "--telemetry-interval-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--telemetry-interval-ms needs milliseconds");
-                telemetry_interval_ms = ms.max(1);
-                telemetry_history = true;
-            }
-            "--slo" => slo = true,
-            "--slo-file" => {
-                slo_file = it
-                    .next()
-                    .map(std::path::PathBuf::from)
-                    .expect("--slo-file needs a path");
-                slo = true;
-            }
-            other => experiments.push(other.to_string()),
+            flag if flag.starts_with('-') => cli.unknown(flag),
+            _ => experiments.push(arg),
         }
     }
     if experiments.is_empty() {
-        eprintln!(
-            "usage: repro [--scale S] [--seed N] [--fast] [--quiet] [--json] \
-             [--report PATH] [--telemetry-addr HOST:PORT] [--telemetry-history] \
-             [--telemetry-interval-ms MS] [--slo] [--slo-file PATH] \
-             <table1|fig2|…|table4|curv|all>"
-        );
-        std::process::exit(2);
+        cli.usage();
     }
     if experiments.iter().any(|e| e == "all") {
         experiments = [
@@ -235,27 +179,8 @@ fn main() {
         .collect();
     }
 
-    QUIET.store(quiet, Ordering::Relaxed);
-    if quiet {
-        // NullSink is already the default; nothing reaches stderr either.
-    } else if json {
-        obs::set_sink(Box::new(obs::JsonSink));
-    } else {
-        obs::set_sink(Box::new(obs::StderrSink::default()));
-    }
-    obs::reset();
-    // SLO objectives must be installed before the sampler starts: its
-    // immediate baseline tick is the burn-rate windows' left edge.
-    let sampler = webpuzzle_bench::start_history_sampler(&webpuzzle_bench::HistoryOptions {
-        enabled: telemetry_history,
-        interval_ms: telemetry_interval_ms,
-        slo,
-        slo_file,
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
-    });
+    let mut front = Frontend::start("repro", Some(seed), &output);
+    front.start_history(&history);
 
     let cfg = if fast {
         AnalysisConfig::fast()
@@ -270,29 +195,8 @@ fn main() {
     ]);
 
     // Bring the telemetry endpoint up before any work so the whole run
-    // is scrapeable; the handle is held to the end of main.
-    let _telemetry = telemetry_addr.as_ref().map(|addr| {
-        let server = obs::serve(
-            addr,
-            obs::ReportContext {
-                tool: "repro".to_string(),
-                seed: Some(seed),
-                config: config.clone(),
-                args: raw_args.clone(),
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("repro: cannot bind telemetry endpoint {addr}: {e}");
-            std::process::exit(2);
-        });
-        if !quiet {
-            eprintln!(
-                "repro: telemetry listening on http://{} (/metrics /healthz /report)",
-                server.local_addr()
-            );
-        }
-        server
-    });
+    // is scrapeable.
+    front.serve_telemetry(config.clone());
 
     let mut ctx = Ctx::new(scale, seed, cfg);
     for exp in &experiments {
@@ -324,26 +228,13 @@ fn main() {
 
     // Final telemetry tick + SLO pass before the run report is
     // collected, so it carries the verdict from the last interval.
-    if let Some(health) = webpuzzle_bench::finish_history_sampler(sampler, slo) {
-        say!("{}", health.render().trim_end());
-    }
+    front.finish(config);
 
-    if !quiet && !json {
+    if !output.quiet && !output.json {
         // End-of-run metrics summary on stderr (counters, gauges, and
         // histogram p50/p95/p99).
         for line in obs::metrics::snapshot().summary_lines() {
             obs::info(&line);
-        }
-    }
-
-    if json {
-        let report = obs::RunReport::collect("repro", Some(seed), config, raw_args);
-        match report.save(&report_path) {
-            Ok(()) => obs::info(&format!("run report written to {}", report_path.display())),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", report_path.display());
-                std::process::exit(1);
-            }
         }
     }
 }

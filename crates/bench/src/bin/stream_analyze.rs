@@ -239,7 +239,7 @@ fn parse_args() -> Args {
                 }
                 parsed.input = Some(other.to_string());
             }
-            _ => cli.usage(),
+            _ => cli.unknown(&flag),
         }
     }
     parsed
@@ -359,7 +359,7 @@ fn main() {
     // can leak into the run.
     let overhead_pct = args.profile.then(|| {
         let pct = webpuzzle_bench::measure_profile_overhead_pct(50_000, args.profile_sample);
-        if !args.run.quiet {
+        if !args.run.output.quiet {
             eprintln!(
                 "stream-analyze: profiler self-overhead {pct:.2}% \
                  (1-in-{} sampling, 50000-record calibration)",
@@ -374,7 +374,8 @@ fn main() {
         obs::metrics::gauge("profile/overhead_pct").set(pct);
     }
 
-    run.serve_telemetry(config_value(&args, overhead_pct, None, true));
+    run.front
+        .serve_telemetry(config_value(&args, overhead_pct, None, true));
 
     let input = args.input.clone().unwrap_or_else(|| "-".to_string());
     if args.verify_batch && input == "-" {
@@ -430,7 +431,7 @@ fn main() {
 
     let snapshot_every = args.snapshot_every;
     let snapshot_cfg = args.clone();
-    let snapshot_argv = run.raw_args().to_vec();
+    let snapshot_argv = run.front.raw_args().to_vec();
     let mut beat = run.record_beat();
     let supervisor = run
         .supervisor(engine_cfg, resume, args.lenient, factory)
@@ -444,7 +445,7 @@ fn main() {
                     config_value(&snapshot_cfg, overhead_pct, Some(&partial), true),
                     snapshot_argv.clone(),
                 );
-                let snapshot_path = &snapshot_cfg.run.report_path;
+                let snapshot_path = &snapshot_cfg.run.output.report_path;
                 if let Err(e) = report.save(snapshot_path) {
                     obs::warn(&format!("snapshot write failed: {e}"));
                 } else {
@@ -492,7 +493,8 @@ fn main() {
         }
     }
 
-    run.finish(config_value(&args, overhead_pct, Some(summary), false));
+    run.front
+        .finish(config_value(&args, overhead_pct, Some(summary), false));
     let failed = args.verify_batch && verify_batch(&args, &input, summary, skipped) > 0;
     let drift_alarms = run.alert_gate();
     let truth_failures = check_truth_coverage(summary, &args);

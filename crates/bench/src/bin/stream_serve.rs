@@ -155,7 +155,7 @@ fn parse_args() -> Args {
                 let n: usize = cli.parse(&flag, "record count");
                 parsed.batch_records = n.max(1);
             }
-            _ => cli.usage(),
+            _ => cli.unknown(&flag),
         }
     }
     parsed
@@ -284,7 +284,8 @@ fn main() {
         }
     }
 
-    run.serve_telemetry(config_value(&args, None, None, true));
+    run.front
+        .serve_telemetry(config_value(&args, None, None, true));
 
     // Engine restarts reuse the same hub: records still buffered in it
     // survive a panic recovery. Records the crashed engine consumed
@@ -352,7 +353,8 @@ fn main() {
 
     print_summary(summary, &stats);
     run.print_recovery(&report, "drained");
-    run.finish(config_value(&args, Some(summary), Some(&stats), false));
+    run.front
+        .finish(config_value(&args, Some(summary), Some(&stats), false));
     std::process::exit(run::exit_code(&run::Outcome {
         drift_alarms: run.alert_gate(),
         degraded: run.degraded_gate(&report),

@@ -2,9 +2,9 @@
 //!
 //! The interesting entry points live in `src/bin/repro.rs` (table/figure
 //! reproduction) and `benches/` (criterion performance benches); this
-//! library hosts the small utilities they share, and [`run`], the run
-//! lifecycle of the one-pass binaries `stream-analyze` and
-//! `stream-serve`.
+//! library hosts the small utilities they share, and [`run`], the front
+//! end of all seven binaries and the run lifecycle of the one-pass
+//! binaries `stream-analyze` and `stream-serve`.
 
 pub mod run;
 
@@ -92,39 +92,31 @@ fn calibration_drain_secs(text: &str) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// Measure the flight recorder's own cost: run the full `ClfSource` →
-/// [`StreamAnalyzer`] path over `n_records` synthetic records with
-/// profiling off and on (1-in-`sample_every`), paired and alternating,
-/// and return `(t_on − t_off) / t_off` as a percentage (clamped at 0).
+/// The overhead of an "on" arm over a plain calibration drain of
+/// `n_records` records: each round times a drain, runs `setup`, times
+/// a drain with it, then hands its result to `teardown`. Returns the
+/// minimum `(t_on − t_off) / t_off` over 5–9 rounds as a percentage
+/// (clamped at 0).
 ///
-/// The minimum over 5–9 paired rounds suppresses scheduler noise (a
-/// one-sided load burst inflates single rounds, never the minimum;
-/// late rounds are spaced out to wait bursts out); alternating arms
-/// keeps cache and frequency state comparable. The measurement drives the
-/// *global* profiler and metrics registry — callers should
-/// [`webpuzzle_obs::reset`] (or at least [`profile::clear`]) afterwards
-/// so synthetic samples never leak into a real run's report. The
-/// profiler is left disabled on return.
-///
-/// # Panics
-///
-/// Panics if the synthetic log fails to parse or push — both would be
-/// bugs, not runtime conditions.
-pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 {
+/// Each round yields its own overhead estimate and the minimum across
+/// rounds is the answer. A load burst on a shared core contaminates one
+/// arm of one round and inflates only that round's estimate, which the
+/// min rejects, while a real cost shows up in every round and survives
+/// it. (Taking per-arm minima instead lets a burst that straddles only
+/// the enabled arms of every round masquerade as overhead.) Alternating
+/// arms keeps cache and frequency state comparable.
+fn paired_overhead_pct<T>(
+    n_records: usize,
+    mut setup: impl FnMut() -> T,
+    mut teardown: impl FnMut(T),
+) -> f64 {
     let text = calibration_log(n_records);
-    // Each round times both arms back to back and yields its own
-    // overhead estimate; the minimum across rounds is the answer. A
-    // load burst on a shared core contaminates one arm of one round
-    // and inflates only that round's estimate, which the min rejects,
-    // while a real profiler cost shows up in every round and survives
-    // it. (Taking per-arm minima instead lets a burst that straddles
-    // only the enabled arms of every round masquerade as overhead.)
     let mut pct = f64::INFINITY;
     for round in 0..9 {
-        profile::disable();
         let t_off = calibration_drain_secs(&text);
-        profile::enable(sample_every);
+        let on = setup();
         let t_on = calibration_drain_secs(&text);
+        teardown(on);
         pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
         if round >= 4 {
             // Five clean-ish rounds are enough; if the estimate is
@@ -137,8 +129,32 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
             std::thread::sleep(std::time::Duration::from_millis(50 << (round - 4)));
         }
     }
-    profile::disable();
     pct.max(0.0)
+}
+
+/// Measure the flight recorder's own cost: run the full `ClfSource` →
+/// [`StreamAnalyzer`] path over `n_records` synthetic records with
+/// profiling off and on (1-in-`sample_every`), paired and alternating,
+/// and return `(t_on − t_off) / t_off` as a percentage (clamped at 0).
+///
+/// The minimum over 5–9 paired rounds suppresses scheduler noise (late
+/// rounds are spaced out to wait bursts out). The measurement drives
+/// the *global* profiler and metrics registry — callers should
+/// [`webpuzzle_obs::reset`] (or at least [`profile::clear`]) afterwards
+/// so synthetic samples never leak into a real run's report. The
+/// profiler is left disabled on return.
+///
+/// # Panics
+///
+/// Panics if the synthetic log fails to parse or push — both would be
+/// bugs, not runtime conditions.
+pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 {
+    profile::disable();
+    paired_overhead_pct(
+        n_records,
+        || profile::enable(sample_every),
+        |()| profile::disable(),
+    )
 }
 
 /// Measure the telemetry-history sampler's cost to the engine: run the
@@ -154,83 +170,18 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
-    let text = calibration_log(n_records);
-    let mut pct = f64::INFINITY;
-    for round in 0..9 {
-        let t_off = calibration_drain_secs(&text);
-        let sampler = webpuzzle_obs::tsdb::start_sampler(webpuzzle_obs::tsdb::TsdbConfig {
-            interval: std::time::Duration::from_millis(interval_ms.max(1)),
-            ..webpuzzle_obs::tsdb::TsdbConfig::default()
-        });
-        let t_on = calibration_drain_secs(&text);
-        sampler.shutdown();
-        webpuzzle_obs::tsdb::uninstall();
-        pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
-        if round >= 4 {
-            if pct <= 1.0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50 << (round - 4)));
-        }
-    }
-    pct.max(0.0)
-}
-
-/// What `--telemetry-history` / `--slo` ask for, shared by the
-/// `stream-analyze`, `stream-serve`, and `repro` binaries.
-#[derive(Debug, Clone)]
-pub struct HistoryOptions {
-    /// `--telemetry-history`: sample the registry on a cadence.
-    pub enabled: bool,
-    /// `--telemetry-interval-ms`: sampling cadence (min 1 ms).
-    pub interval_ms: u64,
-    /// `--slo`: evaluate burn-rate objectives after every tick.
-    pub slo: bool,
-    /// `--slo-file`: objectives file (default `slo.toml`).
-    pub slo_file: std::path::PathBuf,
-}
-
-/// Install the SLO engine (when asked) and start the telemetry-history
-/// sampler. `None` when neither flag is set. The sampler takes an
-/// immediate baseline tick before returning, so even a run that
-/// finishes within one interval has a well-defined burn-rate window.
-///
-/// # Errors
-///
-/// A human-readable message when the objectives file is missing or
-/// invalid (a usage error: the caller should exit 2).
-pub fn start_history_sampler(
-    opts: &HistoryOptions,
-) -> std::result::Result<Option<webpuzzle_obs::tsdb::SamplerHandle>, String> {
-    if !opts.enabled && !opts.slo {
-        return Ok(None);
-    }
-    if opts.slo {
-        let cfg = webpuzzle_obs::slo::SloConfig::load(&opts.slo_file)?;
-        webpuzzle_obs::slo::install(cfg);
-    }
-    Ok(Some(webpuzzle_obs::tsdb::start_sampler(
-        webpuzzle_obs::tsdb::TsdbConfig {
-            interval: std::time::Duration::from_millis(opts.interval_ms.max(1)),
-            ..webpuzzle_obs::tsdb::TsdbConfig::default()
+    let config = webpuzzle_obs::tsdb::TsdbConfig {
+        interval: std::time::Duration::from_millis(interval_ms.max(1)),
+        ..webpuzzle_obs::tsdb::TsdbConfig::default()
+    };
+    paired_overhead_pct(
+        n_records,
+        || webpuzzle_obs::tsdb::start_sampler(config.clone()),
+        |sampler| {
+            sampler.shutdown();
+            webpuzzle_obs::tsdb::uninstall();
         },
-    )))
-}
-
-/// Stop the sampler, take one final sample+evaluation pass (the last
-/// partial interval must not be lost — short CI runs may complete
-/// entirely between two cadence ticks), and return the deep-health
-/// verdict when SLOs were enabled. Call *before* collecting the run
-/// report so `RunReport::slo` reflects the final state.
-pub fn finish_history_sampler(
-    handle: Option<webpuzzle_obs::tsdb::SamplerHandle>,
-    slo: bool,
-) -> Option<webpuzzle_obs::slo::DeepHealth> {
-    let handle = handle?;
-    handle.shutdown();
-    webpuzzle_obs::tsdb::sample_now();
-    webpuzzle_obs::slo::evaluate_now();
-    slo.then(webpuzzle_obs::slo::deep_health)
+    )
 }
 
 #[cfg(test)]

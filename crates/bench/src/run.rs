@@ -1,28 +1,37 @@
-//! The run lifecycle shared by the one-pass binaries, `stream-analyze`
-//! (file input) and `stream-serve` (wire input).
+//! The front end of all seven binaries, and the run lifecycle of the
+//! one-pass ones.
 //!
-//! Both binaries drive the same [`StreamAnalyzer`] under the same
-//! [`Supervisor`]; only the source differs. This module owns everything
-//! around the source: the shared flags, the output mode, the telemetry
-//! and governor setup, checkpoint/resume, the watchdog, the end-of-run
-//! lines, the run report and the exit-code policy. A binary calls the
-//! steps in this order:
+//! Every binary parses its command line through [`Cli`], so a missing
+//! value, an unparsable value or an unknown flag is one stderr line and
+//! exit 2 everywhere. The binaries that report on themselves (`repro`,
+//! `genlog` and the two stream binaries) share [`OutputArgs`],
+//! [`HistoryArgs`] and [`Frontend`]: the output mode and sink, the
+//! telemetry endpoint, the history sampler and the `--json` run report.
+//!
+//! The one-pass binaries, `stream-analyze` (file input) and
+//! `stream-serve` (wire input), drive the same [`StreamAnalyzer`] under
+//! the same [`Supervisor`]; only the source differs. [`Run`] owns
+//! everything around the source: the shared flags, the governor,
+//! checkpoint/resume, the watchdog, the end-of-run lines and the
+//! exit-code policy. A binary calls the steps in this order:
 //!
 //! 1. [`Cli`] + [`RunArgs::parse_flag`]: parse the shared flags next to
 //!    the binary's own.
-//! 2. [`Run::start`]: output mode and sink, `obs::reset`, the shutdown
-//!    handler, the pressure governor, the JSONL events sink, the SLO
-//!    engine and then the history sampler (the sampler's baseline tick
-//!    is the burn-rate windows' left edge), and the panic hook that
-//!    keeps injected crashes quiet. It also arms the stage watchdog.
-//! 3. [`Run::serve_telemetry`] once the binary can describe its config.
+//! 2. [`Run::start`]: [`Frontend::start`], the shutdown handler, the
+//!    pressure governor, the JSONL events sink, then
+//!    [`Frontend::start_history`] (the SLO engine first: the sampler's
+//!    baseline tick is the burn-rate windows' left edge), and the panic
+//!    hook that keeps injected crashes quiet. It also arms the stage
+//!    watchdog.
+//! 3. [`Frontend::serve_telemetry`] once the binary can describe its
+//!    config.
 //! 4. [`Run::load_resume`]: engine-config validation (exit 2) and the
 //!    `--resume` checkpoint (exit 1 when it is refused).
 //! 5. [`Run::supervisor`], [`Run::record_beat`] and [`Run::execute`].
 //! 6. The binary's summary, then [`Run::print_recovery`].
-//! 7. [`Run::finish`]: the final history tick and deep-health block,
-//!    then the `--json` report. Both must precede the alert gate, which
-//!    has to see events from the last partial sampling interval.
+//! 7. [`Frontend::finish`]: the final history tick and deep-health
+//!    block, then the `--json` report. Both must precede the alert gate,
+//!    which has to see events from the last partial sampling interval.
 //! 8. [`Run::alert_gate`] and [`Run::degraded_gate`] fill an
 //!    [`Outcome`]; the process exits with [`exit_code`].
 
@@ -39,7 +48,8 @@ use webpuzzle_stream::{
 };
 use webpuzzle_weblog::{MalformedKind, DEFAULT_SESSION_THRESHOLD};
 
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start (genlog default).
+/// 2004-01-12 00:00:00 UTC, the paper's WVU log start: the default
+/// `--base-epoch` of `genlog`, `replay` and the stream binaries.
 pub const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
 
 /// Checkpoint cadence when `--checkpoint`/`--resume` names a file but
@@ -94,15 +104,30 @@ impl Cli {
 
     /// The value following `flag`, parsed as `T`.
     pub fn parse<T: FromStr>(&mut self, flag: &str, what: &str) -> T {
+        self.parse_with(flag, what, |token| token.parse().ok())
+    }
+
+    /// The value following `flag`, converted by `convert`; `None`
+    /// rejects it.
+    pub fn parse_with<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        convert: impl FnOnce(&str) -> Option<T>,
+    ) -> T {
         let token = self.value(flag, what);
-        token
-            .parse()
-            .unwrap_or_else(|_| self.bad(flag, &token, what))
+        convert(&token).unwrap_or_else(|| self.bad(flag, &token, what))
     }
 
     /// Reject `token` as the value of `flag`.
     fn bad(&self, flag: &str, token: &str, what: &str) -> ! {
         eprintln!("{}: bad {flag} {token} ({what})", self.tool);
+        std::process::exit(2);
+    }
+
+    /// Reject `arg`, which the binary does not take, and exit 2.
+    pub fn unknown(&self, arg: &str) -> ! {
+        eprintln!("{}: unknown argument {arg}; {}", self.tool, self.usage);
         std::process::exit(2);
     }
 
@@ -113,17 +138,225 @@ impl Cli {
     }
 }
 
-/// The flags both binaries take.
+/// The output flags: `--quiet`, `--json`, `--report PATH` and
+/// `--telemetry-addr HOST:PORT`.
+#[derive(Debug, Clone)]
+pub struct OutputArgs {
+    /// Nothing on stdout, nothing from the sink on stderr.
+    pub quiet: bool,
+    /// JSON-line events on stderr and a run report on exit.
+    pub json: bool,
+    /// Where the `--json` run report goes.
+    pub report_path: PathBuf,
+    /// Serve `/metrics`, `/healthz` and `/report` here (port 0 picks
+    /// one).
+    pub telemetry_addr: Option<String>,
+}
+
+impl Default for OutputArgs {
+    fn default() -> Self {
+        OutputArgs {
+            quiet: false,
+            json: false,
+            report_path: PathBuf::from("report.json"),
+            telemetry_addr: None,
+        }
+    }
+}
+
+impl OutputArgs {
+    /// Consume `flag` (and its value) if it is an output flag; `false`
+    /// leaves it to the binary.
+    pub fn parse_flag(&mut self, flag: &str, cli: &mut Cli) -> bool {
+        match flag {
+            "--quiet" => self.quiet = true,
+            "--json" => self.json = true,
+            "--report" => self.report_path = cli.value(flag, "path").into(),
+            "--telemetry-addr" => self.telemetry_addr = Some(cli.value(flag, "HOST:PORT")),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// The telemetry-history flags: `--telemetry-history`,
+/// `--telemetry-interval-ms MS`, `--slo` and `--slo-file PATH`.
+#[derive(Debug, Clone)]
+pub struct HistoryArgs {
+    /// Sample the registry into the in-process time-series store.
+    pub enabled: bool,
+    /// Sampling cadence (min 1 ms).
+    pub interval_ms: u64,
+    /// Evaluate burn-rate objectives after every tick.
+    pub slo: bool,
+    /// The objectives file.
+    pub slo_file: PathBuf,
+}
+
+impl Default for HistoryArgs {
+    fn default() -> Self {
+        HistoryArgs {
+            enabled: false,
+            interval_ms: 1_000,
+            slo: false,
+            slo_file: PathBuf::from("slo.toml"),
+        }
+    }
+}
+
+impl HistoryArgs {
+    /// Consume `flag` (and its value) if it is a history flag; `false`
+    /// leaves it to the binary.
+    pub fn parse_flag(&mut self, flag: &str, cli: &mut Cli) -> bool {
+        match flag {
+            "--telemetry-history" => self.enabled = true,
+            "--telemetry-interval-ms" => {
+                let ms: u64 = cli.parse(flag, "milliseconds");
+                self.interval_ms = ms.max(1);
+                self.enabled = true;
+            }
+            "--slo" => self.slo = true,
+            "--slo-file" => {
+                self.slo_file = cli.value(flag, "path").into();
+                self.slo = true;
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// What every reporting binary does around its work: the output mode,
+/// the telemetry endpoint, the history sampler and the `--json` run
+/// report.
+pub struct Frontend {
+    tool: &'static str,
+    seed: Option<u64>,
+    output: OutputArgs,
+    raw_args: Vec<String>,
+    sampler: Option<obs::tsdb::SamplerHandle>,
+    slo: bool,
+    telemetry: Option<obs::TelemetryServer>,
+}
+
+impl Frontend {
+    /// Select the output mode (stdout for [`say!`](crate::say), the
+    /// stderr sink) and reset the process-wide telemetry. `seed` goes
+    /// into the telemetry endpoint's and the run report's context.
+    pub fn start(tool: &'static str, seed: Option<u64>, output: &OutputArgs) -> Frontend {
+        QUIET.store(output.quiet, Ordering::Relaxed);
+        if output.quiet {
+            // NullSink is the default: nothing reaches stderr.
+        } else if output.json {
+            obs::set_sink(Box::new(obs::JsonSink));
+        } else {
+            obs::set_sink(Box::new(obs::StderrSink::default()));
+        }
+        obs::reset();
+        Frontend {
+            tool,
+            seed,
+            output: output.clone(),
+            raw_args: std::env::args().skip(1).collect(),
+            sampler: None,
+            slo: false,
+            telemetry: None,
+        }
+    }
+
+    /// The command line as given, for run reports.
+    pub fn raw_args(&self) -> &[String] {
+        &self.raw_args
+    }
+
+    /// Install the SLO engine (under `--slo`) and start the history
+    /// sampler (under either flag). The sampler takes an immediate
+    /// baseline tick, so even a run shorter than one interval has a
+    /// burn-rate window. Exits 2 when the objectives file is missing or
+    /// invalid.
+    pub fn start_history(&mut self, history: &HistoryArgs) {
+        if !history.enabled && !history.slo {
+            return;
+        }
+        if history.slo {
+            let cfg = obs::slo::SloConfig::load(&history.slo_file).unwrap_or_else(|e| {
+                eprintln!("{}: {e}", self.tool);
+                std::process::exit(2);
+            });
+            obs::slo::install(cfg);
+        }
+        self.slo = history.slo;
+        self.sampler = Some(obs::tsdb::start_sampler(obs::tsdb::TsdbConfig {
+            interval: Duration::from_millis(history.interval_ms.max(1)),
+            ..obs::tsdb::TsdbConfig::default()
+        }));
+    }
+
+    /// Serve live telemetry on `--telemetry-addr`, if given; `config` is
+    /// the `/report` config block. The endpoint stays up until the
+    /// frontend is dropped. Exits 2 when the address cannot be bound.
+    pub fn serve_telemetry(&mut self, config: serde::Value) {
+        let Some(addr) = &self.output.telemetry_addr else {
+            return;
+        };
+        let ctx = obs::ReportContext {
+            tool: self.tool.to_string(),
+            seed: self.seed,
+            config,
+            args: self.raw_args.clone(),
+        };
+        let server = obs::serve(addr, ctx).unwrap_or_else(|e| {
+            eprintln!("{}: cannot bind telemetry endpoint {addr}: {e}", self.tool);
+            std::process::exit(2);
+        });
+        if !self.output.quiet {
+            eprintln!(
+                "{}: telemetry listening on http://{} (/metrics /healthz /report)",
+                self.tool,
+                server.local_addr()
+            );
+        }
+        self.telemetry = Some(server);
+    }
+
+    /// Stop the history sampler after one final tick and SLO pass (a
+    /// short run may fit between two cadence ticks), printing the
+    /// deep-health block under `--slo`; then write the `--json` run
+    /// report with `config` as its config block. Exits 1 when the
+    /// report cannot be written.
+    pub fn finish(&mut self, config: serde::Value) {
+        if let Some(sampler) = self.sampler.take() {
+            sampler.shutdown();
+            obs::tsdb::sample_now();
+            obs::slo::evaluate_now();
+            if self.slo {
+                crate::say!("{}", obs::slo::deep_health().render().trim_end());
+            }
+        }
+        if !self.output.json {
+            return;
+        }
+        let path = &self.output.report_path;
+        let report = obs::RunReport::collect(self.tool, self.seed, config, self.raw_args.clone());
+        match report.save(path) {
+            Ok(()) => obs::info(&format!("run report written to {}", path.display())),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
+}
+
+/// The flags both one-pass binaries take.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
+    pub output: OutputArgs,
+    pub history: HistoryArgs,
     pub base_epoch: i64,
     pub threshold: f64,
     pub window_len: f64,
     pub tail_k: usize,
-    pub quiet: bool,
-    pub json: bool,
-    pub report_path: PathBuf,
-    pub telemetry_addr: Option<String>,
     pub events_path: Option<PathBuf>,
     pub alert_on: Option<obs::events::Severity>,
     pub seasonal_period: Option<u64>,
@@ -135,10 +368,6 @@ pub struct RunArgs {
     pub inject_faults: Option<FaultSpec>,
     pub max_restores: u32,
     pub max_retries: u32,
-    pub telemetry_history: bool,
-    pub telemetry_interval_ms: u64,
-    pub slo: bool,
-    pub slo_file: PathBuf,
     pub governor_sessions: u64,
     pub governor_queue_bytes: u64,
     pub governor_memory_bytes: u64,
@@ -148,14 +377,12 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         RunArgs {
+            output: OutputArgs::default(),
+            history: HistoryArgs::default(),
             base_epoch: DEFAULT_BASE_EPOCH,
             threshold: DEFAULT_SESSION_THRESHOLD,
             window_len: WindowConfig::default().window_len,
             tail_k: StreamConfig::default().tail_k,
-            quiet: false,
-            json: false,
-            report_path: PathBuf::from("report.json"),
-            telemetry_addr: None,
             events_path: None,
             alert_on: None,
             seasonal_period: None,
@@ -167,10 +394,6 @@ impl Default for RunArgs {
             inject_faults: None,
             max_restores: 3,
             max_retries: 5,
-            telemetry_history: false,
-            telemetry_interval_ms: 1_000,
-            slo: false,
-            slo_file: PathBuf::from("slo.toml"),
             governor_sessions: 0,
             governor_queue_bytes: 0,
             governor_memory_bytes: 0,
@@ -183,21 +406,18 @@ impl RunArgs {
     /// Consume `flag` (and its value) if it is a shared flag; `false`
     /// leaves it to the binary.
     pub fn parse_flag(&mut self, flag: &str, cli: &mut Cli) -> bool {
+        if self.output.parse_flag(flag, cli) || self.history.parse_flag(flag, cli) {
+            return true;
+        }
         match flag {
             "--base-epoch" => self.base_epoch = cli.parse(flag, "integer seconds"),
             "--threshold" => self.threshold = cli.parse(flag, "seconds"),
             "--window" => self.window_len = cli.parse(flag, "seconds"),
             "--tail-k" => self.tail_k = cli.parse(flag, "integer"),
-            "--quiet" => self.quiet = true,
-            "--json" => self.json = true,
-            "--report" => self.report_path = cli.value(flag, "path").into(),
-            "--telemetry-addr" => self.telemetry_addr = Some(cli.value(flag, "HOST:PORT")),
             "--events" => self.events_path = Some(cli.value(flag, "path").into()),
             "--alert-on" => {
                 let what = "info|warn|critical";
-                let token = cli.value(flag, what);
-                let sev = obs::events::Severity::parse(&token);
-                self.alert_on = Some(sev.unwrap_or_else(|| cli.bad(flag, &token, what)));
+                self.alert_on = Some(cli.parse_with(flag, what, obs::events::Severity::parse));
             }
             "--seasonal-period" => {
                 self.seasonal_period = Some(cli.parse(flag, "windows; 0 disables"))
@@ -215,17 +435,6 @@ impl RunArgs {
             }
             "--max-restores" => self.max_restores = cli.parse(flag, "integer"),
             "--max-retries" => self.max_retries = cli.parse(flag, "integer"),
-            "--telemetry-history" => self.telemetry_history = true,
-            "--telemetry-interval-ms" => {
-                let ms: u64 = cli.parse(flag, "milliseconds");
-                self.telemetry_interval_ms = ms.max(1);
-                self.telemetry_history = true;
-            }
-            "--slo" => self.slo = true,
-            "--slo-file" => {
-                self.slo_file = cli.value(flag, "path").into();
-                self.slo = true;
-            }
             "--governor-sessions" => {
                 self.governor_sessions = cli.parse(flag, "open-session budget")
             }
@@ -313,12 +522,10 @@ impl RecordBeat {
 
 /// One run of a one-pass binary, from [`Run::start`] to its exit.
 pub struct Run {
-    tool: &'static str,
+    /// Output, telemetry endpoint, history sampler and run report.
+    pub front: Frontend,
     args: RunArgs,
-    raw_args: Vec<String>,
-    sampler: Option<obs::tsdb::SamplerHandle>,
     watchdog: Option<Watchdog>,
-    telemetry: Option<obs::TelemetryServer>,
     resumed: bool,
 }
 
@@ -326,15 +533,7 @@ impl Run {
     /// Set up output and process-wide telemetry for `tool`, in order.
     /// Exits 2 when the events log or the SLO file cannot be used.
     pub fn start(tool: &'static str, args: &RunArgs) -> Run {
-        QUIET.store(args.quiet, Ordering::Relaxed);
-        if args.quiet {
-            // NullSink is the default: nothing reaches stderr.
-        } else if args.json {
-            obs::set_sink(Box::new(obs::JsonSink));
-        } else {
-            obs::set_sink(Box::new(obs::StderrSink::default()));
-        }
-        obs::reset();
+        let mut front = Frontend::start(tool, None, &args.output);
         obs::shutdown::install();
         if args.governor_sessions > 0
             || args.governor_queue_bytes > 0
@@ -360,16 +559,7 @@ impl Run {
             });
             obs::events::set_jsonl_sink(sink);
         }
-        let sampler = crate::start_history_sampler(&crate::HistoryOptions {
-            enabled: args.telemetry_history,
-            interval_ms: args.telemetry_interval_ms,
-            slo: args.slo,
-            slo_file: args.slo_file.clone(),
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("{tool}: {e}");
-            std::process::exit(2);
-        });
+        front.start_history(&args.history);
 
         // Injected crashes are recovered by the supervisor; keep their
         // panic backtraces off stderr so drills read like operations, not
@@ -403,46 +593,11 @@ impl Run {
         });
 
         Run {
-            tool,
+            front,
             args: args.clone(),
-            raw_args: std::env::args().skip(1).collect(),
-            sampler,
             watchdog,
-            telemetry: None,
             resumed: false,
         }
-    }
-
-    /// The command line as given, for run reports.
-    pub fn raw_args(&self) -> &[String] {
-        &self.raw_args
-    }
-
-    /// Serve live telemetry on `--telemetry-addr`, if given; `config` is
-    /// the `/report` config block. Exits 2 when the address cannot be
-    /// bound.
-    pub fn serve_telemetry(&mut self, config: serde::Value) {
-        let Some(addr) = &self.args.telemetry_addr else {
-            return;
-        };
-        let ctx = obs::ReportContext {
-            tool: self.tool.to_string(),
-            seed: None,
-            config,
-            args: self.raw_args.clone(),
-        };
-        let server = obs::serve(addr, ctx).unwrap_or_else(|e| {
-            eprintln!("{}: cannot bind telemetry endpoint {addr}: {e}", self.tool);
-            std::process::exit(2);
-        });
-        if !self.args.quiet {
-            eprintln!(
-                "{}: telemetry listening on http://{} (/metrics /healthz /report)",
-                self.tool,
-                server.local_addr()
-            );
-        }
-        self.telemetry = Some(server);
     }
 
     /// Validate the engine configuration (bad tuning is a usage error,
@@ -452,12 +607,16 @@ impl Run {
     /// poison every estimate downstream.
     pub fn load_resume(&mut self, engine_cfg: &StreamConfig) -> Option<Checkpoint> {
         if let Err(e) = StreamAnalyzer::new(engine_cfg.clone()) {
-            eprintln!("{}: {e}", self.tool);
+            eprintln!("{}: {e}", self.front.tool);
             std::process::exit(2);
         }
         let checkpoint = self.args.resume.as_ref().map(|path| {
             Checkpoint::load(path).unwrap_or_else(|e| {
-                eprintln!("{}: cannot resume from {}: {e}", self.tool, path.display());
+                eprintln!(
+                    "{}: cannot resume from {}: {e}",
+                    self.front.tool,
+                    path.display()
+                );
                 std::process::exit(1);
             })
         });
@@ -524,7 +683,7 @@ impl Run {
     {
         let t0 = std::time::Instant::now();
         let report = supervisor.run().unwrap_or_else(|e| {
-            eprintln!("{}: {e}", self.tool);
+            eprintln!("{}: {e}", self.front.tool);
             std::process::exit(1);
         });
         (report, t0.elapsed())
@@ -601,28 +760,6 @@ impl Run {
         }
     }
 
-    /// Take the final telemetry tick and SLO pass (printing the
-    /// deep-health block under `--slo`), then write the `--json` run
-    /// report with `config` as its config block; exits 1 when the
-    /// report cannot be written.
-    pub fn finish(&mut self, config: serde::Value) {
-        if let Some(health) = crate::finish_history_sampler(self.sampler.take(), self.args.slo) {
-            crate::say!("{}", health.render().trim_end());
-        }
-        if !self.args.json {
-            return;
-        }
-        let path = &self.args.report_path;
-        let report = obs::RunReport::collect(self.tool, None, config, self.raw_args.clone());
-        match report.save(path) {
-            Ok(()) => obs::info(&format!("run report written to {}", path.display())),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
     /// Count the events at or above `--alert-on` (0 without the flag).
     /// The verdict reaches stderr even under `--quiet`.
     pub fn alert_gate(&self) -> u64 {
@@ -633,7 +770,7 @@ impl Run {
         if alarms > 0 {
             eprintln!(
                 "{}: {alarms} drift alarm(s) at or above {}",
-                self.tool,
+                self.front.tool,
                 min_sev.as_str()
             );
         } else {
@@ -650,7 +787,7 @@ impl Run {
             eprintln!(
                 "{}: completed after recovery with {} shed session(s) \
                  ({} records) — results are complete but degraded",
-                self.tool, report.shed_sessions, report.shed_records
+                self.front.tool, report.shed_sessions, report.shed_records
             );
         }
         degraded

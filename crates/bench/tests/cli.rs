@@ -1,6 +1,7 @@
-//! Command-line contract of the one-pass binaries: usage errors exit 2,
-//! run reports say whether they are partial, and the wire path
-//! (`stream-serve`) reproduces the file path (`stream-analyze`).
+//! Command-line contract: usage errors exit 2 on every binary, `genlog`
+//! output failures exit 1, run reports say whether they are partial,
+//! and the wire path (`stream-serve`) reproduces the file path
+//! (`stream-analyze`).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -15,6 +16,11 @@ use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
 
 const ANALYZE: &str = env!("CARGO_BIN_EXE_stream-analyze");
 const SERVE: &str = env!("CARGO_BIN_EXE_stream-serve");
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+const GENLOG: &str = env!("CARGO_BIN_EXE_genlog");
+const REPLAY: &str = env!("CARGO_BIN_EXE_replay");
+const PAPER_CHECK: &str = env!("CARGO_BIN_EXE_paper-check");
+const BENCH_REPORT: &str = env!("CARGO_BIN_EXE_bench-report");
 
 /// A per-test scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -102,13 +108,62 @@ fn assert_close(a: &Value, b: &Value, path: &str) {
 }
 
 #[test]
-fn usage_errors_exit_2_on_both_binaries() {
-    for bin in [ANALYZE, SERVE] {
-        for args in [&["--window"][..], &["--window", "abc"], &["--no-such-flag"]] {
+fn usage_errors_exit_2_on_every_binary() {
+    // Per binary: a flag missing its value, a value that does not
+    // parse, and a flag the binary does not take.
+    let cases: [(&str, &[&[&str]]); 7] = [
+        (
+            REPRO,
+            &[
+                &["--scale"],
+                &["--scale", "abc", "table1"],
+                &["--no-such-flag", "table1"],
+            ],
+        ),
+        (
+            GENLOG,
+            &[&["--seed"], &["--seed", "x"], &["--no-such-flag"]],
+        ),
+        (
+            REPLAY,
+            &[
+                &["--connections"],
+                &["--connections", "x"],
+                &["--no-such-flag"],
+            ],
+        ),
+        (
+            PAPER_CHECK,
+            &[
+                &["--targets"],
+                &["--targets", "no-such-targets.toml"],
+                &["--no-such-flag"],
+            ],
+        ),
+        (
+            BENCH_REPORT,
+            &[
+                &["--threshold"],
+                &["--threshold", "-1"],
+                &["--no-such-flag"],
+            ],
+        ),
+        (
+            ANALYZE,
+            &[&["--window"], &["--window", "abc"], &["--no-such-flag"]],
+        ),
+        (
+            SERVE,
+            &[&["--window"], &["--window", "abc"], &["--no-such-flag"]],
+        ),
+    ];
+    for (bin, cases) in cases {
+        for args in cases {
             let out = run(bin, args);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
             assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
         }
     }
     let out = run(SERVE, &["--seasonal-period", "x"]);
@@ -117,6 +172,44 @@ fn usage_errors_exit_2_on_both_binaries() {
         String::from_utf8_lossy(&out.stderr).trim(),
         "stream-serve: bad --seasonal-period x (windows; 0 disables)"
     );
+}
+
+#[test]
+fn genlog_output_failures_exit_1_with_one_line() {
+    let scratch = Scratch::new("genlog-out");
+    let missing = scratch.path("missing-dir").join("x.log");
+    let out = run(
+        GENLOG,
+        &[
+            "--scale",
+            "0.01",
+            "--quiet",
+            "--out",
+            missing.to_str().unwrap(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("genlog: cannot create "), "{stderr}");
+
+    // A reader that goes away (`genlog | head -1`) is a write failure,
+    // not a crash.
+    let mut child = Command::new(GENLOG)
+        .args(["--scale", "0.05", "--quiet"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn genlog");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for genlog");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("genlog: cannot write "), "{stderr}");
 }
 
 #[test]

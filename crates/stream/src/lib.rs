@@ -6,8 +6,8 @@
 //! records (`Vec<LogRecord>`) and sessionizes the whole slice, this
 //! crate processes a log as a stream:
 //!
-//! * [`pipeline`] — the pull-based [`Source`]/[`Stage`] composition
-//!   traits every streaming component implements.
+//! * [`pipeline`] — the pull-based [`Source`] trait every record
+//!   producer implements.
 //! * [`reader`] — [`ClfSource`]: a chunked `io::BufRead`-driven Common
 //!   Log Format reader (never `read_to_string`), with a lenient mode
 //!   that skips and counts malformed lines.
@@ -90,7 +90,7 @@ pub use observatory::{
     WindowObservation,
 };
 pub use online::{Moments, TopK, Welford};
-pub use pipeline::{IterSource, Pipe, Source, Stage};
+pub use pipeline::{IterSource, Source};
 pub use reader::ClfSource;
 pub use sessionizer::{SessionizerState, StreamSessionizer};
 pub use supervisor::{

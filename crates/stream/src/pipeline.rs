@@ -1,12 +1,9 @@
-//! The pull-based `Source`/`Stage` pipeline abstraction.
+//! The pull-based [`Source`] abstraction.
 //!
-//! A [`Source`] produces items one at a time (fallibly); a [`Stage`]
-//! transforms items, possibly buffering (a sessionizer holds open
-//! sessions) and possibly emitting several outputs per input (or
-//! several at end-of-stream). [`Pipe`] composes a stage onto a source,
-//! and is itself a source, so pipelines chain without intermediate
-//! collections — the defining property of the one-pass engine: nothing
-//! in a pipeline ever holds the whole stream.
+//! A [`Source`] produces items one at a time (fallibly): the CLF reader,
+//! the fault injector and the wire source all implement it, and the
+//! supervisor drains one into the engine without ever holding the whole
+//! stream — the defining property of the one-pass engine.
 
 use crate::Result;
 
@@ -23,116 +20,8 @@ pub trait Source {
     fn next_item(&mut self) -> Option<Result<Self::Item>>;
 }
 
-/// A streaming transformation between item types.
-///
-/// `process` consumes one input and appends zero or more outputs to
-/// `out`; `finish` is called exactly once after the upstream source is
-/// exhausted so buffered state (open sessions, partial windows) can be
-/// flushed.
-pub trait Stage {
-    /// Input item type.
-    type In;
-    /// Output item type.
-    type Out;
-
-    /// Feed one item through the stage.
-    ///
-    /// # Errors
-    ///
-    /// Implementations fail on contract violations (e.g. out-of-order
-    /// input to an order-requiring stage).
-    fn process(&mut self, item: Self::In, out: &mut Vec<Self::Out>) -> Result<()>;
-
-    /// Flush any buffered state at end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// Implementations fail if buffered state cannot be finalized.
-    fn finish(&mut self, out: &mut Vec<Self::Out>) -> Result<()>;
-}
-
-/// A [`Stage`] composed onto a [`Source`], forming a new source.
-///
-/// Outputs are buffered in an internal queue whose length is bounded by
-/// the stage's own fan-out (for the sessionizer: the sessions expiring
-/// at one eviction sweep), never by the stream length.
-#[derive(Debug)]
-pub struct Pipe<S, T: Stage> {
-    source: S,
-    stage: T,
-    queue: std::collections::VecDeque<T::Out>,
-    upstream_done: bool,
-    finished: bool,
-}
-
-impl<S, T> Pipe<S, T>
-where
-    S: Source,
-    T: Stage<In = S::Item>,
-{
-    /// Compose `stage` onto `source`.
-    pub fn new(source: S, stage: T) -> Self {
-        Pipe {
-            source,
-            stage,
-            queue: std::collections::VecDeque::new(),
-            upstream_done: false,
-            finished: false,
-        }
-    }
-
-    /// The wrapped stage (for inspecting accumulated state afterwards).
-    pub fn stage(&self) -> &T {
-        &self.stage
-    }
-
-    /// The wrapped source.
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-}
-
-impl<S, T> Source for Pipe<S, T>
-where
-    S: Source,
-    T: Stage<In = S::Item>,
-{
-    type Item = T::Out;
-
-    fn next_item(&mut self) -> Option<Result<Self::Item>> {
-        loop {
-            if let Some(item) = self.queue.pop_front() {
-                return Some(Ok(item));
-            }
-            if self.finished {
-                return None;
-            }
-            if self.upstream_done {
-                let mut out = Vec::new();
-                self.finished = true;
-                if let Err(e) = self.stage.finish(&mut out) {
-                    return Some(Err(e));
-                }
-                self.queue.extend(out);
-                continue;
-            }
-            match self.source.next_item() {
-                Some(Ok(item)) => {
-                    let mut out = Vec::new();
-                    if let Err(e) = self.stage.process(item, &mut out) {
-                        return Some(Err(e));
-                    }
-                    self.queue.extend(out);
-                }
-                Some(Err(e)) => return Some(Err(e)),
-                None => self.upstream_done = true,
-            }
-        }
-    }
-}
-
 /// Adapt any infallible iterator into a [`Source`] (handy for tests and
-/// for feeding in-memory record slices through streaming stages).
+/// for feeding in-memory record slices to the fault injector).
 #[derive(Debug)]
 pub struct IterSource<I>(pub I);
 
@@ -141,66 +30,5 @@ impl<I: Iterator> Source for IterSource<I> {
 
     fn next_item(&mut self) -> Option<Result<Self::Item>> {
         self.0.next().map(Ok)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Doubles each number; emits a terminal marker on finish.
-    struct Doubler {
-        flushed: bool,
-    }
-
-    impl Stage for Doubler {
-        type In = u32;
-        type Out = u32;
-
-        fn process(&mut self, item: u32, out: &mut Vec<u32>) -> Result<()> {
-            // Wrapping: the chained test doubles the MAX marker.
-            out.push(item.wrapping_mul(2));
-            Ok(())
-        }
-
-        fn finish(&mut self, out: &mut Vec<u32>) -> Result<()> {
-            self.flushed = true;
-            out.push(u32::MAX);
-            Ok(())
-        }
-    }
-
-    fn drain<S: Source>(mut s: S) -> Vec<S::Item> {
-        let mut v = Vec::new();
-        while let Some(item) = s.next_item() {
-            v.push(item.expect("no errors in test pipeline"));
-        }
-        v
-    }
-
-    #[test]
-    fn pipe_transforms_and_flushes_once() {
-        let pipe = Pipe::new(IterSource(1..=3u32), Doubler { flushed: false });
-        assert_eq!(drain(pipe), vec![2, 4, 6, u32::MAX]);
-    }
-
-    #[test]
-    fn exhausted_pipe_stays_exhausted() {
-        let mut pipe = Pipe::new(
-            IterSource(std::iter::empty::<u32>()),
-            Doubler { flushed: false },
-        );
-        assert_eq!(pipe.next_item().unwrap().unwrap(), u32::MAX);
-        assert!(pipe.next_item().is_none());
-        assert!(pipe.next_item().is_none());
-        assert!(pipe.stage().flushed);
-    }
-
-    #[test]
-    fn pipes_chain() {
-        let inner = Pipe::new(IterSource(1..=2u32), Doubler { flushed: false });
-        let outer = Pipe::new(inner, Doubler { flushed: false });
-        // 1,2 -> 2,4,MAX -> 4,8,(MAX*2 wraps),MAX
-        assert_eq!(drain(outer), vec![4, 8, u32::MAX.wrapping_mul(2), u32::MAX]);
     }
 }

@@ -18,7 +18,6 @@
 //! `tests/streaming_equivalence.rs`); only the emission *order*
 //! differs, because bounded memory forbids a global sort by start time.
 
-use crate::pipeline::Stage;
 use crate::Result;
 use std::collections::HashMap;
 use webpuzzle_weblog::{LogRecord, Session, WeblogError};
@@ -428,20 +427,6 @@ fn sort_batch(batch: &mut [Session]) {
             .expect("finite starts")
             .then(a.client.cmp(&b.client))
     });
-}
-
-impl Stage for StreamSessionizer {
-    type In = LogRecord;
-    type Out = Session;
-
-    fn process(&mut self, item: LogRecord, out: &mut Vec<Session>) -> Result<()> {
-        self.push(&item, out).map(|_| ())
-    }
-
-    fn finish(&mut self, out: &mut Vec<Session>) -> Result<()> {
-        StreamSessionizer::finish(self, out);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::io::BufReader;
-use webpuzzle_stream::{ClfSource, IterSource, Pipe, Source, StreamSessionizer};
+use webpuzzle_stream::{ClfSource, Source, StreamSessionizer};
 use webpuzzle_weblog::clf::{format_line, parse_log};
 use webpuzzle_weblog::{sessionize, LogRecord, Method, Session};
 
@@ -78,35 +78,6 @@ proptest! {
         prop_assert_eq!(canon(streamed), batch);
     }
 
-    /// Pushing record-by-record and pulling through the composed
-    /// `Pipe<IterSource, StreamSessionizer>` are the same computation.
-    #[test]
-    fn pipe_composition_matches_direct_pushes(
-        records in prop::collection::vec(arb_record(), 1..200),
-        threshold in 1.0f64..5_000.0,
-    ) {
-        let mut sorted = records.clone();
-        by_time(&mut sorted);
-
-        let mut direct_sessionizer = StreamSessionizer::new(threshold).expect("valid");
-        let mut direct = Vec::new();
-        for record in &sorted {
-            direct_sessionizer.push(record, &mut direct).expect("sorted");
-        }
-        direct_sessionizer.finish(&mut direct);
-
-        let mut pipe = Pipe::new(
-            IterSource(sorted.into_iter()),
-            StreamSessionizer::new(threshold).expect("valid"),
-        );
-        let mut piped = Vec::new();
-        while let Some(session) = pipe.next_item() {
-            piped.push(session.expect("no errors"));
-        }
-
-        prop_assert_eq!(canon(piped), canon(direct));
-    }
-
     /// Reading CLF through arbitrarily small IO chunks changes nothing:
     /// the chunked source parses exactly what the whole-file batch
     /// parser parses.
@@ -153,18 +124,17 @@ proptest! {
         let parsed = parse_log(&text, BASE_EPOCH).expect("parses");
         let batch = canon(sessionize(&parsed, threshold).expect("batch runs"));
 
-        let source = ClfSource::new(
+        let mut source = ClfSource::new(
             BufReader::with_capacity(capacity, text.as_bytes()),
             BASE_EPOCH,
         );
-        let mut pipe = Pipe::new(
-            source,
-            StreamSessionizer::new(threshold).expect("valid"),
-        );
+        let mut sessionizer = StreamSessionizer::new(threshold).expect("valid");
         let mut streamed = Vec::new();
-        while let Some(session) = pipe.next_item() {
-            streamed.push(session.expect("clean pipeline"));
+        while let Some(record) = source.next_item() {
+            let record = record.expect("well-formed line");
+            sessionizer.push(&record, &mut streamed).expect("sorted stream");
         }
+        sessionizer.finish(&mut streamed);
         prop_assert_eq!(canon(streamed), batch);
     }
 }
