@@ -48,9 +48,9 @@ use webpuzzle_stream::{
 };
 use webpuzzle_weblog::{MalformedKind, DEFAULT_SESSION_THRESHOLD};
 
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start: the default
-/// `--base-epoch` of `genlog`, `replay` and the stream binaries.
-pub const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
+/// The default `--base-epoch` of `genlog`, `replay` and the stream
+/// binaries: the paper's WVU log start.
+pub const DEFAULT_BASE_EPOCH: i64 = webpuzzle_weblog::clf::WVU_BASE_EPOCH;
 
 /// Checkpoint cadence when `--checkpoint`/`--resume` names a file but
 /// no `--checkpoint-every*` flag sets one.

@@ -48,8 +48,8 @@ pub use config::AnalysisConfig;
 pub use intra_session::{IntraSessionAnalysis, SessionMetric, TailAnalysis};
 pub use model::{FullWebModel, LevelPoisson};
 pub use poisson::{
-    poisson_arrival_test, spread_ties, PoissonBattery, PoissonTestOutcome, PoissonVerdict,
-    TieSpreading,
+    poisson_arrival_test, poisson_test_spread, spread_ties, PoissonBattery, PoissonTestOutcome,
+    PoissonVerdict, TieSpreading,
 };
 
 pub use webpuzzle_stats::StatsError;

@@ -110,6 +110,8 @@ pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64
     let mut floored: Vec<f64> = times.iter().map(|t| t.floor()).collect();
     floored.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     let mut out = Vec::with_capacity(floored.len());
+    // One tied second's uniform offsets, reused across seconds.
+    let mut offsets = Vec::new();
     let mut i = 0;
     while i < floored.len() {
         let sec = floored[i];
@@ -125,11 +127,10 @@ pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64
                 }
             }
             TieSpreading::Uniform => {
-                let mut offsets: Vec<f64> = (0..k).map(|_| rng.random::<f64>()).collect();
-                offsets.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                for o in offsets {
-                    out.push(sec + o);
-                }
+                offsets.clear();
+                offsets.extend((0..k).map(|_| rng.random::<f64>()));
+                offsets.sort_unstable_by(f64::total_cmp);
+                out.extend(offsets.iter().map(|o| sec + o));
             }
         }
         i = j;
@@ -137,7 +138,8 @@ pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64
     out
 }
 
-/// Run the §4.2 procedure on the arrival times of one interval.
+/// Run the §4.2 procedure on the arrival times of one interval:
+/// [`spread_ties`], then [`poisson_test_spread`].
 ///
 /// * `times` — event times within the interval (any granularity; they are
 ///   floored to seconds and tie-spread first).
@@ -149,8 +151,7 @@ pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64
 ///
 /// # Errors
 ///
-/// Returns [`webpuzzle_stats::StatsError::InvalidParameter`] for a
-/// non-positive interval length or zero subintervals.
+/// Those of [`poisson_test_spread`].
 ///
 /// # Examples
 ///
@@ -187,6 +188,50 @@ pub fn poisson_arrival_test(
     min_arrivals: usize,
     seed: u64,
 ) -> Result<Option<PoissonTestOutcome>> {
+    poisson_test_spread(
+        &spread_ties(times, spreading, seed),
+        interval_start,
+        interval_len,
+        subintervals,
+        spreading,
+        min_arrivals,
+    )
+}
+
+/// Steps 2–4 of the §4.2 procedure on times [`spread_ties`] already
+/// spread with `spreading`, so that one spreading can serve several
+/// subdivisions. The arguments are those of [`poisson_arrival_test`].
+///
+/// # Errors
+///
+/// Returns [`webpuzzle_stats::StatsError::InvalidParameter`] for a
+/// non-positive interval length or zero subintervals.
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_core::{poisson_arrival_test, poisson_test_spread, spread_ties, TieSpreading};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let times: Vec<f64> = (0..14_400).map(|i| (i * 7_919 % 14_400) as f64).collect();
+/// let uniform = TieSpreading::Uniform;
+/// let spread = spread_ties(&times, uniform, 3);
+/// for subs in [4, 24] {
+///     let once = poisson_test_spread(&spread, 0.0, 14_400.0, subs, uniform, 50)?;
+///     let each = poisson_arrival_test(&times, 0.0, 14_400.0, subs, uniform, 50, 3)?;
+///     assert_eq!(once, each);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+pub fn poisson_test_spread(
+    spread: &[f64],
+    interval_start: f64,
+    interval_len: f64,
+    subintervals: usize,
+    spreading: TieSpreading,
+    min_arrivals: usize,
+) -> Result<Option<PoissonTestOutcome>> {
     use webpuzzle_stats::StatsError;
     if !(interval_len.is_finite() && interval_len > 0.0) {
         return Err(StatsError::InvalidParameter {
@@ -203,12 +248,11 @@ pub fn poisson_arrival_test(
         });
     }
 
-    let spread = spread_ties(times, spreading, seed);
     let sub_len = interval_len / subintervals as f64;
 
     // Partition the spread times into subintervals.
     let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); subintervals];
-    for &t in &spread {
+    for &t in spread {
         let idx = ((t - interval_start) / sub_len).floor();
         if idx >= 0.0 && (idx as usize) < subintervals {
             buckets[idx as usize].push(t);
@@ -277,7 +321,7 @@ impl PoissonBattery {
     ///
     /// # Errors
     ///
-    /// Propagates parameter errors from [`poisson_arrival_test`].
+    /// Propagates parameter errors from [`poisson_test_spread`].
     pub fn run(
         times: &[f64],
         interval_start: f64,
@@ -287,22 +331,23 @@ impl PoissonBattery {
     ) -> Result<Self> {
         let _span = webpuzzle_obs::span!("poisson/battery");
         webpuzzle_obs::metrics::sharded_counter("poisson/batteries_run").incr();
-        let run = |subs: usize, spreading: TieSpreading| {
-            poisson_arrival_test(
-                times,
+        let uniform = spread_ties(times, TieSpreading::Uniform, seed);
+        let deterministic = spread_ties(times, TieSpreading::Deterministic, seed);
+        let run = |spread: &[f64], subs: usize, spreading: TieSpreading| {
+            poisson_test_spread(
+                spread,
                 interval_start,
                 interval_len,
                 subs,
                 spreading,
                 min_arrivals,
-                seed,
             )
         };
         Ok(PoissonBattery {
-            hourly_uniform: run(4, TieSpreading::Uniform)?,
-            hourly_deterministic: run(4, TieSpreading::Deterministic)?,
-            ten_min_uniform: run(24, TieSpreading::Uniform)?,
-            ten_min_deterministic: run(24, TieSpreading::Deterministic)?,
+            hourly_uniform: run(&uniform, 4, TieSpreading::Uniform)?,
+            hourly_deterministic: run(&deterministic, 4, TieSpreading::Deterministic)?,
+            ten_min_uniform: run(&uniform, 24, TieSpreading::Uniform)?,
+            ten_min_deterministic: run(&deterministic, 24, TieSpreading::Deterministic)?,
         })
     }
 
@@ -465,9 +510,146 @@ mod tests {
         assert_eq!(out.subintervals, 4);
     }
 
+    /// Reference for [`spread_ties`]: a fresh `Vec` of offsets per tied
+    /// second, sorted by the partial order.
+    fn spread_ties_per_group(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64> {
+        let mut rng =
+            StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5_DEEC_E66D);
+        let mut floored: Vec<f64> = times.iter().map(|t| t.floor()).collect();
+        floored.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut out = Vec::new();
+        for group in floored.chunk_by(|a, b| a == b) {
+            let (sec, k) = (group[0], group.len());
+            match spreading {
+                TieSpreading::Deterministic => {
+                    out.extend((0..k).map(|offset| sec + offset as f64 / k as f64));
+                }
+                TieSpreading::Uniform => {
+                    let mut offsets: Vec<f64> = (0..k).map(|_| rng.random::<f64>()).collect();
+                    offsets.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    out.extend(offsets.into_iter().map(|o| sec + o));
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference for [`poisson_arrival_test`]: spreading and testing in
+    /// one function, with Ljung–Box summed from per-lag
+    /// autocorrelations.
+    fn poisson_arrival_test_in_one(
+        times: &[f64],
+        start: f64,
+        len: f64,
+        subs: usize,
+        spreading: TieSpreading,
+        min_arrivals: usize,
+        seed: u64,
+    ) -> Option<PoissonTestOutcome> {
+        let spread = spread_ties_per_group(times, spreading, seed);
+        let sub_len = len / subs as f64;
+        let mut buckets = vec![Vec::new(); subs];
+        for &t in &spread {
+            let idx = ((t - start) / sub_len).floor();
+            if idx >= 0.0 && (idx as usize) < subs {
+                buckets[idx as usize].push(t);
+            }
+        }
+        if buckets.iter().any(|b| b.len() < min_arrivals.max(5)) {
+            return None;
+        }
+        let (mut independent, mut positives, mut exponential, mut lb_passes) = (0, 0, 0, 0);
+        let (mut lag1, mut ads) = (Vec::new(), Vec::new());
+        for bucket in &buckets {
+            let inter: Vec<f64> = bucket.windows(2).map(|w| w[1] - w[0]).collect();
+            let rho = autocorrelation(&inter, 1).unwrap();
+            lag1.push(rho);
+            independent += u64::from(rho.abs() < 1.96 / (inter.len() as f64).sqrt());
+            positives += u64::from(rho > 0.0);
+            let ad = anderson_darling_exponential(&inter).unwrap();
+            ads.push(ad.modified);
+            exponential += u64::from(!ad.reject);
+            let lags = 10.min(inter.len() / 4);
+            let nf = inter.len() as f64;
+            let mut q = 0.0;
+            for k in 1..=lags {
+                let r = autocorrelation(&inter, k).unwrap();
+                q += r * r / (nf - k as f64);
+            }
+            q *= nf * (nf + 2.0);
+            let p = 1.0 - webpuzzle_stats::special::chi_squared_cdf(q, lags as f64);
+            lb_passes += u64::from(p >= 0.05);
+        }
+        let n = subs as u64;
+        Some(PoissonTestOutcome {
+            subintervals: subs,
+            spreading,
+            independence: binomial_count_test(n, independent).unwrap(),
+            sign_balance: sign_balance_test(n, positives).unwrap(),
+            exponentiality: binomial_count_test(n, exponential).unwrap(),
+            ljung_box: binomial_count_test(n, lb_passes).unwrap(),
+            lag1_autocorrelations: lag1,
+            ad_statistics: ads,
+        })
+    }
+
+    #[test]
+    fn spread_once_then_test_equals_the_one_function_procedure() {
+        // Dense request-level streams (many ties), a sparse one, a
+        // clustered one, and a window that starts past zero with
+        // arrivals on either side of it.
+        let shifted: Vec<f64> = renewal_times(0.3, false, 9)
+            .iter()
+            .map(|t| t + 7_200.0)
+            .collect();
+        let cases = [
+            (renewal_times(0.5, false, 7), 0.0),
+            (renewal_times(0.05, false, 7), 0.0),
+            (renewal_times(20.0, false, 8), 0.0),
+            (renewal_times(0.5, true, 8), 0.0),
+            (shifted, 14_400.0),
+        ];
+        for (times, start) in &cases {
+            for spreading in [TieSpreading::Uniform, TieSpreading::Deterministic] {
+                let seed = times.len() as u64;
+                let spread = spread_ties(times, spreading, seed);
+                let oracle = spread_ties_per_group(times, spreading, seed);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&spread), bits(&oracle), "{spreading:?}");
+                for subs in [4, 24] {
+                    let want = poisson_arrival_test_in_one(
+                        times, *start, FOUR_HOURS, subs, spreading, 50, seed,
+                    );
+                    let composed =
+                        poisson_arrival_test(times, *start, FOUR_HOURS, subs, spreading, 50, seed);
+                    assert_eq!(composed.unwrap(), want, "{spreading:?} × {subs}");
+                    let once =
+                        poisson_test_spread(&spread, *start, FOUR_HOURS, subs, spreading, 50);
+                    assert_eq!(once.unwrap(), want, "{spreading:?} × {subs}");
+                }
+            }
+            let battery = PoissonBattery::run(times, *start, FOUR_HOURS, 50, 11).unwrap();
+            let one = |subs, spreading| {
+                poisson_arrival_test_in_one(times, *start, FOUR_HOURS, subs, spreading, 50, 11)
+            };
+            assert_eq!(battery.hourly_uniform, one(4, TieSpreading::Uniform));
+            assert_eq!(
+                battery.hourly_deterministic,
+                one(4, TieSpreading::Deterministic)
+            );
+            assert_eq!(battery.ten_min_uniform, one(24, TieSpreading::Uniform));
+            assert_eq!(
+                battery.ten_min_deterministic,
+                one(24, TieSpreading::Deterministic)
+            );
+        }
+    }
+
     #[test]
     fn validation() {
         assert!(poisson_arrival_test(&[1.0], 0.0, -5.0, 4, TieSpreading::Uniform, 10, 0).is_err());
         assert!(poisson_arrival_test(&[1.0], 0.0, 100.0, 0, TieSpreading::Uniform, 10, 0).is_err());
+        assert!(poisson_test_spread(&[1.5], 0.0, f64::NAN, 4, TieSpreading::Uniform, 10).is_err());
+        assert!(poisson_test_spread(&[1.5], 0.0, 100.0, 0, TieSpreading::Uniform, 10).is_err());
     }
 }

@@ -9,17 +9,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use webpuzzle_ingest::{bind, ConnConfig, HubConfig, IngestHub};
-use webpuzzle_weblog::clf::format_line;
+use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
 use webpuzzle_weblog::{LogRecord, Method};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
-const BASE_EPOCH: i64 = 1_073_865_600;
-
 fn line(t: f64, client: u32) -> String {
     let mut l = format_line(
         &LogRecord::new(t, client, Method::Get, 1, 200, 500),
-        BASE_EPOCH,
+        WVU_BASE_EPOCH,
     );
     l.push('\n');
     l
@@ -46,7 +44,7 @@ fn protocol_faults_are_counted_never_fatal() {
         ..HubConfig::default()
     });
     let cfg = ConnConfig {
-        base_epoch: BASE_EPOCH,
+        base_epoch: WVU_BASE_EPOCH,
         max_line_bytes: 512,
         ..ConnConfig::default()
     };
@@ -157,7 +155,7 @@ fn random_garbage_never_panics() {
         ..HubConfig::default()
     });
     let cfg = ConnConfig {
-        base_epoch: BASE_EPOCH,
+        base_epoch: WVU_BASE_EPOCH,
         max_line_bytes: 256,
         ..ConnConfig::default()
     };

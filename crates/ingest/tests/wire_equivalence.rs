@@ -22,14 +22,12 @@ use webpuzzle_stream::{
     Checkpoint, FaultSource, FaultSpec, SourcePosition, StreamAnalyzer, StreamConfig,
     StreamSummary, Supervisor, SupervisorConfig, WindowConfig,
 };
-use webpuzzle_weblog::clf::format_line;
+use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
 use webpuzzle_weblog::{LogRecord, Method};
 
 /// Engines here share the process-global metrics registry and event
 /// ring; serialize tests so counters don't interleave.
 static GLOBALS: Mutex<()> = Mutex::new(());
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn small_config() -> StreamConfig {
     StreamConfig {
@@ -75,7 +73,7 @@ fn log_lines(records: &[LogRecord]) -> Vec<String> {
     records
         .iter()
         .map(|r| {
-            let mut line = format_line(r, BASE_EPOCH);
+            let mut line = format_line(r, WVU_BASE_EPOCH);
             line.push('\n');
             line
         })
@@ -93,7 +91,7 @@ fn file_summary(records: &[LogRecord]) -> StreamSummary {
 
 fn conn_config() -> ConnConfig {
     ConnConfig {
-        base_epoch: BASE_EPOCH,
+        base_epoch: WVU_BASE_EPOCH,
         ..ConnConfig::default()
     }
 }

@@ -105,8 +105,7 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
     let mut log_var = Vec::with_capacity(levels.len());
     for &m in &levels {
         let agg = aggregate(data, m)?;
-        let mean = agg.iter().sum::<f64>() / agg.len() as f64;
-        let var = agg.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / agg.len() as f64;
+        let var = level_variance(&agg, agg.len());
         if var > 0.0 {
             log_m.push((m as f64).ln());
             log_var.push(var.ln());
@@ -120,16 +119,14 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
 /// bins. The result is bit for bit the one [`variance_time_detailed`]
 /// gives on the dense series those events would fill (`n` bins, each
 /// the number of events that name it). Its cost is
-/// `O(events + distinct bins × levels + Σ n/m)` over the aggregation
-/// levels `m`, rather than `O(n)` per level.
+/// `O(events + distinct bins × levels)`, rather than `O(n)` per level:
+/// empty blocks are never visited.
 ///
-/// Exactness rests on three facts. A block sum of integer counts is
-/// exact in any order. Adding `0.0` is the identity on the non-negative
-/// block means, so the grand mean may skip empty blocks. The sum of
-/// squared deviations does not skip them: each empty block adds
-/// `mean²`, in block order, exactly as the dense loop does. (A closed
-/// form over Σ and Σ² would reassociate that sum and differ in the last
-/// bits.)
+/// Both producers hand their block means, in block order, to one
+/// level-variance formula that counts the zero blocks rather than
+/// adding their squares; this one builds only the nonzero means. A
+/// block sum of integer counts is exact in any order, so they are the
+/// very means the dense series aggregates to.
 ///
 /// # Errors
 ///
@@ -169,44 +166,29 @@ pub fn variance_time_events(bins: &[usize], n: usize) -> Result<VarianceTimeFit>
     }
     let mut log_m = Vec::new();
     let mut log_var = Vec::new();
-    // (block, block mean) of the non-empty blocks, reused per level.
-    let mut filled: Vec<(usize, f64)> = Vec::new();
+    // Means of the non-empty blocks in block order, reused per level.
+    let mut filled: Vec<f64> = Vec::new();
     for &m in &aggregation_levels(n, 64) {
         let blocks = n / m;
         // Bins from `blocks·m` on fall in the dropped partial block.
         let full = blocks * m;
         let inv = 1.0 / m as f64;
         filled.clear();
-        let (mut block, mut end, mut sum) = (0, 0, 0u64);
+        let (mut end, mut sum) = (0, 0u64);
         for &(bin, count) in runs.iter().take_while(|&&(bin, _)| bin < full) {
             if bin >= end {
                 if sum > 0 {
-                    filled.push((block, sum as f64 * inv));
+                    filled.push(sum as f64 * inv);
                 }
-                block = bin / m;
-                end = (block + 1) * m;
+                end = (bin / m + 1) * m;
                 sum = 0;
             }
             sum += count;
         }
         if sum > 0 {
-            filled.push((block, sum as f64 * inv));
+            filled.push(sum as f64 * inv);
         }
-        let mean = filled.iter().fold(0.0, |acc, &(_, x)| acc + x) / blocks as f64;
-        let empty = mean * mean;
-        let mut squares = 0.0;
-        let mut next = 0;
-        for &(k, x) in &filled {
-            for _ in next..k {
-                squares += empty;
-            }
-            squares += (x - mean) * (x - mean);
-            next = k + 1;
-        }
-        for _ in next..blocks {
-            squares += empty;
-        }
-        let var = squares / blocks as f64;
+        let var = level_variance(&filled, blocks);
         if var > 0.0 {
             log_m.push((m as f64).ln());
             log_var.push(var.ln());
@@ -231,6 +213,30 @@ fn bad_bins(bin: usize) -> StatsError {
         value: bin as f64,
         constraint: "must be sorted ascending and below n",
     }
+}
+
+/// `Var(X^{(m)})` over `blocks` block means, of which `means` holds
+/// every nonzero one in block order; zero blocks may be in it or left
+/// out, with the same result to the bit. It is
+/// `(Σ_{x≠0} (x − mean)² + z·mean²) / blocks`, with `z` the zero blocks
+/// and `mean` the in-order sum of `means` over `blocks`: adding a zero
+/// is the identity, up to the sign of a zero, which squaring removes.
+/// Counting the zero blocks as one product, rather than adding `mean²`
+/// once per empty block, costs nothing per empty block and rounds once
+/// instead of `z` times; no large sums are subtracted.
+fn level_variance(means: &[f64], blocks: usize) -> f64 {
+    let mean = means.iter().sum::<f64>() / blocks as f64;
+    let squares = (means.iter())
+        .map(|&x| {
+            if x != 0.0 {
+                (x - mean) * (x - mean)
+            } else {
+                0.0
+            }
+        })
+        .sum::<f64>();
+    let zeros = (blocks - means.iter().filter(|&&x| x != 0.0).count()) as f64;
+    (squares + zeros * (mean * mean)) / blocks as f64
 }
 
 /// The fit both producers share: OLS of `log_var` on `log_m` over a
@@ -300,6 +306,8 @@ mod tests {
     use super::*;
     use crate::fgn::FgnGenerator;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn recovers_h_for_fgn() {
@@ -456,10 +464,13 @@ mod tests {
         ));
     }
 
-    /// `(n, sorted bins)`: bursts of events at random positions, skewed
-    /// towards the end of the series by `skew < 1`.
+    /// `(n, sorted bins)`, one of four shapes over a random `n` (most
+    /// not a multiple of the levels): bursts of events at random
+    /// positions, skewed towards the end of the series by `skew < 1`;
+    /// every event in one bin; events only in the partial block the
+    /// largest level drops; or every bin filled, mostly many times.
     fn arb_events() -> impl Strategy<Value = (usize, Vec<usize>)> {
-        (
+        let bursts = (
             256usize..20_001,
             prop::collection::vec((0.0f64..1.0, 1usize..40), 0..600),
             prop_oneof![Just(1.0f64), 0.05f64..1.0],
@@ -470,9 +481,38 @@ mod tests {
                     let bin = ((pos.powf(skew) * n as f64) as usize).min(n - 1);
                     bins.extend(std::iter::repeat_n(bin, size));
                 }
+                (n, bins)
+            });
+        let one_bin = (256usize..20_001, 0.0f64..1.0, 1usize..5_000)
+            .prop_map(|(n, pos, size)| (n, vec![((pos * n as f64) as usize).min(n - 1); size]));
+        let dropped_tail = (
+            256usize..20_001,
+            prop::collection::vec((0usize..1_000, 1usize..20), 1..50),
+        )
+            .prop_map(|(n, picks)| {
+                let m = *aggregation_levels(n, 64)
+                    .last()
+                    .expect("one level at least");
+                let tail = n - n / m * m;
+                let bins = (picks.iter())
+                    .filter(|_| tail > 0)
+                    .flat_map(|&(k, size)| std::iter::repeat_n(n - 1 - k % tail, size))
+                    .collect();
+                (n, bins)
+            });
+        let full =
+            (256usize..4_001, prop::collection::vec(1usize..6, 1..50)).prop_map(|(n, reps)| {
+                let bins = (0..n)
+                    .flat_map(|b| std::iter::repeat_n(b, reps[b % reps.len()]))
+                    .collect();
+                (n, bins)
+            });
+        prop_oneof![bursts, one_bin, dropped_tail, full].prop_map(
+            |(n, mut bins): (usize, Vec<usize>)| {
                 bins.sort_unstable();
                 (n, bins)
-            })
+            },
+        )
     }
 
     proptest! {
@@ -482,5 +522,73 @@ mod tests {
         fn event_producer_is_bit_exact_against_dense((n, bins) in arb_events()) {
             assert_producers_agree(&bins, n);
         }
+    }
+
+    /// The level variances by the direct sequential sum: the mean over
+    /// every block, then `(x − mean)²` added in block order, once per
+    /// empty block too. `(m, Var(X^{(m)}))` for every level.
+    fn sequential_level_variances(data: &[f64]) -> Vec<(usize, f64)> {
+        (aggregation_levels(data.len(), 64).into_iter())
+            .map(|m| {
+                let agg = aggregate(data, m).unwrap();
+                let mean = agg.iter().sum::<f64>() / agg.len() as f64;
+                let squares = agg.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>();
+                (m, squares / agg.len() as f64)
+            })
+            .collect()
+    }
+
+    /// Level variances within 1e-9 relative of the sequential oracle,
+    /// and H within 1e-9 of the H the oracle's levels fit to.
+    fn assert_close_to_sequential(data: &[f64]) {
+        let old = sequential_level_variances(data);
+        let (mut log_m, mut log_var) = (Vec::new(), Vec::new());
+        for &(m, var) in &old {
+            let agg = aggregate(data, m).unwrap();
+            let new = level_variance(&agg, agg.len());
+            assert!(
+                (new - var).abs() <= 1e-9 * var.abs(),
+                "m = {m}: {new} vs {var}"
+            );
+            if var > 0.0 {
+                log_m.push((m as f64).ln());
+                log_var.push(var.ln());
+            }
+        }
+        let oracle = fit_levels(data.len(), &log_m, &log_var).unwrap();
+        let fit = variance_time_detailed(data).unwrap();
+        assert_eq!(fit.points, oracle.points);
+        assert!((fit.estimate.h - oracle.estimate.h).abs() <= 1e-9);
+        assert!((fit.h_ci_half_width - oracle.h_ci_half_width).abs() <= 1e-9);
+    }
+
+    #[test]
+    fn counted_zero_blocks_stay_within_1e9_of_the_sequential_sum() {
+        for (h, seed) in [(0.5, 81), (0.7, 82), (0.9, 83)] {
+            let x = FgnGenerator::new(h)
+                .unwrap()
+                .seed(seed)
+                .generate(14_400)
+                .unwrap();
+            assert_close_to_sequential(&x);
+        }
+        // A request window at a 10 ms bin width: whole-second arrivals,
+        // so every event falls in each 100th bin, at about 1 per second
+        // with bursts.
+        let mut rng = StdRng::seed_from_u64(84);
+        let mut bins: Vec<usize> = (0..16_000)
+            .flat_map(|_| {
+                let sec = (rng.random::<f64>() * 14_400.0) as usize;
+                let burst = 1 + ((rng.random::<f64>() * 3.0) as usize).pow(3);
+                std::iter::repeat_n(sec * 100, burst)
+            })
+            .collect();
+        bins.sort_unstable();
+        assert_producers_agree(&bins, 1_440_000);
+        let mut dense = vec![0.0; 1_440_000];
+        for &b in &bins {
+            dense[b] += 1.0;
+        }
+        assert_close_to_sequential(&dense);
     }
 }

@@ -589,15 +589,20 @@ pub fn is_installed() -> bool {
 }
 
 /// Window edge values for a counter: delta between the newest tick and
-/// the tick `window_ticks` back (partial window: the oldest retained
-/// sample stands in for the missing edge). `None` when the metric has
-/// no series at all.
+/// the tick `window_ticks` back. With no sample that old, a counter
+/// first registered after tick 1 counts from zero (all of its count
+/// fell inside the history); otherwise (present at tick 1, which may
+/// hold counts from before the history, or evicted since) the oldest
+/// retained sample stands in for the missing edge. `None` when the
+/// metric has no series at all.
 fn counter_window_delta(store: &Tsdb, metric: &str, now: u64, window_ticks: u64) -> Option<u64> {
     let end = store.raw_at_or_before(metric, now)?;
     let start_tick = now.saturating_sub(window_ticks);
-    let start = store
-        .raw_at_or_before(metric, start_tick)
-        .or_else(|| store.oldest_raw(metric).map(|(_, raw)| raw))?;
+    let start = match store.raw_at_or_before(metric, start_tick) {
+        Some(raw) => raw,
+        None if store.first_tick(metric).is_some_and(|tick| tick > 1) => 0,
+        None => store.oldest_raw(metric)?.1,
+    };
     Some(end.saturating_sub(start))
 }
 
@@ -1060,6 +1065,88 @@ fast_long_secs = 300
         uninstall();
         crate::tsdb::uninstall();
         events::reset();
+    }
+
+    /// A counter registered after the first tick, whose events all land
+    /// before the next one (a short run drained between two sampler
+    /// ticks), counts them from zero; one present at tick 1, or with
+    /// evicted history, keeps its oldest sample as the baseline.
+    #[test]
+    fn counter_born_after_the_first_tick_counts_from_zero() {
+        let counter = |good: u64| {
+            vec![
+                (
+                    "ingest/records_late_dropped".to_string(),
+                    SampleKind::Counter,
+                    0,
+                ),
+                (
+                    "ingest/records_admitted".to_string(),
+                    SampleKind::Counter,
+                    good,
+                ),
+            ]
+        };
+        let cfg = shed_config();
+        let shed = &cfg.objectives[0];
+        let window = ticks_for(&Tsdb::new(TsdbConfig::default()), shed.fast_short_secs);
+
+        let mut late = Tsdb::new(TsdbConfig::default());
+        late.ingest(&[]);
+        late.ingest(&counter(500));
+        assert_eq!(late.first_tick("ingest/records_admitted"), Some(2));
+        assert_eq!(window_ratio(&late, shed, late.ticks(), window), Some(0.0));
+
+        // Present at tick 1: its first value may predate the history.
+        let mut early = Tsdb::new(TsdbConfig::default());
+        early.ingest(&counter(500));
+        early.ingest(&counter(505));
+        assert_eq!(window_ratio(&early, shed, early.ticks(), window), None);
+
+        // Born late, but its first samples evicted from a 4-byte ring:
+        // the oldest retained sample is the baseline again.
+        let mut evicted = Tsdb::new(TsdbConfig {
+            dense_bytes: 4,
+            ..TsdbConfig::default()
+        });
+        evicted.ingest(&[]);
+        for good in [500, 501, 502, 503, 504, 505, 506] {
+            evicted.ingest(&counter(good));
+        }
+        assert_eq!(evicted.first_tick("ingest/records_admitted"), None);
+        assert_eq!(window_ratio(&evicted, shed, evicted.ticks(), window), None);
+    }
+
+    /// The same through the global engine, as a binary sees it: the
+    /// baseline tick comes before the objective's counters exist.
+    #[test]
+    fn late_registered_counters_read_ok_not_no_data() {
+        let _lock = crate::global_test_lock();
+        crate::tsdb::install(TsdbConfig {
+            interval: Duration::from_millis(100),
+            ..TsdbConfig::default()
+        });
+        install(
+            SloConfig::parse(
+                "[[objective]]\nname = \"late\"\nsubsystem = \"ingest\"\nkind = \"ratio\"\n\
+                 objective = 0.999\nmin_events = 50\nbad = [\"slo-test/late_bad\"]\n\
+                 good = [\"slo-test/late_good\"]\n",
+            )
+            .unwrap(),
+        );
+        crate::tsdb::sample_now();
+        crate::metrics::counter("slo-test/late_bad");
+        crate::metrics::counter("slo-test/late_good").add(500);
+        crate::tsdb::sample_now();
+        assert!(evaluate_now());
+        assert_eq!(
+            deep_health().objectives[0].status,
+            "ok",
+            "{:?}",
+            deep_health()
+        );
+        uninstall();
+        crate::tsdb::uninstall();
     }
 
     #[test]

@@ -549,6 +549,16 @@ impl Tsdb {
         }
     }
 
+    /// Tick of `metric`'s first sample while its series still holds it
+    /// (no dense sample evicted); `None` once one was, or without a
+    /// series. Every registered metric is sampled on every tick, so a
+    /// series first sampled after tick 1 was registered after the tick
+    /// before, and counted from zero then.
+    pub fn first_tick(&self, metric: &str) -> Option<u64> {
+        let series = self.series.get(metric)?;
+        (series.evicted == 0).then_some(series.first_index)
+    }
+
     /// Registered series names (for `/timeseries` discovery).
     pub fn series_names(&self) -> Vec<String> {
         self.series.keys().cloned().collect()

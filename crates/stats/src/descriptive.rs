@@ -144,19 +144,30 @@ pub fn autocorrelation(data: &[f64], lag: usize) -> Result<f64> {
             got: data.len(),
         });
     }
+    let (m, denom) = autocorrelation_base(data)?;
+    Ok(autocovariance_sum(data, m, lag) / denom)
+}
+
+/// The lag-independent part of [`autocorrelation`]: the mean and the
+/// sum of squared deviations, after the same checks.
+pub(crate) fn autocorrelation_base(data: &[f64]) -> Result<(f64, f64)> {
     check_sample(data, 2)?;
-    let n = data.len();
-    let m = data.iter().sum::<f64>() / n as f64;
+    let m = data.iter().sum::<f64>() / data.len() as f64;
     let denom: f64 = data.iter().map(|x| (x - m) * (x - m)).sum();
     if denom <= 0.0 {
         return Err(StatsError::DegenerateInput {
             what: "zero-variance series has undefined autocorrelation",
         });
     }
-    let num: f64 = (0..n - lag)
+    Ok((m, denom))
+}
+
+/// `Σ_t (x_t − m)(x_{t+lag} − m)`, the numerator of [`autocorrelation`];
+/// `lag < data.len()`.
+pub(crate) fn autocovariance_sum(data: &[f64], m: f64, lag: usize) -> f64 {
+    (0..data.len() - lag)
         .map(|t| (data[t] - m) * (data[t + lag] - m))
-        .sum();
-    Ok(num / denom)
+        .sum()
 }
 
 /// A compact numeric summary of a sample.

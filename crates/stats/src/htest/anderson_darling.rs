@@ -75,7 +75,8 @@ pub fn anderson_darling_exponential(data: &[f64]) -> Result<AndersonDarlingResul
     let rate = 1.0 / mean;
 
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    // −0.0 sorts before +0.0 here, but both map to the same u below.
+    sorted.sort_unstable_by(f64::total_cmp);
 
     // Transform to uniforms under the null, clamped away from {0, 1} so the
     // logs below stay finite (ties at zero occur with 1-second-granularity
@@ -175,5 +176,25 @@ mod tests {
         sample.extend((1..200).map(|i| i as f64 * 0.01));
         let res = anderson_darling_exponential(&sample).unwrap();
         assert!(res.a_squared.is_finite());
+    }
+
+    #[test]
+    fn signed_zeros_do_not_move_the_statistic() {
+        // −0.0 and +0.0 sort apart under `total_cmp`, but both map to
+        // the clamped u = 1e-12, so a sample holding both must score
+        // exactly as the one with +0.0 throughout.
+        let mut rng = StdRng::seed_from_u64(104);
+        let mut mixed = Exponential::new(2.0).unwrap().sample_n(&mut rng, 200);
+        for i in (0..200).step_by(7) {
+            mixed[i] = if i % 2 == 0 { -0.0 } else { 0.0 };
+        }
+        let plus: Vec<f64> = mixed
+            .iter()
+            .map(|&x| if x == 0.0 { 0.0 } else { x })
+            .collect();
+        let got = anderson_darling_exponential(&mixed).unwrap();
+        let want = anderson_darling_exponential(&plus).unwrap();
+        assert_eq!(got.a_squared.to_bits(), want.a_squared.to_bits());
+        assert_eq!(got.modified.to_bits(), want.modified.to_bits());
     }
 }

@@ -7,7 +7,7 @@
 //! independence. Useful as a more powerful cross-check on the §4.2
 //! independence verdicts.
 
-use crate::descriptive::autocorrelation;
+use crate::descriptive::{autocorrelation_base, autocovariance_sum};
 use crate::special::chi_squared_cdf;
 use crate::{Result, StatsError};
 
@@ -60,9 +60,10 @@ pub fn ljung_box(data: &[f64], lags: usize) -> Result<LjungBoxResult> {
         });
     }
     let nf = n as f64;
+    let (m, denom) = autocorrelation_base(data)?;
     let mut q = 0.0;
     for k in 1..=lags {
-        let r = autocorrelation(data, k)?;
+        let r = autocovariance_sum(data, m, k) / denom;
         q += r * r / (nf - k as f64);
     }
     q *= nf * (nf + 2.0);
@@ -123,6 +124,30 @@ mod tests {
         let qw = ljung_box(&weak, 5).unwrap().statistic;
         let qs = ljung_box(&strong, 5).unwrap().statistic;
         assert!(qs > qw);
+    }
+
+    #[test]
+    fn statistic_equals_the_per_lag_autocorrelation_sum() {
+        use crate::descriptive::autocorrelation;
+        let mut rng = StdRng::seed_from_u64(5);
+        let exp = Exponential::new(0.7).unwrap();
+        for (n, lags) in [(12, 10), (200, 10), (1_000, 3), (5_000, 10)] {
+            let x = exp.sample_n(&mut rng, n);
+            let nf = n as f64;
+            let mut q = 0.0;
+            for k in 1..=lags {
+                let r = autocorrelation(&x, k).unwrap();
+                q += r * r / (nf - k as f64);
+            }
+            q *= nf * (nf + 2.0);
+            assert_eq!(
+                ljung_box(&x, lags).unwrap().statistic.to_bits(),
+                q.to_bits()
+            );
+        }
+        let mut bad = vec![1.0, 2.0, 3.0, 4.0, 5.0];
+        bad[2] = f64::INFINITY;
+        assert_eq!(ljung_box(&bad, 2), Err(StatsError::NonFiniteData));
     }
 
     #[test]

@@ -51,11 +51,12 @@ pub(crate) fn kind_counter(
 ///
 /// ```
 /// use webpuzzle_stream::{ClfSource, Source};
+/// use webpuzzle_weblog::clf::WVU_BASE_EPOCH;
 ///
 /// let log = "10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/1 HTTP/1.0\" 200 10\n\
 ///            garbage\n\
 ///            10.0.0.2 - - [12/Jan/2004:00:00:09 +0000] \"GET /r/2 HTTP/1.0\" 200 20\n";
-/// let mut source = ClfSource::new(log.as_bytes(), 1_073_865_600).lenient(true);
+/// let mut source = ClfSource::new(log.as_bytes(), WVU_BASE_EPOCH).lenient(true);
 /// let mut n = 0;
 /// while let Some(rec) = source.next_item() {
 ///     rec.unwrap();
@@ -245,16 +246,14 @@ impl<R: BufRead> Source for ClfSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webpuzzle_weblog::clf::format_line;
+    use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
     use webpuzzle_weblog::Method;
-
-    const BASE: i64 = 1_073_865_600;
 
     fn log_text(n: usize) -> String {
         (0..n)
             .map(|i| {
                 let rec = LogRecord::new(i as f64, i as u32, Method::Get, 1, 200, 10);
-                format_line(&rec, BASE) + "\n"
+                format_line(&rec, WVU_BASE_EPOCH) + "\n"
             })
             .collect()
     }
@@ -271,14 +270,17 @@ mod tests {
     fn lenient_skips_bump_the_per_kind_counters() {
         let counters = malformed_kind_counters();
         let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
-        let good = format_line(&LogRecord::new(5.0, 1, Method::Get, 1, 200, 10), BASE);
+        let good = format_line(
+            &LogRecord::new(5.0, 1, Method::Get, 1, 200, 10),
+            WVU_BASE_EPOCH,
+        );
         let text = format!(
             "{good}\n\
              10.0.0.1 - - [not a date] \"GET /x HTTP/1.0\" 200 10\n\
              10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /x HTTP/1.0\" abc 10\n\
              total garbage\n"
         );
-        let (records, src) = drain(ClfSource::new(text.as_bytes(), BASE).lenient(true));
+        let (records, src) = drain(ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH).lenient(true));
         assert_eq!(records.len(), 1);
         assert_eq!(src.malformed().bad_timestamp, 1);
         assert_eq!(src.malformed().bad_status, 1);
@@ -296,7 +298,7 @@ mod tests {
     #[test]
     fn streams_all_records() {
         let text = log_text(100);
-        let (records, src) = drain(ClfSource::new(text.as_bytes(), BASE));
+        let (records, src) = drain(ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH));
         assert_eq!(records.len(), 100);
         assert_eq!(src.parsed(), 100);
         assert_eq!(records[7].timestamp, 7.0);
@@ -305,15 +307,15 @@ mod tests {
     #[test]
     fn matches_batch_parse() {
         let text = log_text(50);
-        let batch = webpuzzle_weblog::clf::parse_log(&text, BASE).unwrap();
-        let (streamed, _) = drain(ClfSource::new(text.as_bytes(), BASE));
+        let batch = webpuzzle_weblog::clf::parse_log(&text, WVU_BASE_EPOCH).unwrap();
+        let (streamed, _) = drain(ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH));
         assert_eq!(streamed, batch);
     }
 
     #[test]
     fn strict_mode_reports_line_number() {
         let text = format!("{}garbage here\n{}", log_text(2), log_text(1));
-        let mut src = ClfSource::new(text.as_bytes(), BASE);
+        let mut src = ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH);
         assert!(src.next_item().unwrap().is_ok());
         assert!(src.next_item().unwrap().is_ok());
         match src.next_item().unwrap() {
@@ -331,7 +333,7 @@ mod tests {
         let mut bytes = log_text(3).into_bytes();
         bytes.extend_from_slice(b"\xFF\xFE broken bytes\n");
         bytes.extend_from_slice(log_text(2).as_bytes());
-        let (records, src) = drain(ClfSource::new(&bytes[..], BASE).lenient(true));
+        let (records, src) = drain(ClfSource::new(&bytes[..], WVU_BASE_EPOCH).lenient(true));
         assert_eq!(records.len(), 5);
         assert_eq!(src.skipped(), 1);
     }
@@ -339,7 +341,7 @@ mod tests {
     #[test]
     fn blank_lines_are_free() {
         let text = format!("\n\n{}\n\n", log_text(2));
-        let (records, src) = drain(ClfSource::new(text.as_bytes(), BASE));
+        let (records, src) = drain(ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH));
         assert_eq!(records.len(), 2);
         assert_eq!(src.skipped(), 0);
     }
@@ -348,14 +350,14 @@ mod tests {
     fn missing_trailing_newline_still_parses() {
         let text = log_text(2);
         let text = text.trim_end();
-        let (records, _) = drain(ClfSource::new(text.as_bytes(), BASE));
+        let (records, _) = drain(ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH));
         assert_eq!(records.len(), 2);
     }
 
     #[test]
     fn position_tracks_exact_end_of_line_offsets() {
         let text = log_text(10);
-        let mut src = ClfSource::new(text.as_bytes(), BASE);
+        let mut src = ClfSource::new(text.as_bytes(), WVU_BASE_EPOCH);
         let mut consumed = 0usize;
         let lines: Vec<&str> = text.split_inclusive('\n').collect();
         for line in &lines[..6] {
@@ -378,11 +380,11 @@ mod tests {
         bytes.extend_from_slice(log_text(8).as_bytes());
 
         let (whole, whole_src) =
-            drain(ClfSource::new(Cursor::new(bytes.clone()), BASE).lenient(true));
+            drain(ClfSource::new(Cursor::new(bytes.clone()), WVU_BASE_EPOCH).lenient(true));
 
         // Run a prefix, capture the position, then resume from a fresh
         // reader seeked to the recorded byte offset.
-        let mut head = ClfSource::new(Cursor::new(bytes.clone()), BASE).lenient(true);
+        let mut head = ClfSource::new(Cursor::new(bytes.clone()), WVU_BASE_EPOCH).lenient(true);
         for _ in 0..5 {
             head.next_item().unwrap().unwrap();
         }
@@ -394,7 +396,7 @@ mod tests {
         let mut reader = Cursor::new(bytes);
         reader.seek(SeekFrom::Start(pos.byte_offset)).unwrap();
         let (tail, tail_src) = drain(
-            ClfSource::new(reader, BASE)
+            ClfSource::new(reader, WVU_BASE_EPOCH)
                 .lenient(true)
                 .with_position(&pos),
         );

@@ -11,7 +11,7 @@
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use webpuzzle_core::{poisson_arrival_test, PoissonVerdict, TieSpreading};
+use webpuzzle_core::{poisson_test_spread, spread_ties, PoissonVerdict, TieSpreading};
 use webpuzzle_lrd::{variance_time_events, VarianceTimeFit};
 use webpuzzle_weblog::WeblogError;
 
@@ -205,8 +205,9 @@ impl WindowedArrivals {
         let h_variance_time_fine = (self.cfg.fine_bin_width)
             .and_then(|width| self.variance_time(width))
             .map(|d| d.estimate.h);
-        let poisson_hourly = self.poisson_verdict(start, 3_600.0)?;
-        let poisson_ten_min = self.poisson_verdict(start, 600.0)?;
+        let spread = spread_ties(&self.state.times, TieSpreading::Uniform, self.cfg.seed);
+        let poisson_hourly = self.poisson_verdict(&spread, start, 3_600.0)?;
+        let poisson_ten_min = self.poisson_verdict(&spread, start, 600.0)?;
 
         let report = WindowReport {
             index: self.state.window_index,
@@ -226,19 +227,19 @@ impl WindowedArrivals {
         Ok(report)
     }
 
-    /// §4.2 verdict at subintervals of about `sub_len` seconds.
-    fn poisson_verdict(&self, start: f64, sub_len: f64) -> Result<PoissonVerdict> {
-        if self.state.times.is_empty() {
+    /// §4.2 verdict at subintervals of about `sub_len` seconds, on the
+    /// window's uniformly tie-spread times.
+    fn poisson_verdict(&self, spread: &[f64], start: f64, sub_len: f64) -> Result<PoissonVerdict> {
+        if spread.is_empty() {
             return Ok(PoissonVerdict::NotApplicable);
         }
-        let outcome = poisson_arrival_test(
-            &self.state.times,
+        let outcome = poisson_test_spread(
+            spread,
             start,
             self.cfg.window_len,
             ((self.cfg.window_len / sub_len).round() as usize).max(2),
             TieSpreading::Uniform,
             self.cfg.min_poisson_arrivals,
-            self.cfg.seed,
         )?;
         Ok(outcome.map_or(PoissonVerdict::NotApplicable, |o| o.verdict()))
     }

@@ -7,10 +7,8 @@
 use proptest::prelude::*;
 use std::io::BufReader;
 use webpuzzle_stream::{ClfSource, Source, StreamSessionizer};
-use webpuzzle_weblog::clf::{format_line, parse_log};
+use webpuzzle_weblog::clf::{format_line, parse_log, WVU_BASE_EPOCH};
 use webpuzzle_weblog::{sessionize, LogRecord, Method, Session};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![Just(Method::Get), Just(Method::Post), Just(Method::Head)]
@@ -90,13 +88,13 @@ proptest! {
         by_time(&mut sorted);
         let text: String = sorted
             .iter()
-            .map(|r| format_line(r, BASE_EPOCH) + "\n")
+            .map(|r| format_line(r, WVU_BASE_EPOCH) + "\n")
             .collect();
 
-        let batch = parse_log(&text, BASE_EPOCH).expect("own output parses");
+        let batch = parse_log(&text, WVU_BASE_EPOCH).expect("own output parses");
         let mut source = ClfSource::new(
             BufReader::with_capacity(capacity, text.as_bytes()),
-            BASE_EPOCH,
+            WVU_BASE_EPOCH,
         );
         let mut streamed = Vec::new();
         while let Some(item) = source.next_item() {
@@ -118,15 +116,15 @@ proptest! {
         by_time(&mut sorted);
         let text: String = sorted
             .iter()
-            .map(|r| format_line(r, BASE_EPOCH) + "\n")
+            .map(|r| format_line(r, WVU_BASE_EPOCH) + "\n")
             .collect();
 
-        let parsed = parse_log(&text, BASE_EPOCH).expect("parses");
+        let parsed = parse_log(&text, WVU_BASE_EPOCH).expect("parses");
         let batch = canon(sessionize(&parsed, threshold).expect("batch runs"));
 
         let mut source = ClfSource::new(
             BufReader::with_capacity(capacity, text.as_bytes()),
-            BASE_EPOCH,
+            WVU_BASE_EPOCH,
         );
         let mut sessionizer = StreamSessionizer::new(threshold).expect("valid");
         let mut streamed = Vec::new();

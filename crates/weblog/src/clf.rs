@@ -15,6 +15,10 @@ use crate::record::{LogRecord, Method};
 use crate::{Result, WeblogError};
 use std::fmt::Write as _;
 
+/// Unix seconds of 12-Jan-2004 00:00:00 UTC, where the paper's WVU log
+/// starts: the default `base_epoch` of every binary and fixture here.
+pub const WVU_BASE_EPOCH: i64 = 1_073_865_600;
+
 const MONTHS: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 ];
@@ -29,11 +33,11 @@ const MONTHS: [&str; 12] = [
 /// # Examples
 ///
 /// ```
-/// use webpuzzle_weblog::clf::format_line;
+/// use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
 /// use webpuzzle_weblog::{LogRecord, Method};
 ///
 /// let rec = LogRecord::new(7.9, 0x0A000311, Method::Get, 42, 200, 2326);
-/// let line = format_line(&rec, 1_073_865_600); // 12-Jan-2004 00:00 UTC
+/// let line = format_line(&rec, WVU_BASE_EPOCH); // 12-Jan-2004 00:00 UTC
 /// assert_eq!(
 ///     line,
 ///     "10.0.3.17 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/42 HTTP/1.0\" 200 2326"
@@ -114,9 +118,9 @@ pub fn parse_line_bytes(line: &[u8], base_epoch: i64) -> Result<LogRecord> {
 /// # Examples
 ///
 /// ```
-/// use webpuzzle_weblog::clf::parse_raw_line;
+/// use webpuzzle_weblog::clf::{parse_raw_line, WVU_BASE_EPOCH};
 ///
-/// let base = 1_073_865_600;
+/// let base = WVU_BASE_EPOCH;
 /// let line = b"10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/1 HTTP/1.0\" 200 10\r\n";
 /// let rec = parse_raw_line(line, base).unwrap().unwrap();
 /// assert_eq!(rec.timestamp, 7.0);
@@ -340,11 +344,11 @@ pub fn parse_log(text: &str, base_epoch: i64) -> Result<Vec<LogRecord>> {
 /// # Examples
 ///
 /// ```
-/// use webpuzzle_weblog::clf::parse_log_lenient;
+/// use webpuzzle_weblog::clf::{parse_log_lenient, WVU_BASE_EPOCH};
 ///
 /// let text = "10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/1 HTTP/1.0\" 200 10\n\
 ///             total garbage line\n";
-/// let parsed = parse_log_lenient(text, 1_073_865_600);
+/// let parsed = parse_log_lenient(text, WVU_BASE_EPOCH);
 /// assert_eq!(parsed.records.len(), 1);
 /// assert_eq!(parsed.skipped, 1);
 /// ```
@@ -589,8 +593,6 @@ mod oracle;
 mod tests {
     use super::*;
 
-    const BASE: i64 = 1_073_865_600; // 2004-01-12 00:00:00 UTC
-
     #[test]
     fn civil_roundtrip() {
         for &z in &[-719_468i64, -1, 0, 1, 10_957, 12_418, 20_000, 100_000] {
@@ -599,14 +601,14 @@ mod tests {
         }
         assert_eq!(civil_from_days(0), (1970, 1, 1));
         // 2004-01-12 is 12 431 days after the epoch.
-        assert_eq!(days_from_civil(2004, 1, 12) * 86_400, BASE);
+        assert_eq!(days_from_civil(2004, 1, 12) * 86_400, WVU_BASE_EPOCH);
     }
 
     #[test]
     fn format_known_line() {
         let rec = LogRecord::new(7.0, 0x0A00_0311, Method::Get, 42, 200, 2326);
         assert_eq!(
-            format_line(&rec, BASE),
+            format_line(&rec, WVU_BASE_EPOCH),
             "10.0.3.17 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/42 HTTP/1.0\" 200 2326"
         );
     }
@@ -623,8 +625,8 @@ mod tests {
         .enumerate()
         {
             let rec = LogRecord::new(ts, client, Method::Head, i as u32, status, bytes);
-            let line = format_line(&rec, BASE);
-            let back = parse_line(&line, BASE).unwrap();
+            let line = format_line(&rec, WVU_BASE_EPOCH);
+            let back = parse_line(&line, WVU_BASE_EPOCH).unwrap();
             assert_eq!(back.timestamp, ts.floor(), "line {line}");
             assert_eq!(back.client, client);
             assert_eq!(back.status, status);
@@ -669,7 +671,7 @@ mod tests {
     fn parse_log_reports_line_numbers() {
         let text =
             "10.0.0.1 - - [12/Jan/2004:00:00:07 +0000] \"GET /r/1 HTTP/1.0\" 200 10\n\ngarbage\n";
-        let err = parse_log(text, BASE).unwrap_err();
+        let err = parse_log(text, WVU_BASE_EPOCH).unwrap_err();
         match err {
             WeblogError::ParseLine { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
@@ -681,37 +683,43 @@ mod tests {
         let mut text = String::new();
         for i in 0..50 {
             let rec = LogRecord::new(i as f64, i, Method::Get, i, 200, 100 + i as u64);
-            text.push_str(&format_line(&rec, BASE));
+            text.push_str(&format_line(&rec, WVU_BASE_EPOCH));
             text.push('\n');
         }
-        let records = parse_log(&text, BASE).unwrap();
+        let records = parse_log(&text, WVU_BASE_EPOCH).unwrap();
         assert_eq!(records.len(), 50);
         assert_eq!(records[49].bytes, 149);
     }
 
     #[test]
     fn lenient_skips_and_counts_garbage() {
-        let good = format_line(&LogRecord::new(3.0, 9, Method::Get, 1, 200, 64), BASE);
+        let good = format_line(
+            &LogRecord::new(3.0, 9, Method::Get, 1, 200, 64),
+            WVU_BASE_EPOCH,
+        );
         let text = format!("{good}\nnot a log line\n\n1.2.3.4 incomplete\n{good}\n");
-        let parsed = parse_log_lenient(&text, BASE);
+        let parsed = parse_log_lenient(&text, WVU_BASE_EPOCH);
         assert_eq!(parsed.records.len(), 2);
         assert_eq!(parsed.skipped, 2);
         assert_eq!(parsed.records[0], parsed.records[1]);
         // A fully clean stream skips nothing.
-        let clean = parse_log_lenient(&good, BASE);
+        let clean = parse_log_lenient(&good, WVU_BASE_EPOCH);
         assert_eq!(clean.skipped, 0);
         assert_eq!(clean.records.len(), 1);
     }
 
     #[test]
     fn lenient_breakdown_classifies_by_cause() {
-        let good = format_line(&LogRecord::new(3.0, 9, Method::Get, 1, 200, 64), BASE);
+        let good = format_line(
+            &LogRecord::new(3.0, 9, Method::Get, 1, 200, 64),
+            WVU_BASE_EPOCH,
+        );
         let bad_date = r#"1.2.3.4 - - [99/Jan/2004:00:00:07 +0000] "GET /r HTTP/1.0" 200 5"#;
         let bad_status = r#"1.2.3.4 - - [12/Jan/2004:00:00:07 +0000] "GET /r HTTP/1.0" 2x0 5"#;
         let truncated = "1.2.3.4 - - [12/Jan/2004";
         let other = r#"zzz - - [12/Jan/2004:00:00:07 +0000] "GET /r HTTP/1.0" 200 5"#;
         let text = format!("{good}\n{bad_date}\n{bad_status}\n{truncated}\n{other}\n");
-        let parsed = parse_log_lenient(&text, BASE);
+        let parsed = parse_log_lenient(&text, WVU_BASE_EPOCH);
         assert_eq!(parsed.records.len(), 1);
         assert_eq!(parsed.malformed.bad_timestamp, 1);
         assert_eq!(parsed.malformed.bad_status, 1);
@@ -730,8 +738,8 @@ mod tests {
     #[test]
     fn textual_uri_hashes_stably() {
         let line = r#"1.2.3.4 - - [12/Jan/2004:00:00:07 +0000] "GET /a/b.html HTTP/1.0" 200 5"#;
-        let a = parse_line(line, BASE).unwrap().resource;
-        let b = parse_line(line, BASE).unwrap().resource;
+        let a = parse_line(line, WVU_BASE_EPOCH).unwrap().resource;
+        let b = parse_line(line, WVU_BASE_EPOCH).unwrap().resource;
         assert_eq!(a, b);
     }
 }

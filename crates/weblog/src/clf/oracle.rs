@@ -4,7 +4,9 @@
 //! parser's result. The oracle's date arithmetic wraps, as the old
 //! parser's did in release builds.
 
-use super::{format_line, parse_log_lenient, MalformedBreakdown, MalformedKind, MONTHS};
+use super::{
+    format_line, parse_log_lenient, MalformedBreakdown, MalformedKind, MONTHS, WVU_BASE_EPOCH,
+};
 use crate::record::{LogRecord, Method};
 use crate::{Result, WeblogError};
 use proptest::prelude::*;
@@ -177,8 +179,6 @@ fn lenient(text: &str, base_epoch: i64) -> (Vec<LogRecord>, MalformedBreakdown) 
     (records, malformed)
 }
 
-const BASE: i64 = 1_073_865_600; // 2004-01-12 00:00:00 UTC
-
 /// Every `char::is_whitespace` character: 6 ASCII, 19 not.
 const WHITESPACE: [char; 25] = [
     '\t', '\n', '\u{B}', '\u{C}', '\r', ' ', '\u{85}', '\u{A0}', '\u{1680}', '\u{2000}',
@@ -277,7 +277,7 @@ fn date_body(rng: &mut TestRng, prev: &mut Vec<u8>, second: &mut i64) -> Vec<u8>
         0..=3 => {
             *second += rng.below(3) as i64;
             let rec = LogRecord::new(*second as f64, 1, Method::Get, 1, 200, 1);
-            let line = format_line(&rec, BASE);
+            let line = format_line(&rec, WVU_BASE_EPOCH);
             let (open, close) = (line.find('[').unwrap(), line.find(']').unwrap());
             let mut body = line.as_bytes()[open + 1..close].to_vec();
             if chance(rng, 4) {
@@ -508,7 +508,7 @@ impl Strategy for RawLines {
                             rng.next_u64() as u16,
                             rng.next_u64() >> rng.below(64),
                         );
-                        format_line(&rec, BASE).into_bytes()
+                        format_line(&rec, WVU_BASE_EPOCH).into_bytes()
                     }
                     3..=5 => built_line(rng, &mut prev_date, &mut second),
                     6 => {
@@ -582,8 +582,8 @@ fn oracle_agrees_on_hand_picked_lines() {
         b"1.2.3.4 - - [12/Jan/2004:-5:00:07] \"x y\" 99 -",
         b"\xE2\x80\x80\xC2",
     ] {
-        let old = parse_raw_line(line, BASE);
-        let new = super::parse_raw_line(line, BASE);
+        let old = parse_raw_line(line, WVU_BASE_EPOCH);
+        let new = super::parse_raw_line(line, WVU_BASE_EPOCH);
         let same = match (&old, &new) {
             (Some(old), Some(new)) => same_result(old, new),
             (None, None) => true,
@@ -602,7 +602,7 @@ fn generator_reaches_every_outcome() {
     for _ in 0..256 {
         let mut prev: Option<(Vec<u8>, Vec<u8>)> = None;
         for raw in RawLines.gen_value(&mut rng) {
-            seen.insert(match parse_raw_line(&raw, BASE) {
+            seen.insert(match parse_raw_line(&raw, WVU_BASE_EPOCH) {
                 None => "blank".to_string(),
                 Some(Ok(_)) => "ok".to_string(),
                 Some(Err(WeblogError::ParseLine { reason, .. })) => reason,
@@ -650,8 +650,8 @@ proptest! {
     #[test]
     fn byte_parser_matches_the_str_parser(lines in RawLines) {
             for raw in &lines {
-            let old = parse_raw_line(raw, BASE);
-            let new = super::parse_raw_line(raw, BASE);
+            let old = parse_raw_line(raw, WVU_BASE_EPOCH);
+            let new = super::parse_raw_line(raw, WVU_BASE_EPOCH);
             let same = match (&old, &new) {
                 (Some(old), Some(new)) => same_result(old, new),
                 (None, None) => true,
@@ -662,15 +662,15 @@ proptest! {
             let text = String::from_utf8_lossy(raw);
             let text = text.trim_end_matches(['\n', '\r']);
             prop_assert!(
-                same_result(&parse_line(text, BASE), &super::parse_line(text, BASE)),
+                same_result(&parse_line(text, WVU_BASE_EPOCH), &super::parse_line(text, WVU_BASE_EPOCH)),
                 "parse_line {}",
                 raw.escape_ascii()
             );
         }
         // The whole batch as one text, through one lenient parser.
         let text = String::from_utf8_lossy(&lines.concat()).into_owned();
-        let (records, malformed) = lenient(&text, BASE);
-        let parsed = parse_log_lenient(&text, BASE);
+        let (records, malformed) = lenient(&text, WVU_BASE_EPOCH);
+        let parsed = parse_log_lenient(&text, WVU_BASE_EPOCH);
         prop_assert_eq!(parsed.malformed, malformed);
         prop_assert_eq!(parsed.records.len(), records.len());
         for (a, b) in parsed.records.iter().zip(&records) {

@@ -13,12 +13,9 @@ use std::fs;
 use std::io::Write as _;
 
 use webpuzzle::core::{AnalysisConfig, FullWebModel};
-use webpuzzle::weblog::clf::{format_line, parse_log};
+use webpuzzle::weblog::clf::{format_line, parse_log, WVU_BASE_EPOCH};
 use webpuzzle::weblog::{WeekDataset, DEFAULT_SESSION_THRESHOLD};
 use webpuzzle::workload::{ServerProfile, WorkloadGenerator};
-
-/// 2004-01-12 00:00:00 UTC — the start date of the paper's WVU log.
-const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -28,9 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             args.next()
                 .map(|s| s.parse::<i64>())
                 .transpose()?
-                .unwrap_or(DEFAULT_BASE_EPOCH),
+                .unwrap_or(WVU_BASE_EPOCH),
         ),
-        None => (write_demo_log()?, DEFAULT_BASE_EPOCH),
+        None => (write_demo_log()?, WVU_BASE_EPOCH),
     };
 
     println!("parsing {path}…");
@@ -51,7 +48,7 @@ fn write_demo_log() -> Result<String, Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join("webpuzzle_demo_access.log");
     let mut file = fs::File::create(&path)?;
     for r in &records {
-        writeln!(file, "{}", format_line(r, DEFAULT_BASE_EPOCH))?;
+        writeln!(file, "{}", format_line(r, WVU_BASE_EPOCH))?;
     }
     println!(
         "no log supplied — wrote a {}-line synthetic CLF log to {}",

@@ -2,10 +2,8 @@
 //! trips, sessionization partitioning, and stream merging.
 
 use proptest::prelude::*;
-use webpuzzle::weblog::clf::{format_line, parse_line};
+use webpuzzle::weblog::clf::{format_line, parse_line, WVU_BASE_EPOCH};
 use webpuzzle::weblog::{merge_sorted, sessionize, LogRecord, Method};
-
-const BASE_EPOCH: i64 = 1_073_865_600;
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![Just(Method::Get), Just(Method::Post), Just(Method::Head),]
@@ -30,8 +28,8 @@ proptest! {
 
     #[test]
     fn clf_roundtrip_preserves_everything_but_subsecond(rec in arb_record()) {
-        let line = format_line(&rec, BASE_EPOCH);
-        let back = parse_line(&line, BASE_EPOCH).expect("own output parses");
+        let line = format_line(&rec, WVU_BASE_EPOCH);
+        let back = parse_line(&line, WVU_BASE_EPOCH).expect("own output parses");
         prop_assert_eq!(back.timestamp, rec.timestamp.floor());
         prop_assert_eq!(back.client, rec.client);
         prop_assert_eq!(back.method, rec.method);
