@@ -1,5 +1,5 @@
-//! FFT performance: radix-2 vs Bluestein paths across the sizes the
-//! pipeline actually uses (4-hour and week-long second series).
+//! FFT performance at the sizes the pipeline actually uses (4-hour and
+//! day-long second series), all on the mixed-radix path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -9,8 +9,8 @@ use webpuzzle_timeseries::periodogram;
 fn bench_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft");
     group.sample_size(20);
-    // Power-of-two (radix-2 path) and the pipeline's natural non-pow2
-    // lengths: 14 400 (4 h) and 86 400 (1 day) go through Bluestein.
+    // Powers of two and the pipeline's natural 7-smooth lengths: 14 400
+    // (4 h) and 86 400 (1 day).
     for &n in &[16_384usize, 14_400, 86_400, 131_072] {
         let signal: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.1).sin(), 0.0))

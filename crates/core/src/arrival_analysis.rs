@@ -9,7 +9,7 @@ use webpuzzle_lrd::{
 };
 use webpuzzle_stats::descriptive::Summary;
 use webpuzzle_stats::htest::{kpss_test, KpssResult, KpssType};
-use webpuzzle_timeseries::{acf, decompose, CountSeries};
+use webpuzzle_timeseries::{acf_at, decompose, CountSeries};
 
 /// Raw-vs-stationary ACF comparison at reporting lags — the paper's
 /// Figure 3 vs Figure 5 observation that ignoring trend/periodicity
@@ -84,18 +84,16 @@ impl ArrivalAnalysis {
         let dec = decompose(counts, min_p, max_p, cfg.period_snr)?;
         let kpss_stationary = kpss_test(&dec.stationary, KpssType::Level)?;
 
+        // The powers of two up to the largest lag both series allow (the
+        // stationary one is shorter by a seasonal period).
         let max_lag = cfg.acf_max_lag.min(counts.len() / 2 - 1);
-        let raw_acf = acf(counts, max_lag)?;
-        let st_acf = acf(&dec.stationary, max_lag.min(dec.stationary.len() / 2 - 1))?;
-        let mut lags = Vec::new();
-        let mut lag = 1usize;
-        while lag <= max_lag && lag < st_acf.len() {
-            lags.push(lag);
-            lag *= 2;
-        }
+        let max_lag = max_lag.min(dec.stationary.len() / 2 - 1);
+        let lags: Vec<usize> = std::iter::successors(Some(1usize), |l| Some(l * 2))
+            .take_while(|&l| l <= max_lag)
+            .collect();
         let acf_cmp = AcfComparison {
-            raw: lags.iter().map(|&l| raw_acf[l]).collect(),
-            stationary: lags.iter().map(|&l| st_acf[l]).collect(),
+            raw: acf_at(counts, &lags)?,
+            stationary: acf_at(&dec.stationary, &lags)?,
             lags,
         };
 

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use webpuzzle_stats::dist::Normal;
 use webpuzzle_stats::StatsError;
-use webpuzzle_timeseries::fft::{fft, ifft, Complex};
+use webpuzzle_timeseries::fft::{fft_reference, ifft_reference, Complex};
 
 /// Generator of FARIMA(0, d, 0) sample paths via truncated MA(∞)
 /// convolution, `X_t = Σ_j ψ_j ε_{t−j}` with
@@ -122,12 +122,12 @@ impl FarimaGenerator {
         let mut b: Vec<Complex> = Vec::with_capacity(m);
         b.extend(eps.iter().map(|&e| Complex::from_real(e)));
         b.resize(m, Complex::ZERO);
-        fft(&mut a);
-        fft(&mut b);
+        fft_reference(&mut a);
+        fft_reference(&mut b);
         for (x, y) in a.iter_mut().zip(&b) {
             *x = *x * *y;
         }
-        ifft(&mut a);
+        ifft_reference(&mut a);
         Ok(a[j_max..j_max + n].iter().map(|z| z.re).collect())
     }
 }

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use webpuzzle_stats::dist::Normal;
 use webpuzzle_stats::StatsError;
-use webpuzzle_timeseries::fft::{fft, Complex};
+use webpuzzle_timeseries::fft::{fft_reference, Complex};
 
 /// Autocovariance of unit-variance fGn at lag `k` for Hurst exponent `h`.
 ///
@@ -141,7 +141,7 @@ impl FgnGenerator {
             row.push(Complex::from_real(autocovariance(self.h, k)));
         }
         debug_assert_eq!(row.len(), m);
-        fft(&mut row);
+        fft_reference(&mut row);
 
         // Eigenvalues are real and (for fGn) non-negative; clamp tiny
         // negative round-off.
@@ -161,7 +161,7 @@ impl FgnGenerator {
             spec[m - k] = z.conj();
         }
 
-        fft(&mut spec);
+        fft_reference(&mut spec);
         let norm = self.sigma / (m as f64).sqrt();
         webpuzzle_obs::metrics::sharded_counter("lrd/fgn_samples").add(n as u64);
         Ok(spec.into_iter().take(n).map(|z| z.re * norm).collect())

@@ -51,13 +51,13 @@ pub use aggregation::{
 };
 pub use estimate::{EstimatorKind, HurstEstimate};
 pub use extra_estimators::{absolute_moments, variance_of_residuals};
-pub use periodogram_est::periodogram_hurst;
+pub use periodogram_est::{periodogram_hurst, periodogram_hurst_from_periodogram};
 pub use rs::rescaled_range;
 pub use suite::HurstSuite;
 pub use variance_time::{
     variance_time, variance_time_detailed, variance_time_events, VarianceTimeFit, VT_CI_INFLATION,
 };
-pub use whittle::{fgn_spectral_density, whittle};
+pub use whittle::{fgn_spectral_density, whittle, whittle_from_periodogram};
 
 pub use webpuzzle_stats::StatsError;
 

@@ -4,7 +4,7 @@ use crate::estimate::{EstimatorKind, HurstEstimate};
 use crate::Result;
 use webpuzzle_stats::regression::ols;
 use webpuzzle_stats::StatsError;
-use webpuzzle_timeseries::periodogram;
+use webpuzzle_timeseries::{periodogram, Periodogram};
 
 /// Periodogram estimator: near the origin the spectral density of an LRD
 /// process behaves as `f(λ) ∝ λ^{1−2H}`, so an OLS fit of `log I(λ_k)` on
@@ -32,13 +32,18 @@ use webpuzzle_timeseries::periodogram;
 /// # }
 /// ```
 pub fn periodogram_hurst(data: &[f64]) -> Result<HurstEstimate> {
-    if data.len() < 128 {
-        return Err(StatsError::InsufficientData {
-            needed: 128,
-            got: data.len(),
-        });
-    }
-    let p = periodogram(data)?;
+    periodogram_hurst_from_periodogram(&spectral_periodogram(data)?)
+}
+
+/// [`periodogram_hurst`] on a periodogram already computed, so that one
+/// periodogram can serve it and [`crate::whittle_from_periodogram`].
+///
+/// # Errors
+///
+/// Those of [`periodogram_hurst`] for a series of
+/// [`Periodogram::series_len`] points.
+pub fn periodogram_hurst_from_periodogram(p: &Periodogram) -> Result<HurstEstimate> {
+    check_spectral_len(p.series_len())?;
     let n_low = (p.power().len() / 10).max(8).min(p.power().len());
     let mut log_f = Vec::with_capacity(n_low);
     let mut log_i = Vec::with_capacity(n_low);
@@ -59,6 +64,24 @@ pub fn periodogram_hurst(data: &[f64]) -> Result<HurstEstimate> {
         EstimatorKind::Periodogram,
         (1.0 - fit.slope) / 2.0,
     ))
+}
+
+/// The periodogram the spectral estimators fit, after the length check
+/// they share (it fires before any error of the periodogram itself).
+pub(crate) fn spectral_periodogram(data: &[f64]) -> Result<Periodogram> {
+    check_spectral_len(data.len())?;
+    periodogram(data)
+}
+
+/// The spectral estimators need at least 128 points.
+pub(crate) fn check_spectral_len(n: usize) -> Result<()> {
+    if n < 128 {
+        return Err(StatsError::InsufficientData {
+            needed: 128,
+            got: n,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
 //! Run all five Hurst estimators on one series (the Figure 4/6/9/10 rows).
 
+use crate::periodogram_est::spectral_periodogram;
 use crate::{
-    abry_veitch, periodogram_hurst, rescaled_range, variance_time, whittle, HurstEstimate, Result,
+    abry_veitch, periodogram_hurst_from_periodogram, rescaled_range, variance_time,
+    whittle_from_periodogram, HurstEstimate, Result,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use webpuzzle_timeseries::Periodogram;
 
 /// Results of the full estimator battery on one series.
 ///
@@ -42,7 +45,8 @@ pub struct HurstSuite {
 
 impl HurstSuite {
     /// Run every estimator on `data`. Individual estimator failures become
-    /// `None`; the call only errors when *no* estimator could run.
+    /// `None`; the call only errors when *no* estimator could run. The
+    /// periodogram and Whittle estimators share one periodogram.
     ///
     /// # Errors
     ///
@@ -57,16 +61,26 @@ impl HurstSuite {
                 None
             }
         };
-        let timed = |name: &'static str, r: fn(&[f64]) -> Result<HurstEstimate>| {
+        let timed = |name: &'static str, r: &dyn Fn() -> Result<HurstEstimate>| {
             let _span = webpuzzle_obs::spans::enter(name);
-            r(data)
+            r()
+        };
+        let spectrum = &{
+            let _span = webpuzzle_obs::span!("hurst/spectrum");
+            spectral_periodogram(data)
+        };
+        let spectral = |fit: fn(&Periodogram) -> Result<HurstEstimate>| {
+            move || spectrum.as_ref().map_err(Clone::clone).and_then(fit)
         };
         let suite = HurstSuite {
-            variance_time: run(timed("hurst/variance_time", variance_time)),
-            rescaled_range: run(timed("hurst/rs", rescaled_range)),
-            periodogram: run(timed("hurst/periodogram", periodogram_hurst)),
-            whittle: run(timed("hurst/whittle", whittle)),
-            abry_veitch: run(timed("hurst/abry_veitch", abry_veitch)),
+            variance_time: run(timed("hurst/variance_time", &|| variance_time(data))),
+            rescaled_range: run(timed("hurst/rs", &|| rescaled_range(data))),
+            periodogram: run(timed(
+                "hurst/periodogram",
+                &spectral(periodogram_hurst_from_periodogram),
+            )),
+            whittle: run(timed("hurst/whittle", &spectral(whittle_from_periodogram))),
+            abry_veitch: run(timed("hurst/abry_veitch", &|| abry_veitch(data))),
         };
         if suite.iter().next().is_none() {
             Err(last_err.expect("all estimators failed so an error exists"))

@@ -3,9 +3,10 @@
 //! intervals (Fox–Taqqu / Dahlhaus theory).
 
 use crate::estimate::{EstimatorKind, HurstEstimate};
+use crate::periodogram_est::{check_spectral_len, spectral_periodogram};
 use crate::Result;
 use webpuzzle_stats::StatsError;
-use webpuzzle_timeseries::periodogram;
+use webpuzzle_timeseries::Periodogram;
 
 const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
 
@@ -125,15 +126,9 @@ struct WhittleTable {
 }
 
 impl WhittleTable {
-    fn new(data: &[f64]) -> Result<Self> {
-        let n = data.len();
-        if n < 128 {
-            return Err(StatsError::InsufficientData {
-                needed: 128,
-                got: n,
-            });
-        }
-        let p = periodogram(data)?;
+    fn new(p: &Periodogram) -> Result<Self> {
+        let n = p.series_len();
+        check_spectral_len(n)?;
         // Exclude the Nyquist ordinate when n is even (it has a different
         // distribution), keep everything else.
         let m = if n.is_multiple_of(2) {
@@ -203,7 +198,18 @@ impl WhittleTable {
 /// # }
 /// ```
 pub fn whittle(data: &[f64]) -> Result<HurstEstimate> {
-    let table = WhittleTable::new(data)?;
+    whittle_from_periodogram(&spectral_periodogram(data)?)
+}
+
+/// [`whittle`] on a periodogram already computed, so that one periodogram
+/// can serve it and [`crate::periodogram_hurst_from_periodogram`].
+///
+/// # Errors
+///
+/// Those of [`whittle`] for a series of [`Periodogram::series_len`]
+/// points.
+pub fn whittle_from_periodogram(p: &Periodogram) -> Result<HurstEstimate> {
+    let table = WhittleTable::new(p)?;
     let min = brent_min(|h| table.objective(h), 0.01, 0.99, SEARCH_TOL)?;
     webpuzzle_obs::metrics::sharded_counter("lrd/whittle_iterations").add(min.evaluations);
     if !min.fx.is_finite() {
@@ -211,7 +217,11 @@ pub fn whittle(data: &[f64]) -> Result<HurstEstimate> {
             what: "Whittle likelihood evaluation",
         });
     }
-    Ok(with_asymptotic_ci(min.x, data.len(), fgn_spectral_density))
+    Ok(with_asymptotic_ci(
+        min.x,
+        p.series_len(),
+        fgn_spectral_density,
+    ))
 }
 
 // Asymptotic variance of the profiled Whittle estimate:
@@ -348,6 +358,7 @@ mod oracle {
     //! tests hold [`whittle`](super::whittle) to it.
 
     use super::*;
+    use webpuzzle_timeseries::periodogram;
 
     const ALIAS_TERMS: usize = 30;
 
@@ -446,6 +457,7 @@ mod tests {
     use super::oracle::{direct_alias_sum, golden_section, whittle_oracle};
     use super::*;
     use crate::fgn::FgnGenerator;
+    use webpuzzle_timeseries::periodogram;
 
     #[test]
     fn spectral_density_positive_and_integrable_shape() {
@@ -651,7 +663,7 @@ mod tests {
         let mut counts: Vec<u64> = oracle_grid()
             .iter()
             .map(|(_, _, x)| {
-                let table = WhittleTable::new(x).unwrap();
+                let table = WhittleTable::new(&periodogram(x).unwrap()).unwrap();
                 let min = brent_min(|h| table.objective(h), 0.01, 0.99, SEARCH_TOL).unwrap();
                 assert_eq!(min.x.to_bits(), whittle(x).unwrap().h.to_bits());
                 min.evaluations

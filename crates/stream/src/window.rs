@@ -11,7 +11,9 @@
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use webpuzzle_core::{poisson_test_spread, spread_ties, PoissonVerdict, TieSpreading};
+use webpuzzle_core::{
+    poisson_test_spread, spread_ties, PoissonTestOutcome, PoissonVerdict, TieSpreading,
+};
 use webpuzzle_lrd::{variance_time_events, VarianceTimeFit};
 use webpuzzle_weblog::WeblogError;
 
@@ -205,9 +207,11 @@ impl WindowedArrivals {
         let h_variance_time_fine = (self.cfg.fine_bin_width)
             .and_then(|width| self.variance_time(width))
             .map(|d| d.estimate.h);
-        let spread = spread_ties(&self.state.times, TieSpreading::Uniform, self.cfg.seed);
-        let poisson_hourly = self.poisson_verdict(&spread, start, 3_600.0)?;
-        let poisson_ten_min = self.poisson_verdict(&spread, start, 600.0)?;
+        let verdict = |o: Option<PoissonTestOutcome>| {
+            o.map_or(PoissonVerdict::NotApplicable, |o| o.verdict())
+        };
+        let [hourly, ten_min] = self.poisson_outcomes()?;
+        let (poisson_hourly, poisson_ten_min) = (verdict(hourly), verdict(ten_min));
 
         let report = WindowReport {
             index: self.state.window_index,
@@ -227,21 +231,25 @@ impl WindowedArrivals {
         Ok(report)
     }
 
-    /// §4.2 verdict at subintervals of about `sub_len` seconds, on the
-    /// window's uniformly tie-spread times.
-    fn poisson_verdict(&self, spread: &[f64], start: f64, sub_len: f64) -> Result<PoissonVerdict> {
-        if spread.is_empty() {
-            return Ok(PoissonVerdict::NotApplicable);
+    /// The §4.2 battery on the window's times, tie-spread once with the
+    /// window's seed, at hourly and at ten-minute subintervals (`None`
+    /// where too few arrivals make it not applicable).
+    fn poisson_outcomes(&self) -> Result<[Option<PoissonTestOutcome>; 2]> {
+        if self.state.times.is_empty() {
+            return Ok([None, None]);
         }
-        let outcome = poisson_test_spread(
-            spread,
-            start,
-            self.cfg.window_len,
-            ((self.cfg.window_len / sub_len).round() as usize).max(2),
-            TieSpreading::Uniform,
-            self.cfg.min_poisson_arrivals,
-        )?;
-        Ok(outcome.map_or(PoissonVerdict::NotApplicable, |o| o.verdict()))
+        let spread = spread_ties(&self.state.times, TieSpreading::Uniform, self.cfg.seed);
+        let outcome = |sub_len: f64| {
+            poisson_test_spread(
+                &spread,
+                self.window_start(),
+                self.cfg.window_len,
+                ((self.cfg.window_len / sub_len).round() as usize).max(2),
+                TieSpreading::Uniform,
+                self.cfg.min_poisson_arrivals,
+            )
+        };
+        Ok([outcome(3_600.0)?, outcome(600.0)?])
     }
 }
 
@@ -251,6 +259,7 @@ mod tests {
     use crate::StreamError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use webpuzzle_core::poisson_arrival_test;
     use webpuzzle_lrd::variance_time_detailed;
     use webpuzzle_stats::dist::{Exponential, Sampler};
 
@@ -313,6 +322,34 @@ mod tests {
         let r2 = out[0].h_r_squared.expect("fit carries R²");
         assert!((0.0..=1.0).contains(&r2), "R² = {r2}");
         assert!(out[0].h_points >= 3);
+    }
+
+    #[test]
+    fn poisson_outcomes_are_the_batch_test_on_the_windows_times() {
+        let mut w = WindowedArrivals::new(cfg(14_400.0));
+        let mut out = Vec::new();
+        // Whole-second times, as CLF gives: the tie spreading matters.
+        let times: Vec<f64> = poisson_times(1.5, 2.0 * 14_400.0, 23)
+            .into_iter()
+            .map(f64::floor)
+            .collect();
+        let split = times.partition_point(|&t| t < 14_400.0);
+        for (window, part) in [&times[..split], &times[split..]].into_iter().enumerate() {
+            for &t in part {
+                w.push(t, &mut out).unwrap();
+            }
+            let start = window as f64 * 14_400.0;
+            let batch = |subs| {
+                poisson_arrival_test(part, start, 14_400.0, subs, TieSpreading::Uniform, 20, 3)
+                    .unwrap()
+            };
+            let [hourly, ten_min] = w.poisson_outcomes().unwrap();
+            assert_eq!(hourly, batch(4), "window {window}");
+            assert_eq!(ten_min, batch(24), "window {window}");
+            assert!(hourly.is_some() && ten_min.is_some());
+        }
+        w.finish(&mut out).unwrap();
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

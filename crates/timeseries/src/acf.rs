@@ -25,6 +25,44 @@ use webpuzzle_stats::StatsError;
 /// assert!(r[1] < 0.0); // alternating series
 /// ```
 pub fn acf(data: &[f64], max_lag: usize) -> Result<Vec<f64>> {
+    let (centered, denom) = centered_and_energy(data, max_lag)?;
+    Ok((0..=max_lag)
+        .map(|k| lag_product(&centered, k) / denom)
+        .collect())
+}
+
+/// The sample autocorrelation at the given `lags` only, in their order
+/// (repeats allowed).
+///
+/// Each value is bit-identical to the same lag of [`acf`], at
+/// `O(n · lags.len())` instead of `O(n · max_lag)`: the analysis battery
+/// reports a handful of powers of two out of hundreds of lags.
+///
+/// # Errors
+///
+/// Exactly those of [`acf`] with `max_lag` the largest of `lags` (0 for
+/// none).
+///
+/// # Examples
+///
+/// ```
+/// let x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+/// let all = webpuzzle_timeseries::acf(&x, 4).unwrap();
+/// let some = webpuzzle_timeseries::acf_at(&x, &[4, 1]).unwrap();
+/// assert_eq!(some, [all[4], all[1]]);
+/// ```
+pub fn acf_at(data: &[f64], lags: &[usize]) -> Result<Vec<f64>> {
+    let max_lag = lags.iter().copied().max().unwrap_or(0);
+    let (centered, denom) = centered_and_energy(data, max_lag)?;
+    Ok(lags
+        .iter()
+        .map(|&k| lag_product(&centered, k) / denom)
+        .collect())
+}
+
+/// The checks [`acf`] makes for `max_lag`, then the demeaned series and
+/// its energy `Σ_t (x_t−x̄)²`.
+fn centered_and_energy(data: &[f64], max_lag: usize) -> Result<(Vec<f64>, f64)> {
     let n = data.len();
     if n <= max_lag || n < 2 {
         return Err(StatsError::InsufficientData {
@@ -43,12 +81,13 @@ pub fn acf(data: &[f64], max_lag: usize) -> Result<Vec<f64>> {
             what: "constant series has undefined autocorrelation",
         });
     }
-    let mut out = Vec::with_capacity(max_lag + 1);
-    for k in 0..=max_lag {
-        let num: f64 = (0..n - k).map(|t| centered[t] * centered[t + k]).sum();
-        out.push(num / denom);
-    }
-    Ok(out)
+    Ok((centered, denom))
+}
+
+/// `Σ_t c_t c_{t+k}` over the demeaned series.
+fn lag_product(centered: &[f64], k: usize) -> f64 {
+    let n = centered.len();
+    (0..n - k).map(|t| centered[t] * centered[t + k]).sum()
 }
 
 /// A crude non-summability diagnostic: the partial sums of `|r(k)|` over a
@@ -133,6 +172,38 @@ mod tests {
         assert!(acf(&[1.0, 2.0], 5).is_err());
         assert!(acf(&[2.0; 10], 3).is_err());
         assert!(acf(&[1.0, f64::NAN, 2.0], 1).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn acf_at_is_acf_at_those_lags(
+            data in proptest::collection::vec(-50.0f64..50.0, 0..120),
+            lags in proptest::collection::vec(0usize..130, 0..8),
+        ) {
+            let max_lag = lags.iter().copied().max().unwrap_or(0);
+            match (acf_at(&data, &lags), acf(&data, max_lag)) {
+                (Ok(some), Ok(all)) => {
+                    let want: Vec<u64> = lags.iter().map(|&k| all[k].to_bits()).collect();
+                    let got: Vec<u64> = some.iter().map(|v| v.to_bits()).collect();
+                    proptest::prop_assert_eq!(got, want);
+                }
+                (some, all) => proptest::prop_assert_eq!(some.unwrap_err(), all.unwrap_err()),
+            }
+        }
+    }
+
+    #[test]
+    fn acf_at_errors_are_acfs() {
+        for (data, lags) in [
+            (vec![2.0; 10], vec![3, 1]),
+            (vec![1.0, f64::NAN, 2.0], vec![1]),
+            (vec![1.0, 2.0], vec![5]),
+            (vec![1.0], vec![]),
+        ] {
+            let max_lag = lags.iter().copied().max().unwrap_or(0);
+            assert_eq!(acf_at(&data, &lags), Err(acf(&data, max_lag).unwrap_err()));
+        }
+        assert_eq!(acf_at(&[1.0, 3.0, 2.0], &[]), Ok(vec![]));
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! block sizes ([`aggregate`]), and examined through the autocorrelation
 //! function ([`acf`]) and periodogram ([`periodogram`]).
 //!
-//! The [`fft`] module provides the radix-2 + Bluestein FFT everything is
-//! built on (periodograms, seasonality detection, and the Davies-Harte
-//! fractional Gaussian noise synthesizer in `webpuzzle-lrd`).
+//! The [`fft`] module provides the FFT everything is built on: a
+//! mixed-radix (2, 3, 4, 5, 7) transform with Bluestein for lengths that
+//! have a larger prime factor, behind periodograms and seasonality
+//! detection, and the previous radix-2 + Bluestein transform as
+//! [`fft::fft_reference`], which the Davies-Harte fractional Gaussian
+//! noise synthesizer in `webpuzzle-lrd` keeps so that its samples keep
+//! their bits.
 //!
 //! # Examples
 //!
@@ -32,10 +36,13 @@ pub mod fft;
 mod periodogram;
 mod series;
 
-pub use acf::{acf, acf_summability_diagnostic};
+pub use acf::{acf, acf_at, acf_summability_diagnostic};
 pub use aggregate::{aggregate, aggregation_levels};
 pub use decompose::{decompose, remove_linear_trend, seasonal_difference, Decomposition};
-pub use periodogram::{dominant_period, periodogram, Periodogram};
+pub use periodogram::{
+    dominant_period, dominant_period_from_periodogram, periodogram, periodogram_reference,
+    Periodogram,
+};
 pub use series::CountSeries;
 
 pub use webpuzzle_stats::StatsError;

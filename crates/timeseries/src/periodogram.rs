@@ -1,6 +1,6 @@
 //! Periodogram and dominant-period detection.
 
-use crate::fft::fft_real;
+use crate::fft::{fft_reference, real_half_spectrum, Complex};
 use crate::Result;
 use webpuzzle_stats::StatsError;
 
@@ -63,6 +63,30 @@ impl Periodogram {
 /// assert!((p.period_of(peak) - 24.0).abs() < 1e-9);
 /// ```
 pub fn periodogram(data: &[f64]) -> Result<Periodogram> {
+    periodogram_with(data, real_half_spectrum)
+}
+
+/// [`periodogram`] through [`fft_reference`], the transform it used
+/// before the mixed-radix real FFT: the oracle that the estimator
+/// agreement tests hold [`periodogram`] and its consumers to.
+///
+/// # Errors
+///
+/// Those of [`periodogram`].
+pub fn periodogram_reference(data: &[f64]) -> Result<Periodogram> {
+    periodogram_with(data, |x| {
+        let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
+        fft_reference(&mut buf);
+        buf
+    })
+}
+
+/// The checks, demeaning and normalization of [`periodogram`] around a
+/// `spectrum` that returns at least bins `0..=n/2` of the demeaned series.
+fn periodogram_with(
+    data: &[f64],
+    spectrum: impl FnOnce(&[f64]) -> Vec<Complex>,
+) -> Result<Periodogram> {
     let n = data.len();
     if n < 4 {
         return Err(StatsError::InsufficientData { needed: 4, got: n });
@@ -73,7 +97,7 @@ pub fn periodogram(data: &[f64]) -> Result<Periodogram> {
     // Demean so the DC component does not leak into low frequencies.
     let mean = data.iter().sum::<f64>() / n as f64;
     let centered: Vec<f64> = data.iter().map(|x| x - mean).collect();
-    let spec = fft_real(&centered);
+    let spec = spectrum(&centered);
     let half = n / 2;
     let norm = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
     let mut freqs = Vec::with_capacity(half);
@@ -105,14 +129,23 @@ pub fn dominant_period(
     max_period: f64,
     snr_threshold: f64,
 ) -> Result<Option<f64>> {
-    if min_period >= max_period || min_period < 2.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "min_period",
-            value: min_period,
-            constraint: "must satisfy 2 <= min_period < max_period",
-        });
-    }
-    let p = periodogram(data)?;
+    check_period_bounds(min_period, max_period)?;
+    dominant_period_from_periodogram(&periodogram(data)?, min_period, max_period, snr_threshold)
+}
+
+/// [`dominant_period`] read from a periodogram already computed (for
+/// instance [`periodogram_reference`]'s).
+///
+/// # Errors
+///
+/// [`StatsError::InvalidParameter`] when the period bounds are inverted.
+pub fn dominant_period_from_periodogram(
+    p: &Periodogram,
+    min_period: f64,
+    max_period: f64,
+    snr_threshold: f64,
+) -> Result<Option<f64>> {
+    check_period_bounds(min_period, max_period)?;
     let mut median_buf: Vec<f64> = p.power.to_vec();
     median_buf.sort_by(|a, b| a.partial_cmp(b).expect("finite power"));
     let median = median_buf[median_buf.len() / 2];
@@ -134,6 +167,17 @@ pub fn dominant_period(
             None
         }
     }))
+}
+
+fn check_period_bounds(min_period: f64, max_period: f64) -> Result<()> {
+    if min_period >= max_period || min_period < 2.0 {
+        return Err(StatsError::InvalidParameter {
+            name: "min_period",
+            value: min_period,
+            constraint: "must satisfy 2 <= min_period < max_period",
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -189,6 +233,27 @@ mod tests {
         assert!(periodogram(&[1.0, f64::NAN, 2.0, 3.0]).is_err());
         assert!(dominant_period(&[1.0; 100], 50.0, 10.0, 2.0).is_err());
         assert!(dominant_period(&[1.0; 100], 1.0, 10.0, 2.0).is_err());
+    }
+
+    #[test]
+    fn matches_the_reference_periodogram() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for n in [100usize, 241, 4_096, 10_080, 10_081] {
+            let x: Vec<f64> = (0..n)
+                .map(|t| (t as f64 / 24.0).sin() + rng.random::<f64>())
+                .collect();
+            let (p, r) = (periodogram(&x).unwrap(), periodogram_reference(&x).unwrap());
+            assert_eq!(p.freqs(), r.freqs());
+            // Ordinates are |X|²/2πn; bound their error by that of a
+            // transform within 1e-10·Σ|x| of the reference.
+            let l1: f64 = x.iter().map(|v| v.abs()).sum();
+            let bound = 1e-10 * l1 * l1 / (2.0 * std::f64::consts::PI * n as f64);
+            for (a, b) in p.power().iter().zip(r.power()) {
+                assert!((a - b).abs() <= bound, "n = {n}: {a} vs {b}");
+            }
+            let period = |p: &Periodogram| dominant_period_from_periodogram(p, 4.0, 200.0, 5.0);
+            assert_eq!(period(&p).unwrap(), period(&r).unwrap());
+        }
     }
 
     #[test]
