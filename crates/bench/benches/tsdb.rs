@@ -50,20 +50,23 @@ fn bench_tsdb_overhead(c: &mut Criterion) {
     group.bench_function("engine_off", |b| b.iter(|| run(&text)));
     // 10 ms cadence — 100× the production default, so the bench
     // overstates rather than hides the sampler's contention.
-    let sampler = obs::tsdb::start_sampler(obs::tsdb::TsdbConfig {
-        interval: std::time::Duration::from_millis(10),
-        ..obs::tsdb::TsdbConfig::default()
-    });
+    let history = |interval_ms| {
+        obs::Telemetry::new(obs::TelemetryConfig {
+            history: Some(obs::tsdb::TsdbConfig {
+                interval: std::time::Duration::from_millis(interval_ms),
+                ..obs::tsdb::TsdbConfig::default()
+            }),
+            ..obs::TelemetryConfig::default()
+        })
+    };
+    let sampled = history(10).start_sampler();
     group.bench_function("engine_on", |b| b.iter(|| run(&text)));
-    sampler.shutdown();
+    sampled.finish();
 
     // Absolute cost of one sampling pass over the registry the engine
     // runs just populated (its counters/gauges/histograms are live).
-    obs::tsdb::install(obs::tsdb::TsdbConfig::default());
-    group.bench_function("sample_pass", |b| {
-        b.iter(|| black_box(obs::tsdb::sample_now()))
-    });
-    obs::tsdb::uninstall();
+    let store = history(1_000);
+    group.bench_function("sample_pass", |b| b.iter(|| black_box(store.sample())));
     group.finish();
 }
 

@@ -180,7 +180,7 @@ fn main() {
     }
 
     let mut front = Frontend::start("repro", Some(seed), &output);
-    front.start_history(&history);
+    front.start_telemetry(&history, None);
 
     let cfg = if fast {
         AnalysisConfig::fast()

@@ -27,7 +27,7 @@
 //!                [--governor-memory-mb MB] [--watchdog-stall-secs S]
 //! ```
 //!
-//! Any `--governor-*` budget installs the process pressure governor
+//! Any `--governor-*` budget arms the run's pressure governor
 //! (DESIGN.md §16): under Yellow the engine samples its per-record
 //! estimators 1-in-N (counted, with honestly wider CIs) and tightens
 //! the session TTL; under Red it also refuses records that would open
@@ -432,6 +432,7 @@ fn main() {
     let snapshot_every = args.snapshot_every;
     let snapshot_cfg = args.clone();
     let snapshot_argv = run.front.raw_args().to_vec();
+    let snapshot_telemetry = run.front.telemetry.clone();
     let mut beat = run.record_beat();
     let supervisor = run
         .supervisor(engine_cfg, resume, args.lenient, factory)
@@ -439,7 +440,7 @@ fn main() {
             beat.tick();
             if snapshot_every > 0 && engine.records().is_multiple_of(snapshot_every) {
                 let partial = engine.summary();
-                let report = obs::RunReport::collect(
+                let report = snapshot_telemetry.run_report(
                     "stream-analyze",
                     None,
                     config_value(&snapshot_cfg, overhead_pct, Some(&partial), true),

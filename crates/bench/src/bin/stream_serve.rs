@@ -62,7 +62,7 @@
 //! embeds it in the run report. `/healthz?deep=1` serves the same
 //! rollup live.
 //!
-//! Any `--governor-*` budget installs the process pressure governor
+//! Any `--governor-*` budget arms the run's pressure governor
 //! (DESIGN.md §16): occupancy over budget moves the run through
 //! Green → Yellow → Red, the hub sheds low-priority batches
 //! proportionally, the engine degrades to estimator sampling and a
@@ -250,6 +250,7 @@ fn main() {
         max_sources: args.max_sources,
         expected_sources: args.exit_after_sources,
         stall_grace: (args.stall_grace_ms > 0).then(|| Duration::from_millis(args.stall_grace_ms)),
+        telemetry: run.front.telemetry.clone(),
         ..ingest::HubConfig::default()
     });
     if let Some(ck) = &resume {

@@ -159,28 +159,28 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
 
 /// Measure the telemetry-history sampler's cost to the engine: run the
 /// full `ClfSource` → [`StreamAnalyzer`] path over `n_records`
-/// synthetic records with the global sampler stopped and running (at
+/// synthetic records with a history sampler stopped and running (at
 /// `interval_ms` cadence), paired and alternating, and return
 /// `(t_on − t_off) / t_off` as a percentage (clamped at 0). The same
 /// min-over-rounds noise rejection as [`measure_profile_overhead_pct`];
-/// the sampler thread and its store are torn down on return.
+/// each round's sampler thread is stopped and its store dropped.
 ///
 /// # Panics
 ///
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
-    let config = webpuzzle_obs::tsdb::TsdbConfig {
-        interval: std::time::Duration::from_millis(interval_ms.max(1)),
-        ..webpuzzle_obs::tsdb::TsdbConfig::default()
+    let config = webpuzzle_obs::TelemetryConfig {
+        history: Some(webpuzzle_obs::tsdb::TsdbConfig {
+            interval: std::time::Duration::from_millis(interval_ms.max(1)),
+            ..webpuzzle_obs::tsdb::TsdbConfig::default()
+        }),
+        ..webpuzzle_obs::TelemetryConfig::default()
     };
     paired_overhead_pct(
         n_records,
-        || webpuzzle_obs::tsdb::start_sampler(config.clone()),
-        |sampler| {
-            sampler.shutdown();
-            webpuzzle_obs::tsdb::uninstall();
-        },
+        || webpuzzle_obs::Telemetry::new(config.clone()).start_sampler(),
+        |telemetry| telemetry.finish(),
     )
 }
 
@@ -210,7 +210,6 @@ mod tests {
         eprintln!("tsdb sampler overhead: {pct:.2}%");
         assert!(pct.is_finite());
         assert!(pct >= 0.0);
-        assert!(!webpuzzle_obs::tsdb::is_installed());
         webpuzzle_obs::reset();
     }
 

@@ -18,11 +18,11 @@
 //! 1. [`Cli`] + [`RunArgs::parse_flag`]: parse the shared flags next to
 //!    the binary's own.
 //! 2. [`Run::start`]: [`Frontend::start`], the shutdown handler, the
-//!    pressure governor, the JSONL events sink, then
-//!    [`Frontend::start_history`] (the SLO engine first: the sampler's
-//!    baseline tick is the burn-rate windows' left edge), and the panic
-//!    hook that keeps injected crashes quiet. It also arms the stage
-//!    watchdog.
+//!    JSONL events sink, then [`Frontend::start_telemetry`] (the run's
+//!    governor, SLO judge and history store in one [`obs::Telemetry`];
+//!    the sampler's baseline tick is the burn-rate windows' left edge),
+//!    and the panic hook that keeps injected crashes quiet. It also arms
+//!    the stage watchdog.
 //! 3. [`Frontend::serve_telemetry`] once the binary can describe its
 //!    config.
 //! 4. [`Run::load_resume`]: engine-config validation (exit 2) and the
@@ -227,16 +227,16 @@ impl HistoryArgs {
 }
 
 /// What every reporting binary does around its work: the output mode,
-/// the telemetry endpoint, the history sampler and the `--json` run
-/// report.
+/// the run's observatory and its telemetry endpoint, and the `--json`
+/// run report.
 pub struct Frontend {
     tool: &'static str,
     seed: Option<u64>,
     output: OutputArgs,
     raw_args: Vec<String>,
-    sampler: Option<obs::tsdb::SamplerHandle>,
-    slo: bool,
-    telemetry: Option<obs::TelemetryServer>,
+    /// The run's observatory, for the ingest hub and the supervisor.
+    pub telemetry: obs::Telemetry,
+    server: Option<obs::TelemetryServer>,
 }
 
 impl Frontend {
@@ -258,9 +258,8 @@ impl Frontend {
             seed,
             output: output.clone(),
             raw_args: std::env::args().skip(1).collect(),
-            sampler: None,
-            slo: false,
-            telemetry: None,
+            telemetry: obs::Telemetry::default(),
+            server: None,
         }
     }
 
@@ -269,27 +268,31 @@ impl Frontend {
         &self.raw_args
     }
 
-    /// Install the SLO engine (under `--slo`) and start the history
-    /// sampler (under either flag). The sampler takes an immediate
-    /// baseline tick, so even a run shorter than one interval has a
-    /// burn-rate window. Exits 2 when the objectives file is missing or
-    /// invalid.
-    pub fn start_history(&mut self, history: &HistoryArgs) {
-        if !history.enabled && !history.slo {
-            return;
-        }
-        if history.slo {
-            let cfg = obs::slo::SloConfig::load(&history.slo_file).unwrap_or_else(|e| {
+    /// Build the run's observatory: `governor`, the SLO judge (under
+    /// `--slo`) and the history store (under either history flag), whose
+    /// sampler takes an immediate baseline tick, so even a run shorter
+    /// than one interval has a burn-rate window. Exits 2 when the
+    /// objectives file is missing or invalid.
+    pub fn start_telemetry(
+        &mut self,
+        history: &HistoryArgs,
+        governor: Option<obs::governor::GovernorConfig>,
+    ) {
+        let slo = history.slo.then(|| {
+            obs::slo::SloConfig::load(&history.slo_file).unwrap_or_else(|e| {
                 eprintln!("{}: {e}", self.tool);
                 std::process::exit(2);
-            });
-            obs::slo::install(cfg);
-        }
-        self.slo = history.slo;
-        self.sampler = Some(obs::tsdb::start_sampler(obs::tsdb::TsdbConfig {
-            interval: Duration::from_millis(history.interval_ms.max(1)),
-            ..obs::tsdb::TsdbConfig::default()
-        }));
+            })
+        });
+        self.telemetry = obs::Telemetry::new(obs::TelemetryConfig {
+            history: (history.enabled || history.slo).then(|| obs::tsdb::TsdbConfig {
+                interval: Duration::from_millis(history.interval_ms.max(1)),
+                ..obs::tsdb::TsdbConfig::default()
+            }),
+            slo,
+            governor,
+        })
+        .start_sampler();
     }
 
     /// Serve live telemetry on `--telemetry-addr`, if given; `config` is
@@ -305,7 +308,8 @@ impl Frontend {
             config,
             args: self.raw_args.clone(),
         };
-        let server = obs::serve(addr, ctx).unwrap_or_else(|e| {
+        let limits = obs::http::HttpLimits::default();
+        let server = obs::serve(addr, ctx, self.telemetry.clone(), limits).unwrap_or_else(|e| {
             eprintln!("{}: cannot bind telemetry endpoint {addr}: {e}", self.tool);
             std::process::exit(2);
         });
@@ -316,7 +320,7 @@ impl Frontend {
                 server.local_addr()
             );
         }
-        self.telemetry = Some(server);
+        self.server = Some(server);
     }
 
     /// Stop the history sampler after one final tick and SLO pass (a
@@ -325,19 +329,17 @@ impl Frontend {
     /// report with `config` as its config block. Exits 1 when the
     /// report cannot be written.
     pub fn finish(&mut self, config: serde::Value) {
-        if let Some(sampler) = self.sampler.take() {
-            sampler.shutdown();
-            obs::tsdb::sample_now();
-            obs::slo::evaluate_now();
-            if self.slo {
-                crate::say!("{}", obs::slo::deep_health().render().trim_end());
-            }
+        self.telemetry.finish();
+        if let Some(health) = self.telemetry.slo_report() {
+            crate::say!("{}", health.render().trim_end());
         }
         if !self.output.json {
             return;
         }
         let path = &self.output.report_path;
-        let report = obs::RunReport::collect(self.tool, self.seed, config, self.raw_args.clone());
+        let report = self
+            .telemetry
+            .run_report(self.tool, self.seed, config, self.raw_args.clone());
         match report.save(path) {
             Ok(()) => obs::info(&format!("run report written to {}", path.display())),
             Err(e) => {
@@ -368,9 +370,7 @@ pub struct RunArgs {
     pub inject_faults: Option<FaultSpec>,
     pub max_restores: u32,
     pub max_retries: u32,
-    pub governor_sessions: u64,
-    pub governor_queue_bytes: u64,
-    pub governor_memory_bytes: u64,
+    pub governor: obs::governor::GovernorConfig,
     pub watchdog_stall_secs: u64,
 }
 
@@ -394,9 +394,7 @@ impl Default for RunArgs {
             inject_faults: None,
             max_restores: 3,
             max_retries: 5,
-            governor_sessions: 0,
-            governor_queue_bytes: 0,
-            governor_memory_bytes: 0,
+            governor: obs::governor::GovernorConfig::default(),
             watchdog_stall_secs: 0,
         }
     }
@@ -436,12 +434,12 @@ impl RunArgs {
             "--max-restores" => self.max_restores = cli.parse(flag, "integer"),
             "--max-retries" => self.max_retries = cli.parse(flag, "integer"),
             "--governor-sessions" => {
-                self.governor_sessions = cli.parse(flag, "open-session budget")
+                self.governor.session_budget = cli.parse(flag, "open-session budget")
             }
-            "--governor-queue-bytes" => self.governor_queue_bytes = cli.parse(flag, "bytes"),
+            "--governor-queue-bytes" => self.governor.queue_bytes_budget = cli.parse(flag, "bytes"),
             "--governor-memory-mb" => {
                 let mb: u64 = cli.parse(flag, "megabytes");
-                self.governor_memory_bytes = mb.saturating_mul(1_000_000);
+                self.governor.memory_budget_bytes = mb.saturating_mul(1_000_000);
             }
             "--watchdog-stall-secs" => self.watchdog_stall_secs = cli.parse(flag, "seconds"),
             _ => return false,
@@ -530,26 +528,19 @@ pub struct Run {
 }
 
 impl Run {
-    /// Set up output and process-wide telemetry for `tool`, in order.
+    /// Set up output and the run's telemetry for `tool`, in order.
     /// Exits 2 when the events log or the SLO file cannot be used.
     pub fn start(tool: &'static str, args: &RunArgs) -> Run {
         let mut front = Frontend::start(tool, None, &args.output);
         obs::shutdown::install();
-        if args.governor_sessions > 0
-            || args.governor_queue_bytes > 0
-            || args.governor_memory_bytes > 0
-        {
-            obs::governor::install(obs::governor::GovernorConfig {
-                session_budget: args.governor_sessions,
-                queue_bytes_budget: args.governor_queue_bytes,
-                memory_budget_bytes: args.governor_memory_bytes,
-                ..obs::governor::GovernorConfig::default()
-            });
+        let g = &args.governor;
+        let armed = g.session_budget > 0 || g.queue_bytes_budget > 0 || g.memory_budget_bytes > 0;
+        if armed {
             crate::say!(
                 "pressure governor armed: sessions {} / queue bytes {} / memory bytes {}",
-                args.governor_sessions,
-                args.governor_queue_bytes,
-                args.governor_memory_bytes
+                g.session_budget,
+                g.queue_bytes_budget,
+                g.memory_budget_bytes
             );
         }
         if let Some(path) = &args.events_path {
@@ -559,7 +550,7 @@ impl Run {
             });
             obs::events::set_jsonl_sink(sink);
         }
-        front.start_history(&args.history);
+        front.start_telemetry(&args.history, armed.then(|| g.clone()));
 
         // Injected crashes are recovered by the supervisor; keep their
         // panic backtraces off stderr so drills read like operations, not
@@ -651,6 +642,7 @@ impl Run {
             checkpoint_path,
             checkpoint_every_records: every_records,
             checkpoint_every_secs: args.checkpoint_every_secs,
+            telemetry: self.front.telemetry.clone(),
             ..SupervisorConfig::default()
         };
         let supervisor = Supervisor::new(engine_cfg, cfg, factory);
@@ -740,14 +732,14 @@ impl Run {
                 crate::say!("  watchdog: {stalls} stall(s) detected during the run");
             }
         }
-        if obs::governor::is_installed() {
+        if let Some(governor) = self.front.telemetry.governor() {
             let summary = &report.summary;
             crate::say!(
                 "  governor: final state {} (pressure {:.2}); \
                  {} record(s) hard-shed, {} estimator sample(s) skipped, \
                  {} session(s) evicted early",
-                obs::governor::state().as_str(),
-                obs::governor::pressure(),
+                governor.state().as_str(),
+                governor.pressure(),
                 summary.hard_shed_records,
                 summary.sampled_out,
                 summary.early_evicted_sessions

@@ -3,10 +3,11 @@
 //! and the wire path (`stream-serve`) reproduces the file path
 //! (`stream-analyze`).
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -257,6 +258,24 @@ fn final_report_is_not_partial_and_snapshots_are() {
     assert_eq!(records, (lines as u64 / 1000) * 1000);
 }
 
+/// Wait for `child` to exit, on a helper thread; kill it and panic with
+/// `what` if it is still running at `deadline`.
+fn wait_until(mut child: Child, deadline: Instant, what: &str) -> ExitStatus {
+    let pid = child.id();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(child.wait());
+    });
+    match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        Ok(status) => status.expect("wait for child"),
+        Err(_) => {
+            // The helper thread owns the child, so kill it by pid.
+            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+            panic!("{what}");
+        }
+    }
+}
+
 #[test]
 fn wire_run_matches_file_run() {
     let scratch = Scratch::new("wire");
@@ -274,14 +293,11 @@ fn wire_run_matches_file_run() {
     );
     assert_eq!(out.status.code(), Some(0));
 
-    let addr_file = scratch.path("serve.addr");
     let wire_report = scratch.path("wire.json");
     let mut serve = Command::new(SERVE)
         .args([
             "--listen",
             "127.0.0.1:0",
-            "--addr-file",
-            addr_file.to_str().unwrap(),
             "--quiet",
             "--json",
             "--report",
@@ -291,36 +307,37 @@ fn wire_run_matches_file_run() {
         ])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn stream-serve");
     let deadline = Instant::now() + Duration::from_secs(30);
-    let addr = loop {
-        match std::fs::read_to_string(&addr_file) {
-            Ok(addr) if !addr.is_empty() => break addr,
-            _ if Instant::now() > deadline => {
-                let _ = serve.kill();
-                panic!("stream-serve never wrote its address");
+    // The listen address is announced on stderr even under --quiet; the
+    // reader keeps draining stderr so the pipe can never fill.
+    let stderr = serve.stderr.take().expect("piped stderr");
+    let (addr_tx, addr_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if let Some(rest) = line.strip_prefix("stream-serve: ingest listening on ") {
+                let addr = rest.split_whitespace().next().unwrap_or_default();
+                let _ = addr_tx.send(addr.to_string());
             }
-            _ => std::thread::sleep(Duration::from_millis(10)),
         }
+    });
+    let Ok(addr) = addr_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) else {
+        let _ = serve.kill();
+        panic!("stream-serve never announced its address");
     };
-    let mut conn = TcpStream::connect(addr.trim()).expect("connect to stream-serve");
+    let mut conn = TcpStream::connect(&addr).expect("connect to stream-serve");
     conn.write_all(&std::fs::read(&log).expect("read fixture"))
         .expect("send fixture");
     conn.shutdown(Shutdown::Write).expect("half-close");
     let mut rest = Vec::new();
     let _ = conn.read_to_end(&mut rest);
-    let status = loop {
-        if let Some(status) = serve.try_wait().expect("poll stream-serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = serve.kill();
-            panic!("stream-serve did not exit after its one source closed");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let status = wait_until(
+        serve,
+        deadline,
+        "stream-serve did not exit after its one source closed",
+    );
     assert_eq!(status.code(), Some(0));
 
     let file = config(&file_report);

@@ -23,12 +23,12 @@
 //!   queue depth, shed counters — all live on `/metrics` while the
 //!   service runs.
 //! - **Adaptive admission** (overload governor): every source carries a
-//!   [`Priority`] class; when the process-wide
-//!   [`webpuzzle_obs::governor`] leaves Green, push-side admission
-//!   sheds the lowest-priority records first, proportionally to
-//!   pressure, counted under `ingest/records_pressure_shed` — never
-//!   silently. Backpressure still protects Green operation; shedding
-//!   only starts once the global budget is threatened.
+//!   [`Priority`] class; when the run's [`webpuzzle_obs::governor`]
+//!   leaves Green, push-side admission sheds the lowest-priority
+//!   records first, proportionally to pressure, counted under
+//!   `ingest/records_pressure_shed` — never silently. Backpressure still
+//!   protects Green operation; shedding only starts once the run's
+//!   budget is threatened.
 //! - **Circuit breakers**: a source whose malformed/torn/oversized rate
 //!   stays above [`BreakerConfig::trip_ratio`] across a
 //!   [`BreakerConfig::window`]-line window is tripped open — its
@@ -51,7 +51,8 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use webpuzzle_obs::{events, governor, metrics};
+use webpuzzle_obs::governor::{Governor, PressureState};
+use webpuzzle_obs::{events, metrics, Telemetry};
 use webpuzzle_stream::SourcePosition;
 use webpuzzle_weblog::clf::MALFORMED_SKIPPED_COUNTER;
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind};
@@ -242,8 +243,8 @@ fn breaker_observe(adm: &mut Admission, cfg: &BreakerConfig, bad: bool) -> Break
 /// and pressure. Lowest priority sheds first and proportionally to
 /// pressure; `High` is never shed by the hub (the engine's Red-state
 /// hard shed is the last resort above it).
-fn shed_fraction(state: governor::PressureState, pressure: f64, priority: Priority) -> f64 {
-    use governor::PressureState::*;
+fn shed_fraction(state: PressureState, pressure: f64, priority: Priority) -> f64 {
+    use PressureState::*;
     match (state, priority) {
         (Yellow, Priority::Low) => pressure.clamp(0.0, 1.0),
         (Red, Priority::Low) => 1.0,
@@ -276,6 +277,8 @@ pub struct HubConfig {
     pub stall_grace: Option<Duration>,
     /// Per-source circuit-breaker thresholds.
     pub breaker: BreakerConfig,
+    /// The run's observatory; its governor drives pressure shedding.
+    pub telemetry: Telemetry,
 }
 
 impl Default for HubConfig {
@@ -288,6 +291,7 @@ impl Default for HubConfig {
             expected_sources: None,
             stall_grace: Some(Duration::from_secs(5)),
             breaker: BreakerConfig::default(),
+            telemetry: Telemetry::default(),
         }
     }
 }
@@ -789,12 +793,20 @@ impl IngestHub {
         }
     }
 
-    fn refresh_gauges(&self, st: &mut MutexGuard<'_, HubState>) {
-        self.counters.queue_depth.set(st.merger.buffered() as f64);
-        let queue_bytes = (st.merger.buffered() * std::mem::size_of::<LogRecord>()) as u64;
+    /// Publish the buffered record count and bytes to the gauges and to
+    /// the run's governor, returned for callers that re-evaluate it.
+    fn note_buffered(&self, buffered: usize) -> Option<&Governor> {
+        self.counters.queue_depth.set(buffered as f64);
+        let queue_bytes = (buffered * std::mem::size_of::<LogRecord>()) as u64;
         self.counters.queue_bytes.set(queue_bytes as f64);
-        governor::set_queue_bytes(queue_bytes);
-        governor::evaluate();
+        let governor = self.cfg.telemetry.governor();
+        governor.inspect(|g| g.set_queue_bytes(queue_bytes))
+    }
+
+    fn refresh_gauges(&self, st: &mut MutexGuard<'_, HubState>) {
+        if let Some(governor) = self.note_buffered(st.merger.buffered()) {
+            governor.evaluate();
+        }
         let open_breakers = st
             .admissions
             .iter()
@@ -914,8 +926,9 @@ impl SourceHandle {
         // One governor read per batch: admission reacts to pressure at
         // batch granularity, and a Green read keeps the whole loop on
         // the pre-governor fast path.
-        let gov_state = governor::state();
-        let gov_pressure = governor::pressure();
+        let governor = self.hub.cfg.telemetry.governor();
+        let gov_state = governor.map_or(PressureState::Green, |g| g.state());
+        let gov_pressure = governor.map_or(0.0, |g| g.pressure());
         let mut admitted = 0u64;
         let mut late = 0u64;
         let mut duplicates = 0u64;
@@ -944,7 +957,7 @@ impl SourceHandle {
             }
             // Pressure shed: lowest priority first, proportional to
             // pressure, Bresenham accumulator for exact fractions.
-            if gov_state != governor::PressureState::Green {
+            if gov_state != PressureState::Green {
                 let adm = &mut st.admissions[self.id];
                 let frac = shed_fraction(gov_state, gov_pressure, adm.priority);
                 if frac > 0.0 {
@@ -989,11 +1002,7 @@ impl SourceHandle {
                 .queue_depth
                 .set(st.merger.buffered_of(self.id) as f64);
         }
-        let buffered = st.merger.buffered();
-        self.hub.counters.queue_depth.set(buffered as f64);
-        let queue_bytes = (buffered * std::mem::size_of::<LogRecord>()) as u64;
-        self.hub.counters.queue_bytes.set(queue_bytes as f64);
-        governor::set_queue_bytes(queue_bytes);
+        self.hub.note_buffered(st.merger.buffered());
         let source_name = (trips > 0 || recoveries > 0).then(|| self.name.clone());
         drop(st);
         self.hub.counters.admitted.add(admitted);

@@ -1,49 +1,43 @@
 //! Governor-coupled admission tests.
 //!
-//! These install the process-global [`governor`], so they run in their
-//! own test binary (integration tests get their own process) and are
-//! serialized behind a local lock: a forced Yellow/Red state would
-//! otherwise bleed into unrelated hub pushes running in parallel.
+//! Every hub here gets its own run's [`Telemetry`], so a governor forced
+//! to Yellow or Red in one test cannot bleed into another: the tests
+//! share no governor state and run in parallel.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use webpuzzle_ingest::{HubConfig, IngestHub, Priority};
-use webpuzzle_obs::governor;
+use webpuzzle_ingest::{HubConfig, IngestHub, NetSource, Priority};
+use webpuzzle_obs::governor::{GovernorConfig, PressureState};
+use webpuzzle_obs::{Telemetry, TelemetryConfig};
+use webpuzzle_stream::{
+    Checkpoint, SourcePosition, StreamAnalyzer, StreamConfig, Supervisor, SupervisorConfig,
+    SupervisorReport,
+};
 use webpuzzle_weblog::{LogRecord, Method};
-
-static GOV: Mutex<()> = Mutex::new(());
-
-/// Holds the serialization lock and uninstalls the governor on drop,
-/// even if the test panics.
-struct GovGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl GovGuard {
-    fn install(cfg: governor::GovernorConfig) -> Self {
-        let guard = GOV.lock().unwrap_or_else(PoisonError::into_inner);
-        governor::install(cfg);
-        GovGuard(guard)
-    }
-}
-
-impl Drop for GovGuard {
-    fn drop(&mut self) {
-        governor::uninstall();
-    }
-}
 
 fn rec(t: f64, client: u32) -> LogRecord {
     LogRecord::new(t, client, Method::Get, 0, 200, 0)
 }
 
-/// Force the governor to the given state via session pressure.
-/// `evaluate` walks one stage per call, so Red takes two rounds.
-fn force(sessions: u64, want: governor::PressureState) {
-    governor::set_sessions(sessions);
-    governor::evaluate();
-    if governor::state() != want {
-        governor::evaluate();
+/// A run's observatory whose governor (16-session budget) is forced to
+/// `want` via session pressure. `evaluate` walks one stage per call, so
+/// Red takes two rounds.
+fn governed(sessions: u64, want: PressureState) -> Telemetry {
+    let telemetry = Telemetry::new(TelemetryConfig {
+        governor: Some(GovernorConfig {
+            session_budget: 16,
+            ..GovernorConfig::default()
+        }),
+        ..TelemetryConfig::default()
+    });
+    let governor = telemetry.governor().expect("a governor");
+    governor.set_sessions(sessions);
+    governor.evaluate();
+    if governor.state() != want {
+        governor.evaluate();
     }
-    assert_eq!(governor::state(), want, "could not force governor state");
+    assert_eq!(governor.state(), want, "could not force governor state");
+    telemetry
 }
 
 fn conservation(stats: &webpuzzle_ingest::HubStats, sent: u64) {
@@ -65,14 +59,9 @@ fn conservation(stats: &webpuzzle_ingest::HubStats, sent: u64) {
 /// Normal source is untouched; every record is accounted somewhere.
 #[test]
 fn yellow_sheds_low_priority_proportionally() {
-    let _gov = GovGuard::install(governor::GovernorConfig {
-        session_budget: 16,
-        ..governor::GovernorConfig::default()
-    });
-    force(12, governor::PressureState::Yellow);
-
     let h = IngestHub::new(HubConfig {
         expected_sources: Some(2),
+        telemetry: governed(12, PressureState::Yellow),
         ..HubConfig::default()
     });
     let low = h.register_source_with("low", Priority::Low).unwrap();
@@ -98,16 +87,11 @@ fn yellow_sheds_low_priority_proportionally() {
 /// High never (the engine's own hard shed is the layer above).
 #[test]
 fn red_sheds_all_low_and_normal_proportionally_but_never_high() {
-    let _gov = GovGuard::install(governor::GovernorConfig {
-        session_budget: 16,
-        ..governor::GovernorConfig::default()
-    });
     // 15/16 = 0.9375: above red_enter and float-exact under repeated
     // accumulation.
-    force(15, governor::PressureState::Red);
-
     let h = IngestHub::new(HubConfig {
         expected_sources: Some(3),
+        telemetry: governed(15, PressureState::Red),
         ..HubConfig::default()
     });
     let low = h.register_source_with("low", Priority::Low).unwrap();
@@ -130,12 +114,10 @@ fn red_sheds_all_low_and_normal_proportionally_but_never_high() {
     conservation(&stats, 3 * n);
 }
 
-/// With no governor installed (or after relaxing back to Green) the
-/// admission path sheds nothing: the fast path is untouched.
+/// With no governor (or after relaxing back to Green) the admission
+/// path sheds nothing: the fast path is untouched.
 #[test]
 fn green_or_uninstalled_sheds_nothing() {
-    let _guard = GOV.lock().unwrap_or_else(PoisonError::into_inner);
-    governor::uninstall();
     let h = IngestHub::new(HubConfig {
         expected_sources: Some(1),
         ..HubConfig::default()
@@ -149,4 +131,104 @@ fn green_or_uninstalled_sheds_nothing() {
     assert_eq!(stats.breaker_dropped, 0);
     assert_eq!(stats.admitted, 50);
     conservation(&stats, 50);
+}
+
+/// Push `records` from one Normal source, then drain the hub through a
+/// supervised engine configured by `cfg`, calling `on_record` after
+/// every record.
+fn supervised(
+    hub: &Arc<IngestHub>,
+    records: &[LogRecord],
+    cfg: SupervisorConfig,
+    resume: Option<Checkpoint>,
+    on_record: impl FnMut(&StreamAnalyzer) + 'static,
+) -> SupervisorReport {
+    let source = hub.register_source_with("src", Priority::Normal).unwrap();
+    source.push_batch(records);
+    drop(source);
+    let factory = {
+        let hub = Arc::clone(hub);
+        move |_: &SourcePosition| -> webpuzzle_stream::Result<NetSource> {
+            Ok(NetSource::new(Arc::clone(&hub)))
+        }
+    };
+    let supervisor = Supervisor::new(StreamConfig::default(), cfg, factory);
+    match resume {
+        Some(ck) => supervisor.with_resume(ck),
+        None => supervisor,
+    }
+    .on_record(Box::new(on_record))
+    .run()
+    .expect("supervised run")
+}
+
+/// A checkpoint written in Red, resumed by a run without a governor:
+/// there is no stage to restore, so neither the hub nor the engine
+/// sheds anything for pressure, and the next checkpoint stores Green.
+#[test]
+fn resume_without_a_governor_sheds_nothing() {
+    let dir = std::env::temp_dir().join(format!("webpuzzle-admission-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (first_path, resumed_path) = (dir.join("first.ck"), dir.join("resumed.ck"));
+    let checkpointing = |path: &std::path::Path| SupervisorConfig {
+        checkpoint_path: Some(path.to_path_buf()),
+        checkpoint_every_records: 50,
+        ..SupervisorConfig::default()
+    };
+
+    let first_hub = IngestHub::new(HubConfig {
+        expected_sources: Some(1),
+        ..HubConfig::default()
+    });
+    let warmup: Vec<LogRecord> = (0..100).map(|i| rec(f64::from(i), i % 7)).collect();
+    supervised(
+        &first_hub,
+        &warmup,
+        checkpointing(&first_path),
+        None,
+        |_| {},
+    );
+    let mut ck = Checkpoint::load(&first_path).expect("first checkpoint");
+    ck.governor_state = PressureState::Red.code();
+    ck.engine.degradation_mode = PressureState::Red.code();
+
+    let hub = IngestHub::new(HubConfig {
+        expected_sources: Some(2),
+        admit_floor: ck.engine.sessionizer.watermark,
+        // Release the opener without waiting out the default 5 s for
+        // the second source.
+        stall_grace: Some(std::time::Duration::from_millis(10)),
+        ..HubConfig::default()
+    });
+    hub.set_baseline(ck.source);
+    // One record opens the resumed stream. The Low source connects only
+    // once the resumed engine runs, as a live sender would, and brings
+    // new clients, which an engine still in Red would hard-shed.
+    let mut low: Option<Vec<LogRecord>> = Some(
+        (1..=200)
+            .map(|i| rec(1_000.0 + f64::from(i), 100 + i % 13))
+            .collect(),
+    );
+    let late_hub = Arc::clone(&hub);
+    let report = supervised(
+        &hub,
+        &[rec(1_000.0, 99)],
+        checkpointing(&resumed_path),
+        Some(ck),
+        move |_| {
+            if let Some(records) = low.take() {
+                let source = late_hub.register_source_with("low", Priority::Low).unwrap();
+                source.push_batch(&records);
+            }
+        },
+    );
+
+    let stats = hub.stats();
+    assert_eq!(stats.pressure_shed, 0, "{stats:?}");
+    assert_eq!(stats.admitted, 201, "{stats:?}");
+    assert_eq!(report.summary.hard_shed_records, 0);
+    assert_eq!(report.summary.records, 301);
+    let next = Checkpoint::load(&resumed_path).expect("resumed checkpoint");
+    assert_eq!(next.governor_state, 0, "no governor checkpoints Green");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,6 +12,9 @@ use webpuzzle_ingest::{bind, ConnConfig, HubConfig, IngestHub};
 use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
 use webpuzzle_weblog::{LogRecord, Method};
 
+/// The hubs here share the process-wide metrics registry, where each
+/// source registers and retires its gauges by connection name;
+/// serialize the tests.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn line(t: f64, client: u32) -> String {

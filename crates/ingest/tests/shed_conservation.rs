@@ -10,14 +10,14 @@
 //! ```
 //!
 //! This is the invariant the chaos gate asserts at the binary level;
-//! here it is driven with randomized inputs at the API level. The test
-//! installs the process-global governor, so it lives in its own
-//! integration binary (one process, one test) and needs no lock.
+//! here it is driven with randomized inputs at the API level. Each case
+//! gives its hub a run's own governor, so it needs no lock.
 
 use proptest::prelude::*;
 
 use webpuzzle_ingest::{HubConfig, HubStats, IngestHub, Priority};
-use webpuzzle_obs::governor;
+use webpuzzle_obs::governor::GovernorConfig;
+use webpuzzle_obs::{Telemetry, TelemetryConfig};
 use webpuzzle_weblog::{LogRecord, Method};
 
 fn rec(t: f64, client: u32) -> LogRecord {
@@ -32,13 +32,23 @@ fn priority_of(code: u8) -> Priority {
     }
 }
 
-/// Walk the governor's one-stage-per-evaluation machine until it
-/// settles for the given session load (two rounds reach Red from
-/// Green; extra rounds are no-ops).
-fn settle(sessions: u64) {
-    governor::set_sessions(sessions);
-    governor::evaluate();
-    governor::evaluate();
+/// A run's observatory with a 16-session governor budget, its
+/// one-stage-per-evaluation machine walked until it settles for the
+/// given session load (two rounds reach Red from Green; extra rounds
+/// are no-ops).
+fn settled(sessions: u64) -> Telemetry {
+    let telemetry = Telemetry::new(TelemetryConfig {
+        governor: Some(GovernorConfig {
+            session_budget: 16,
+            ..GovernorConfig::default()
+        }),
+        ..TelemetryConfig::default()
+    });
+    let governor = telemetry.governor().expect("a governor");
+    governor.set_sessions(sessions);
+    governor.evaluate();
+    governor.evaluate();
+    telemetry
 }
 
 fn accounted(stats: &HubStats) -> u64 {
@@ -71,17 +81,15 @@ proptest! {
         gov_sessions in 0u64..20,
         finish_before_last in any::<bool>(),
     ) {
-        governor::uninstall();
-        if gov_sessions < 19 {
-            governor::install(governor::GovernorConfig {
-                session_budget: 16,
-                ..governor::GovernorConfig::default()
-            });
-            settle(gov_sessions);
-        }
+        let telemetry = if gov_sessions < 19 {
+            settled(gov_sessions)
+        } else {
+            Telemetry::default()
+        };
 
         let hub = IngestHub::new(HubConfig {
             expected_sources: Some(prios.len() as u64),
+            telemetry,
             ..HubConfig::default()
         });
         let handles: Vec<_> = prios
@@ -119,7 +127,5 @@ proptest! {
             "conservation violated: {:?}",
             stats
         );
-
-        governor::uninstall();
     }
 }

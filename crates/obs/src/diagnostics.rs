@@ -9,14 +9,11 @@
 //! (Faÿ–Roueff–Soulier 2007).
 //!
 //! The producing engine fills [`WindowDiagnostics`] rows and publishes
-//! a [`DiagnosticsReport`] into the process-wide slot via
-//! [`set_current`]; the telemetry server's `/diagnostics` endpoint and
-//! [`crate::report::RunReport::collect`] read it back with
-//! [`current`]. Like the metrics registry, the slot is process-global
-//! and cleared by [`crate::reset`].
+//! a [`DiagnosticsReport`] into its run's [`crate::Telemetry`] via
+//! [`crate::Telemetry::set_diagnostics`]; the telemetry server's
+//! `/diagnostics` endpoint and the run report read it back from there.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Version stamp written into every [`DiagnosticsReport`]. Bump when
 /// the shape of the report changes incompatibly.
@@ -145,28 +142,6 @@ impl DiagnosticsReport {
     }
 }
 
-static CURRENT: Mutex<Option<DiagnosticsReport>> = Mutex::new(None);
-
-/// Publish `report` as the process-wide current diagnostics block.
-///
-/// The engine calls this at every window close (and once at finish), so
-/// `/diagnostics` and `/report` observe diagnostics as they accrue.
-pub fn set_current(report: DiagnosticsReport) {
-    let mut slot = CURRENT.lock().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(report);
-}
-
-/// The current diagnostics block, if any producer has published one.
-pub fn current() -> Option<DiagnosticsReport> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Clear the slot (part of [`crate::reset`]).
-pub fn reset() {
-    let mut slot = CURRENT.lock().unwrap_or_else(|e| e.into_inner());
-    *slot = None;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +172,19 @@ mod tests {
 
     #[test]
     fn slot_round_trips_and_resets() {
-        reset();
-        assert!(current().is_none());
+        let t = crate::Telemetry::default();
+        assert!(t.diagnostics().is_none());
         let mut report = DiagnosticsReport::empty(true, 0.95);
         report.windows.push(row(0));
         report.final_verdict = AgreementVerdict::Agree;
-        set_current(report.clone());
-        assert_eq!(current(), Some(report));
-        reset();
-        assert!(current().is_none());
+        t.set_diagnostics(report.clone());
+        assert_eq!(
+            t.clone().diagnostics(),
+            Some(report),
+            "clones share the slot"
+        );
+        // A new run starts with an empty slot.
+        assert!(crate::Telemetry::default().diagnostics().is_none());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Process-wide overload governor: staged degradation under pressure.
+//! The overload governor of one run: staged degradation under pressure.
 //!
 //! The repo can *detect* overload (drift observatory, SLO burn rates)
 //! and *recover* from crashes (supervisor, checkpoints), but sustained
 //! overload needs an answer of its own: heavy-tailed object sizes and
 //! long-range-dependent arrivals make overload a recurring regime, not
-//! a tail event. The [`PressureGovernor`] tracks a global budget over
+//! a tail event. The [`Governor`] tracks one run's budget over
 //! the three quantities that actually bound process memory —
 //!
 //! - open-session occupancy in the sessionizer,
@@ -32,14 +32,14 @@
 //! sheds lowest-priority records proportionally under pressure, the
 //! engine samples estimator input under Yellow and hard-sheds under
 //! Red (see `DESIGN.md` §16). The hot-path contract is one relaxed
-//! atomic load per check ([`state`]); evaluation itself runs on the
+//! atomic load per check ([`Governor::state`]); evaluation itself runs on the
 //! telemetry cadence and on the engine's 64-record health tick.
 //!
-//! When no governor is installed every query returns
-//! [`PressureState::Green`] and consumers degrade nothing — a plain
-//! file-analysis run pays one atomic load and nothing else.
+//! A run without governor budgets has no [`Governor`] in its
+//! [`crate::Telemetry`]: consumers find `None`, degrade nothing and
+//! checkpoint Green — a plain file-analysis run pays one `None` check.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crate::events::{self, Event, Severity};
@@ -121,82 +121,23 @@ impl Default for GovernorConfig {
     }
 }
 
-// Global slots. Inputs are plain relaxed atomics — each is a standalone
-// monitoring value, never used to publish other memory. Transitions are
-// serialized by `TRANSITION` so concurrent evaluators cannot publish
-// duplicate or out-of-order state-change events.
-static INSTALLED: AtomicBool = AtomicBool::new(false);
-static STATE: AtomicU8 = AtomicU8::new(0);
-static PRESSURE: AtomicU64 = AtomicU64::new(0);
-static SESSIONS_USED: AtomicU64 = AtomicU64::new(0);
-static QUEUE_BYTES_USED: AtomicU64 = AtomicU64::new(0);
-static MEMORY_BYTES_USED: AtomicU64 = AtomicU64::new(0);
-static TRANSITION: Mutex<Option<GovernorConfig>> = Mutex::new(None);
-
-/// Install (replacing any prior) the process-global governor. Resets
-/// the state to Green and publishes the initial gauges.
-pub fn install(cfg: GovernorConfig) {
-    let mut guard = TRANSITION.lock().expect("governor poisoned");
-    SESSIONS_USED.store(0, Ordering::Relaxed);
-    QUEUE_BYTES_USED.store(0, Ordering::Relaxed);
-    MEMORY_BYTES_USED.store(0, Ordering::Relaxed);
-    STATE.store(PressureState::Green.code(), Ordering::Relaxed);
-    PRESSURE.store(0f64.to_bits(), Ordering::Relaxed);
-    *guard = Some(cfg);
-    INSTALLED.store(true, Ordering::Relaxed);
-    metrics::gauge("governor/state").set(0.0);
-    metrics::gauge("governor/pressure").set(0.0);
+/// The overload governor of one run, held by its
+/// [`crate::Telemetry`]. Inputs are plain relaxed atomics — each is a
+/// standalone monitoring value, never used to publish other memory.
+/// Transitions are serialized by `transition` so concurrent evaluators
+/// cannot publish duplicate or out-of-order state-change events.
+#[derive(Debug)]
+pub struct Governor {
+    cfg: GovernorConfig,
+    state: AtomicU8,
+    pressure: AtomicU64,
+    /// Amounts in use, in [`INPUTS`] order.
+    used: [AtomicU64; 3],
+    transition: Mutex<()>,
 }
 
-/// Remove the governor; [`state`] returns Green afterwards.
-pub fn uninstall() {
-    let mut guard = TRANSITION.lock().expect("governor poisoned");
-    *guard = None;
-    INSTALLED.store(false, Ordering::Relaxed);
-    STATE.store(PressureState::Green.code(), Ordering::Relaxed);
-    PRESSURE.store(0f64.to_bits(), Ordering::Relaxed);
-}
-
-/// Whether a governor is installed.
-pub fn is_installed() -> bool {
-    INSTALLED.load(Ordering::Relaxed)
-}
-
-/// Current degradation state — one relaxed atomic load, the whole
-/// hot-path cost of the governor. Green when none is installed.
-pub fn state() -> PressureState {
-    PressureState::from_code(STATE.load(Ordering::Relaxed))
-}
-
-/// Current pressure score in `[0, ∞)` (1.0 = some input exactly at
-/// budget). 0 when no governor is installed.
-pub fn pressure() -> f64 {
-    f64::from_bits(PRESSURE.load(Ordering::Relaxed))
-}
-
-/// Report current open-session occupancy (the engine's health tick).
-pub fn set_sessions(used: u64) {
-    SESSIONS_USED.store(used, Ordering::Relaxed);
-}
-
-/// Report current buffered bytes across ingest queues.
-pub fn set_queue_bytes(used: u64) {
-    QUEUE_BYTES_USED.store(used, Ordering::Relaxed);
-}
-
-/// Report current telemetry-store memory (the tsdb sample pass).
-pub fn set_memory_bytes(used: u64) {
-    MEMORY_BYTES_USED.store(used, Ordering::Relaxed);
-}
-
-/// Force the state (checkpoint restore): the resumed process starts
-/// from the degradation stage the killed one was in, rather than
-/// re-admitting a flood it had already shed. No transition event is
-/// published — restoring is not a regime change.
-pub fn restore_state(code: u8) {
-    STATE.store(PressureState::from_code(code).code(), Ordering::Relaxed);
-    metrics::gauge("governor/state").set(f64::from(PressureState::from_code(code).code()));
-}
+/// The governor's inputs, as named in transition events.
+const INPUTS: [&str; 3] = ["sessions", "queue_bytes", "memory_bytes"];
 
 fn ratio(used: u64, budget: u64) -> f64 {
     if budget == 0 {
@@ -206,90 +147,126 @@ fn ratio(used: u64, budget: u64) -> f64 {
     }
 }
 
-/// Re-evaluate pressure against the budgets and walk the state machine
-/// one step (states never skip a stage in a single evaluation, so every
-/// transition is observable). Publishes gauges always and a typed event
-/// on each transition. Returns the post-evaluation state.
-///
-/// Cheap enough for a 64-record cadence: three atomic loads, three
-/// divisions, and a mutex that is uncontended outside transitions.
-pub fn evaluate() -> PressureState {
-    if !is_installed() {
-        return PressureState::Green;
+impl Governor {
+    /// A governor in Green with every input at zero; publishes the
+    /// initial gauges.
+    pub(crate) fn new(cfg: GovernorConfig) -> Governor {
+        metrics::gauge("governor/state").set(0.0);
+        metrics::gauge("governor/pressure").set(0.0);
+        Governor {
+            cfg,
+            state: AtomicU8::new(PressureState::Green.code()),
+            pressure: AtomicU64::new(0f64.to_bits()),
+            used: Default::default(),
+            transition: Mutex::new(()),
+        }
     }
-    let guard = TRANSITION.lock().expect("governor poisoned");
-    let Some(cfg) = guard.as_ref() else {
-        return PressureState::Green;
-    };
-    let inputs = [
-        (
-            "sessions",
-            ratio(SESSIONS_USED.load(Ordering::Relaxed), cfg.session_budget),
-        ),
-        (
-            "queue_bytes",
-            ratio(
-                QUEUE_BYTES_USED.load(Ordering::Relaxed),
-                cfg.queue_bytes_budget,
-            ),
-        ),
-        (
-            "memory_bytes",
-            ratio(
-                MEMORY_BYTES_USED.load(Ordering::Relaxed),
-                cfg.memory_budget_bytes,
-            ),
-        ),
-    ];
-    let (dominant, pressure) = inputs
-        .iter()
-        .copied()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite ratios"))
-        .expect("non-empty inputs");
-    PRESSURE.store(pressure.to_bits(), Ordering::Relaxed);
-    metrics::gauge("governor/pressure").set(pressure);
 
-    let before = PressureState::from_code(STATE.load(Ordering::Relaxed));
-    let after = match before {
-        PressureState::Green if pressure >= cfg.yellow_enter => PressureState::Yellow,
-        PressureState::Yellow if pressure >= cfg.red_enter => PressureState::Red,
-        PressureState::Yellow if pressure < cfg.yellow_exit => PressureState::Green,
-        PressureState::Red if pressure < cfg.red_exit => PressureState::Yellow,
-        same => same,
-    };
-    if after != before {
-        STATE.store(after.code(), Ordering::Relaxed);
-        metrics::gauge("governor/state").set(f64::from(after.code()));
-        metrics::counter("governor/transitions").incr();
-        let severity = match after {
-            PressureState::Green => Severity::Info,
-            PressureState::Yellow => Severity::Warn,
-            PressureState::Red => Severity::Critical,
-        };
-        let threshold = match (before, after) {
-            (PressureState::Green, _) => cfg.yellow_enter,
-            (PressureState::Yellow, PressureState::Red) => cfg.red_enter,
-            (PressureState::Yellow, _) => cfg.yellow_exit,
-            (PressureState::Red, _) => cfg.red_exit,
-        };
-        events::publish(Event::new(
-            severity,
-            "governor",
-            "governor/state",
-            0,
-            0.0,
-            f64::from(before.code()),
-            f64::from(after.code()),
-            pressure,
-            threshold,
-            format!(
-                "overload governor {} -> {} (pressure {pressure:.3}, dominant input {dominant})",
-                before.as_str(),
-                after.as_str(),
-            ),
-        ));
+    /// Current degradation state — one relaxed atomic load, the whole
+    /// hot-path cost of the governor.
+    pub fn state(&self) -> PressureState {
+        PressureState::from_code(self.state.load(Ordering::Relaxed))
     }
-    after
+
+    /// Current pressure score in `[0, ∞)` (1.0 = some input exactly at
+    /// budget).
+    pub fn pressure(&self) -> f64 {
+        f64::from_bits(self.pressure.load(Ordering::Relaxed))
+    }
+
+    /// Report current open-session occupancy (the engine's health tick).
+    pub fn set_sessions(&self, used: u64) {
+        self.used[0].store(used, Ordering::Relaxed);
+    }
+
+    /// Report current buffered bytes across ingest queues.
+    pub fn set_queue_bytes(&self, used: u64) {
+        self.used[1].store(used, Ordering::Relaxed);
+    }
+
+    /// Report current telemetry-store memory (the history sample pass).
+    pub(crate) fn set_memory_bytes(&self, used: u64) {
+        self.used[2].store(used, Ordering::Relaxed);
+    }
+
+    /// Force the state (checkpoint restore): the resumed process starts
+    /// from the degradation stage the killed one was in, rather than
+    /// re-admitting a flood it had already shed. No transition event is
+    /// published — restoring is not a regime change.
+    pub fn restore_state(&self, code: u8) {
+        let state = PressureState::from_code(code);
+        self.state.store(state.code(), Ordering::Relaxed);
+        metrics::gauge("governor/state").set(f64::from(state.code()));
+    }
+
+    /// Re-evaluate pressure against the budgets and walk the state
+    /// machine one step (states never skip a stage in a single
+    /// evaluation, so every transition is observable). Publishes gauges
+    /// always and a typed event on each transition. Returns the
+    /// post-evaluation state.
+    ///
+    /// Cheap enough for a 64-record cadence: three atomic loads, three
+    /// divisions, and a mutex that is uncontended outside transitions.
+    pub fn evaluate(&self) -> PressureState {
+        let _transition = self.transition.lock().expect("governor poisoned");
+        let cfg = &self.cfg;
+        let budgets = [
+            cfg.session_budget,
+            cfg.queue_bytes_budget,
+            cfg.memory_budget_bytes,
+        ];
+        let (dominant, pressure) = INPUTS
+            .into_iter()
+            .zip(&self.used)
+            .zip(budgets)
+            .map(|((name, used), budget)| (name, ratio(used.load(Ordering::Relaxed), budget)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite ratios"))
+            .expect("non-empty inputs");
+        self.pressure.store(pressure.to_bits(), Ordering::Relaxed);
+        metrics::gauge("governor/pressure").set(pressure);
+
+        let before = self.state();
+        let after = match before {
+            PressureState::Green if pressure >= cfg.yellow_enter => PressureState::Yellow,
+            PressureState::Yellow if pressure >= cfg.red_enter => PressureState::Red,
+            PressureState::Yellow if pressure < cfg.yellow_exit => PressureState::Green,
+            PressureState::Red if pressure < cfg.red_exit => PressureState::Yellow,
+            same => same,
+        };
+        if after != before {
+            self.state.store(after.code(), Ordering::Relaxed);
+            metrics::gauge("governor/state").set(f64::from(after.code()));
+            metrics::counter("governor/transitions").incr();
+            let severity = match after {
+                PressureState::Green => Severity::Info,
+                PressureState::Yellow => Severity::Warn,
+                PressureState::Red => Severity::Critical,
+            };
+            let threshold = match (before, after) {
+                (PressureState::Green, _) => cfg.yellow_enter,
+                (PressureState::Yellow, PressureState::Red) => cfg.red_enter,
+                (PressureState::Yellow, _) => cfg.yellow_exit,
+                (PressureState::Red, _) => cfg.red_exit,
+            };
+            events::publish(Event::new(
+                severity,
+                "governor",
+                "governor/state",
+                0,
+                0.0,
+                f64::from(before.code()),
+                f64::from(after.code()),
+                pressure,
+                threshold,
+                format!(
+                    "overload governor {} -> {} (pressure {pressure:.3}, dominant input {dominant})",
+                    before.as_str(),
+                    after.as_str(),
+                ),
+            ));
+        }
+        after
+    }
 }
 
 #[cfg(test)]
@@ -307,47 +284,51 @@ mod tests {
 
     #[test]
     fn uninstalled_governor_is_always_green() {
+        // A run without budgets has no governor to degrade anything.
+        assert!(crate::Telemetry::default().governor().is_none());
+        // Governors publish the `governor/*` gauges into the registry.
         let _lock = crate::global_test_lock();
-        uninstall();
-        set_sessions(u64::MAX);
-        assert_eq!(state(), PressureState::Green);
-        assert_eq!(evaluate(), PressureState::Green);
-        assert_eq!(pressure(), 0.0);
+        let gov = Governor::new(base_cfg());
+        gov.set_sessions(u64::MAX);
+        assert_eq!(
+            gov.state(),
+            PressureState::Green,
+            "inputs alone move nothing"
+        );
+        assert_eq!(gov.pressure(), 0.0);
     }
 
     #[test]
     fn pressure_is_the_max_ratio_and_zero_budgets_are_ignored() {
         let _lock = crate::global_test_lock();
-        install(base_cfg());
-        set_sessions(50); // 0.5
-        set_queue_bytes(300); // 0.3
-        set_memory_bytes(u64::MAX); // budget 0: ignored
-        assert_eq!(evaluate(), PressureState::Green);
-        assert!((pressure() - 0.5).abs() < 1e-12);
-        uninstall();
+        let gov = Governor::new(base_cfg());
+        gov.set_sessions(50); // 0.5
+        gov.set_queue_bytes(300); // 0.3
+        gov.set_memory_bytes(u64::MAX); // budget 0: ignored
+        assert_eq!(gov.evaluate(), PressureState::Green);
+        assert!((gov.pressure() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn escalation_walks_one_stage_at_a_time_with_hysteresis() {
         let _lock = crate::global_test_lock();
-        install(base_cfg());
+        let gov = Governor::new(base_cfg());
         // Straight to over-red pressure: first evaluation only reaches
         // Yellow, the next one Red — no stage is skipped.
-        set_sessions(95);
-        assert_eq!(evaluate(), PressureState::Yellow);
-        assert_eq!(evaluate(), PressureState::Red);
-        assert_eq!(state(), PressureState::Red);
+        gov.set_sessions(95);
+        assert_eq!(gov.evaluate(), PressureState::Yellow);
+        assert_eq!(gov.evaluate(), PressureState::Red);
+        assert_eq!(gov.state(), PressureState::Red);
         // Between red_exit and red_enter: Red holds (hysteresis).
-        set_sessions(85);
-        assert_eq!(evaluate(), PressureState::Red);
+        gov.set_sessions(85);
+        assert_eq!(gov.evaluate(), PressureState::Red);
         // Below red_exit: back to Yellow; holds above yellow_exit.
-        set_sessions(65);
-        assert_eq!(evaluate(), PressureState::Yellow);
-        assert_eq!(evaluate(), PressureState::Yellow);
+        gov.set_sessions(65);
+        assert_eq!(gov.evaluate(), PressureState::Yellow);
+        assert_eq!(gov.evaluate(), PressureState::Yellow);
         // Below yellow_exit: recovered.
-        set_sessions(10);
-        assert_eq!(evaluate(), PressureState::Green);
-        uninstall();
+        gov.set_sessions(10);
+        assert_eq!(gov.evaluate(), PressureState::Green);
     }
 
     #[test]
@@ -355,13 +336,13 @@ mod tests {
         let _lock = crate::global_test_lock();
         crate::events::reset();
         let transitions_before = metrics::counter("governor/transitions").get();
-        install(base_cfg());
-        set_queue_bytes(950);
-        evaluate(); // -> Yellow
-        evaluate(); // -> Red
-        set_queue_bytes(0);
-        evaluate(); // -> Yellow
-        evaluate(); // -> Green
+        let gov = Governor::new(base_cfg());
+        gov.set_queue_bytes(950);
+        gov.evaluate(); // -> Yellow
+        gov.evaluate(); // -> Red
+        gov.set_queue_bytes(0);
+        gov.evaluate(); // -> Yellow
+        gov.evaluate(); // -> Green
         let evs: Vec<_> = crate::events::since(0)
             .into_iter()
             .filter(|e| e.detector == "governor")
@@ -377,7 +358,6 @@ mod tests {
             metrics::counter("governor/transitions").get() - transitions_before,
             4
         );
-        uninstall();
     }
 
     #[test]
@@ -390,9 +370,8 @@ mod tests {
             assert_eq!(PressureState::from_code(s.code()), s);
         }
         let _lock = crate::global_test_lock();
-        install(base_cfg());
-        restore_state(PressureState::Yellow.code());
-        assert_eq!(state(), PressureState::Yellow);
-        uninstall();
+        let gov = Governor::new(base_cfg());
+        gov.restore_state(PressureState::Yellow.code());
+        assert_eq!(gov.state(), PressureState::Yellow);
     }
 }

@@ -45,10 +45,22 @@
 //! - **SLOs** ([`slo`]): burn-rate objectives loaded from `slo.toml`,
 //!   evaluated multi-window over the history rings, publishing `slo/*`
 //!   events and a deep-health rollup served at `/healthz?deep=1`.
-//! - **Overload governor** ([`governor`]): a process-wide pressure
-//!   budget over sessionizer occupancy, ingest queue bytes, and
-//!   telemetry memory, staged Green/Yellow/Red with hysteresis,
-//!   driving priority-aware shedding and honest engine degradation.
+//! - **Overload governor** ([`governor`]): a pressure budget over
+//!   sessionizer occupancy, ingest queue bytes, and telemetry memory,
+//!   staged Green/Yellow/Red with hysteresis, driving priority-aware
+//!   shedding and honest engine degradation.
+//!
+//! # Run-scoped and process-wide state
+//!
+//! A run's history store and sampler, SLO judge, governor and latest
+//! diagnostics block live in its [`Telemetry`] handle, which the
+//! binaries build from their flags and pass to the ingest hub, the
+//! supervisor (and so to every engine) and [`serve`]. The metrics
+//! registry, the event ring and its JSONL sink, the message sink, the
+//! span arena and the flight recorder stay process-wide: library
+//! numerics write to them without a handle. [`shutdown`]'s flag is
+//! process-wide because a signal handler sets it. [`reset`] clears the
+//! process-wide parts between analyses.
 //!
 //! ```
 //! use webpuzzle_obs as obs;
@@ -79,38 +91,33 @@ pub mod shutdown;
 pub mod sink;
 pub mod slo;
 pub mod spans;
+pub mod telemetry;
 pub mod tsdb;
 
 pub use progress::ProgressMeter;
 pub use report::RunReport;
-pub use server::{serve, serve_with_limits, ReportContext, TelemetryServer};
+pub use server::{serve, ReportContext, TelemetryServer};
 pub use sharded::ShardedCounter;
 pub use sink::{
     clear_sink, info, set_sink, warn, Event, EventSink, JsonSink, Level, NullSink, StderrSink,
 };
+pub use telemetry::{Telemetry, TelemetryConfig};
 
-/// Reset spans, metrics, the drift-event ring, the flight recorder,
-/// the diagnostics slot, the telemetry-history store, and the SLO
-/// engine (the message sink and any JSONL event sink are left
-/// installed).
+/// Reset spans, metrics, the drift-event ring, and the flight recorder
+/// (the message sink and any JSONL event sink are left installed).
 ///
 /// For tests and tools that run several independent analyses in one
-/// process.
+/// process; run-scoped state goes with its [`Telemetry`] handle.
 pub fn reset() {
     spans::reset();
     metrics::reset();
     events::reset();
     profile::reset();
-    diagnostics::reset();
-    tsdb::uninstall();
-    slo::uninstall();
-    governor::uninstall();
 }
 
-/// Serializes tests that mutate process-global observability state
-/// (the metrics registry, the event ring, the global tsdb/SLO
-/// singletons). Lock poisoning is ignored: a failed test must not
-/// cascade into unrelated ones.
+/// Serializes tests that read back the process-wide metrics registry or
+/// event ring. Lock poisoning is ignored: a failed test must not cascade
+/// into unrelated ones.
 #[cfg(test)]
 pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -100,10 +100,10 @@ pub struct RunReport {
     pub gauges: Vec<GaugeReport>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramReport>,
-    /// Estimator confidence/agreement evidence published by the
-    /// streaming engine via [`crate::diagnostics::set_current`]
-    /// (absent in reports from tools that never publish it and in
-    /// reports written before diagnostics existed).
+    /// Estimator confidence/agreement evidence the streaming engine
+    /// published into its run's [`crate::Telemetry`] (absent in reports
+    /// from tools that never publish it and in reports written before
+    /// diagnostics existed).
     pub diagnostics: Option<crate::diagnostics::DiagnosticsReport>,
     /// End-of-run SLO verdict: deep-health rollup, burn rates, and
     /// alert counts per objective (absent unless the run enabled
@@ -129,7 +129,8 @@ fn build_span_tree(stats: &[spans::SpanStat]) -> Vec<SpanReport> {
 }
 
 impl RunReport {
-    /// Snapshot the global span arena and metrics registry.
+    /// Snapshot the global span arena and metrics registry; the
+    /// run-scoped blocks come from [`crate::Telemetry::run_report`].
     pub fn collect(tool: &str, seed: Option<u64>, config: Value, args: Vec<String>) -> Self {
         let created_unix = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -154,8 +155,8 @@ impl RunReport {
                 .map(|(name, value)| GaugeReport { name, value })
                 .collect(),
             histograms: snapshot.histograms,
-            diagnostics: crate::diagnostics::current(),
-            slo: crate::slo::current_report(),
+            diagnostics: None,
+            slo: None,
         }
     }
 

@@ -8,10 +8,10 @@
 //!   exposition format (counters, gauges, histograms with cumulative
 //!   buckets);
 //! - `GET /healthz` — `200 ok` liveness probe; `GET /healthz?deep=1`
-//!   returns the [`crate::slo`] deep-health rollup as JSON instead
+//!   returns the run's [`crate::slo`] deep-health rollup as JSON instead
 //!   (`503` when any subsystem is critical, so a probe can alert on
 //!   status code alone);
-//! - `GET /report` — the current [`RunReport`] as JSON, collected at
+//! - `GET /report` — the current [`crate::RunReport`] as JSON, collected at
 //!   request time;
 //! - `GET /events?since=SEQ` — drift events published through
 //!   [`crate::events`] with sequence numbers above `SEQ` (default 0:
@@ -21,16 +21,19 @@
 //!   snapshot (per-stage latency histograms + slowest-record
 //!   exemplars) as JSON; `GET /profile?format=folded` returns the
 //!   collapsed-stack rendering flamegraph tooling consumes directly;
-//! - `GET /diagnostics` — the current estimator-confidence block
+//! - `GET /diagnostics` — the run's current estimator-confidence block
 //!   ([`crate::diagnostics::DiagnosticsReport`]) as JSON: per-window
 //!   CIs, Hill-plateau evidence, and agreement verdicts;
 //! - `GET /timeseries?metric=NAME&since=TICK&step=MS` — a range query
-//!   against the in-process telemetry history ([`crate::tsdb`], when
-//!   `--telemetry-history` installed it): points after the `since`
+//!   against the run's telemetry history ([`crate::tsdb`], when
+//!   `--telemetry-history` asked for it): points after the `since`
 //!   cursor, from the dense tier (`step` ≤ the sampling interval) or
 //!   the downsampled coarse tier (larger `step`, min/max per bucket).
 //!   Without `metric=` it lists the stored series and the store's
 //!   memory accounting.
+//!
+//! The run-scoped answers come from the [`Telemetry`] handle the server
+//! is started with.
 //!
 //! The server is deliberately minimal: one handler thread, one request
 //! per connection (`Connection: close`), no TLS, no keep-alive — it
@@ -50,7 +53,8 @@ use serde::Value;
 use crate::events;
 use crate::http::{self, HttpError, HttpLimits};
 use crate::metrics::{self, MetricsSnapshot};
-use crate::report::RunReport;
+use crate::telemetry::Telemetry;
+use crate::tsdb::Tsdb;
 
 /// Identity baked into `/report` responses (the report itself is
 /// re-collected from the live span arena and metrics registry on every
@@ -108,27 +112,19 @@ impl TelemetryServer {
     }
 }
 
-/// Start the telemetry server on `addr` (e.g. `"127.0.0.1:9184"`; use
-/// port `0` for an ephemeral port, then read it back via
-/// [`TelemetryServer::local_addr`]).
+/// Start the telemetry server for the run `telemetry` observes on `addr`
+/// (e.g. `"127.0.0.1:9184"`; use port `0` for an ephemeral port, then
+/// read it back via [`TelemetryServer::local_addr`]). `limits` bounds
+/// each connection's timeouts and request size: the default 2 s limits
+/// are right for production scraping, tests use short timeouts.
 ///
 /// # Errors
 ///
 /// Propagates bind failures (port in use, bad address).
-pub fn serve(addr: &str, ctx: ReportContext) -> io::Result<TelemetryServer> {
-    serve_with_limits(addr, ctx, HttpLimits::default())
-}
-
-/// [`serve`] with explicit per-connection [`HttpLimits`] (timeouts and
-/// request-size caps). Tests use short timeouts here; the default 2 s
-/// limits are right for production scraping.
-///
-/// # Errors
-///
-/// Propagates bind failures (port in use, bad address).
-pub fn serve_with_limits(
+pub fn serve(
     addr: &str,
     ctx: ReportContext,
+    telemetry: Telemetry,
     limits: HttpLimits,
 ) -> io::Result<TelemetryServer> {
     let listener = TcpListener::bind(addr)?;
@@ -143,7 +139,7 @@ pub fn serve_with_limits(
                     break;
                 }
                 if let Ok(mut stream) = conn {
-                    let _ = handle_connection(&mut stream, &ctx, &limits);
+                    let _ = handle_connection(&mut stream, &ctx, &telemetry, &limits);
                 }
             }
         })?;
@@ -157,6 +153,7 @@ pub fn serve_with_limits(
 fn handle_connection(
     stream: &mut TcpStream,
     ctx: &ReportContext,
+    telemetry: &Telemetry,
     limits: &HttpLimits,
 ) -> io::Result<()> {
     http::apply_timeouts(stream, limits)?;
@@ -203,7 +200,7 @@ fn handle_connection(
         ),
         "/healthz" => {
             if matches!(req.query_param("deep"), Some("1") | Some("true")) {
-                let health = crate::slo::deep_health();
+                let health = telemetry.deep_health();
                 let status = if health.status == "critical" {
                     "503 Service Unavailable"
                 } else {
@@ -219,10 +216,18 @@ fn handle_connection(
                 ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())
             }
         }
-        "/timeseries" => timeseries_response(&req),
+        "/timeseries" => telemetry
+            .history(|store| timeseries_response(&req, store))
+            .unwrap_or_else(|| {
+                (
+                    "503 Service Unavailable",
+                    "text/plain; charset=utf-8",
+                    "telemetry history not enabled (run with --telemetry-history)\n".to_string(),
+                )
+            }),
         "/report" => {
             let report =
-                RunReport::collect(&ctx.tool, ctx.seed, ctx.config.clone(), ctx.args.clone());
+                telemetry.run_report(&ctx.tool, ctx.seed, ctx.config.clone(), ctx.args.clone());
             (
                 "200 OK",
                 "application/json; charset=utf-8",
@@ -259,7 +264,8 @@ fn handle_connection(
             // Serve an explicit empty (disabled) block rather than a
             // 404 when no producer has published yet, so pollers can
             // rely on the schema being present.
-            let report = crate::diagnostics::current()
+            let report = telemetry
+                .diagnostics()
                 .unwrap_or_else(|| crate::diagnostics::DiagnosticsReport::empty(false, 0.95));
             (
                 "200 OK",
@@ -286,23 +292,16 @@ fn handle_connection(
     )
 }
 
-/// Answer a `/timeseries` request against the global history store.
-fn timeseries_response(req: &http::Request) -> (&'static str, &'static str, String) {
+/// Answer a `/timeseries` request against the run's history store.
+fn timeseries_response(req: &http::Request, store: &Tsdb) -> (&'static str, &'static str, String) {
     const JSON: &str = "application/json; charset=utf-8";
     const TEXT: &str = "text/plain; charset=utf-8";
-    if !crate::tsdb::is_installed() {
-        return (
-            "503 Service Unavailable",
-            TEXT,
-            "telemetry history not enabled (run with --telemetry-history)\n".to_string(),
-        );
-    }
     let Some(metric) = req.query_param("metric") else {
         // Discovery: the stored series plus the store's accounting.
         use serde::Serialize;
         let listing = Value::Object(vec![
-            ("series".to_string(), crate::tsdb::series_names().to_value()),
-            ("stats".to_string(), crate::tsdb::stats().to_value()),
+            ("series".to_string(), store.series_names().to_value()),
+            ("stats".to_string(), store.stats().to_value()),
         ]);
         return (
             "200 OK",
@@ -318,7 +317,7 @@ fn timeseries_response(req: &http::Request) -> (&'static str, &'static str, Stri
         .query_param("step")
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
-    match crate::tsdb::query(metric, since, step_ms) {
+    match store.query(metric, since, step_ms) {
         Some(range) => (
             "200 OK",
             JSON,

@@ -32,20 +32,17 @@
 //! `tsdb/last_tick_unix` gauge rather than as a distorted time base
 //! (see DESIGN.md §15).
 //!
-//! A process-global instance is managed by [`install`] / [`sample_now`]
-//! / [`query`]; [`start_sampler`] runs the cadence on a background
-//! thread ([`SamplerHandle`]). The engine hot path is untouched: one
-//! pass locks the registry exactly as long as a `/metrics` scrape does.
+//! A run's store lives in its [`crate::Telemetry`], which takes the
+//! sample passes ([`crate::Telemetry::sample`]) and runs the cadence on
+//! a background thread. The engine hot path is untouched: one pass
+//! locks the registry exactly as long as a `/metrics` scrape does.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{self, SampleKind};
+use crate::metrics::SampleKind;
 
 /// Default sampling cadence.
 pub const DEFAULT_INTERVAL_MS: u64 = 1_000;
@@ -357,8 +354,8 @@ pub struct TsdbStats {
     pub series: u64,
     /// Estimated bytes held across all series and tiers.
     pub memory_bytes: u64,
-    /// Dense samples evicted (ring wrap + budget pressure) since
-    /// install.
+    /// Dense samples evicted (ring wrap + budget pressure) since the
+    /// store was created.
     pub evicted_samples: u64,
     /// The subset of evictions forced by the *global* memory budget —
     /// ring wraparound is by design, budget evictions mean the store is
@@ -406,9 +403,8 @@ pub struct RangeResult {
     pub points: Vec<RangePoint>,
 }
 
-/// The time-series store. Most callers use the process-global instance
-/// via [`install`]/[`sample_now`]/[`query`]; tests drive owned
-/// instances tick by tick.
+/// The time-series store. A run's instance is sampled through its
+/// [`crate::Telemetry`]; tests drive owned instances tick by tick.
 #[derive(Debug)]
 pub struct Tsdb {
     cfg: TsdbConfig,
@@ -421,7 +417,7 @@ pub struct Tsdb {
     dropped_series: u64,
 }
 
-fn now_unix_ms() -> u64 {
+pub(crate) fn now_unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -458,7 +454,7 @@ impl Tsdb {
     }
 
     /// Ingest one sample pass (one tick). `values` is the registry
-    /// read from [`metrics::sample_values`]; series absent from it are
+    /// read from [`crate::metrics::sample_values`]; series absent from it are
     /// dropped (their metric left the registry — e.g. a retired
     /// per-source gauge), which keeps every retained series tick-
     /// contiguous.
@@ -583,11 +579,6 @@ impl Tsdb {
             .and_then(|s| s.value_at_or_before(index))
     }
 
-    /// Kind of `metric`, when it has a series.
-    pub fn kind_of(&self, metric: &str) -> Option<SampleKind> {
-        self.series.get(metric).map(|s| s.kind)
-    }
-
     fn raw_to_f64(kind: SampleKind, raw: u64) -> f64 {
         match kind {
             SampleKind::Counter => raw as f64,
@@ -650,151 +641,6 @@ impl Tsdb {
                 points,
             })
         }
-    }
-}
-
-static GLOBAL: Mutex<Option<Tsdb>> = Mutex::new(None);
-
-/// Install (replacing any prior) the process-global store and publish
-/// its self-accounting metrics. Returns the interval for callers that
-/// schedule their own ticks.
-pub fn install(cfg: TsdbConfig) -> Duration {
-    let interval = cfg.interval;
-    *GLOBAL.lock().expect("tsdb poisoned") = Some(Tsdb::new(cfg));
-    interval
-}
-
-/// Remove the global store (tests and multi-run tools; [`crate::reset`]
-/// calls this).
-pub fn uninstall() {
-    *GLOBAL.lock().expect("tsdb poisoned") = None;
-}
-
-/// Whether a global store is installed.
-pub fn is_installed() -> bool {
-    GLOBAL.lock().expect("tsdb poisoned").is_some()
-}
-
-/// Take one sample pass on the global store: read the registry, ingest
-/// a tick, refresh the `tsdb/*` self-metrics. Returns the tick index,
-/// or `None` when no store is installed.
-///
-/// The registry read happens *before* the store lock is taken, so a
-/// concurrent `/timeseries` scrape never waits on the registry mutex.
-pub fn sample_now() -> Option<u64> {
-    if !is_installed() {
-        return None;
-    }
-    let values = metrics::sample_values();
-    let mut guard = GLOBAL.lock().expect("tsdb poisoned");
-    let store = guard.as_mut()?;
-    let tick = store.ingest(&values);
-    let stats = store.stats();
-    drop(guard);
-    metrics::gauge("tsdb/series").set(stats.series as f64);
-    metrics::gauge("tsdb/memory_bytes").set(stats.memory_bytes as f64);
-    metrics::gauge("tsdb/last_tick_unix").set(now_unix_ms() as f64 / 1e3);
-    if stats.evicted_samples > 0 {
-        metrics::gauge("tsdb/evicted_samples").set(stats.evicted_samples as f64);
-    }
-    // The telemetry store is one of the overload governor's memory
-    // inputs; the sample cadence doubles as its evaluation cadence so
-    // pressure is re-assessed even when the engine is idle.
-    crate::governor::set_memory_bytes(stats.memory_bytes);
-    crate::governor::evaluate();
-    Some(tick)
-}
-
-/// Range-query the global store; `None` when no store is installed or
-/// the metric has no series.
-pub fn query(metric: &str, since: u64, step_ms: u64) -> Option<RangeResult> {
-    GLOBAL
-        .lock()
-        .expect("tsdb poisoned")
-        .as_ref()
-        .and_then(|t| t.query(metric, since, step_ms))
-}
-
-/// Series names in the global store (empty when not installed).
-pub fn series_names() -> Vec<String> {
-    GLOBAL
-        .lock()
-        .expect("tsdb poisoned")
-        .as_ref()
-        .map(Tsdb::series_names)
-        .unwrap_or_default()
-}
-
-/// Global-store accounting, when installed.
-pub fn stats() -> Option<TsdbStats> {
-    GLOBAL
-        .lock()
-        .expect("tsdb poisoned")
-        .as_ref()
-        .map(Tsdb::stats)
-}
-
-/// Run `f` against the global store under its lock (the SLO engine's
-/// window evaluation path). `None` when not installed.
-pub fn with_store<R>(f: impl FnOnce(&Tsdb) -> R) -> Option<R> {
-    GLOBAL.lock().expect("tsdb poisoned").as_ref().map(f)
-}
-
-/// Handle to the background sampler thread; see [`start_sampler`].
-#[derive(Debug)]
-pub struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl SamplerHandle {
-    /// Stop the cadence thread (the global store stays installed; the
-    /// binaries take one final [`sample_now`] afterwards so the last
-    /// partial interval is never lost).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for SamplerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Install the global store under `cfg`, take an immediate first
-/// sample (tick 1 is the pre-traffic baseline — this is what makes
-/// short-run burn rates well-defined), then tick on a background
-/// thread every `cfg.interval`. After each tick the thread asks the
-/// SLO engine, when one is installed, to re-evaluate.
-pub fn start_sampler(cfg: TsdbConfig) -> SamplerHandle {
-    let interval = install(cfg);
-    sample_now();
-    crate::slo::evaluate_now();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("webpuzzle-tsdb".to_string())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                sample_now();
-                crate::slo::evaluate_now();
-            }
-        })
-        .expect("spawn tsdb sampler");
-    SamplerHandle {
-        stop,
-        handle: Some(handle),
     }
 }
 
@@ -1008,28 +854,5 @@ mod tests {
         assert_eq!(t.query("c", 10, 0).unwrap().points.len(), 2);
         assert_eq!(t.query("g", 4, 1_000).unwrap().points.len(), 2);
         assert!(t.query("missing", 0, 0).is_none());
-    }
-
-    #[test]
-    fn global_install_sample_query() {
-        let _lock = crate::global_test_lock();
-        install(TsdbConfig {
-            interval: Duration::from_millis(10),
-            ..TsdbConfig::default()
-        });
-        metrics::counter("tsdb_unit/global_counter").add(3);
-        let t1 = sample_now().unwrap();
-        metrics::counter("tsdb_unit/global_counter").add(4);
-        let t2 = sample_now().unwrap();
-        assert_eq!(t2, t1 + 1);
-        let r = query("tsdb_unit/global_counter", 0, 0).unwrap();
-        assert!(r.points.len() >= 2);
-        let last = r.points.last().unwrap();
-        assert_eq!(last.value, 7.0);
-        assert!(series_names().contains(&"tsdb_unit/global_counter".to_string()));
-        assert!(stats().unwrap().ticks >= 2);
-        uninstall();
-        assert!(sample_now().is_none());
-        assert!(query("tsdb_unit/global_counter", 0, 0).is_none());
     }
 }

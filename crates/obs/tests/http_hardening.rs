@@ -35,8 +35,13 @@ fn half_open_connection_cannot_pin_the_server() {
         max_head_bytes: 1024,
         ..HttpLimits::default()
     };
-    let server = obs::serve_with_limits("127.0.0.1:0", obs::ReportContext::default(), limits)
-        .expect("bind ephemeral port");
+    let server = obs::serve(
+        "127.0.0.1:0",
+        obs::ReportContext::default(),
+        obs::Telemetry::default(),
+        limits,
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     // A half-open client: sends a partial request line, then goes quiet

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use webpuzzle_obs as obs;
 
+/// Guards the process-wide span arena and metrics registry.
 fn global_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {

@@ -9,6 +9,7 @@ use std::sync::Mutex;
 use webpuzzle_obs as obs;
 use webpuzzle_obs::profile::{self, Stage};
 
+/// Guards the process-wide profiler and span arena.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {

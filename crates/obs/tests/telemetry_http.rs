@@ -41,8 +41,21 @@ fn serve_scrape_and_shutdown() {
         hist.record(v);
     }
 
-    let server =
-        obs::serve("127.0.0.1:0", obs::ReportContext::default()).expect("bind ephemeral port");
+    // The run's history store, sampled by hand below (no sampler thread).
+    let telemetry = obs::Telemetry::new(obs::TelemetryConfig {
+        history: Some(obs::tsdb::TsdbConfig {
+            interval: std::time::Duration::from_millis(50),
+            ..obs::tsdb::TsdbConfig::default()
+        }),
+        ..obs::TelemetryConfig::default()
+    });
+    let server = obs::serve(
+        "127.0.0.1:0",
+        obs::ReportContext::default(),
+        telemetry.clone(),
+        obs::http::HttpLimits::default(),
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     // /healthz is a plain liveness probe.
@@ -170,18 +183,22 @@ fn serve_scrape_and_shutdown() {
     assert!(folded.contains("pipeline;clf_parse 1000"), "{folded}");
     assert!(folded.contains("pipeline;window_close 2000000"), "{folded}");
 
-    // /timeseries answers 503 until the history store is installed.
-    let (status, _) = get(addr, "/timeseries");
-    assert!(status.contains("503"), "uninstalled tsdb: {status}");
+    // /timeseries answers 503 for a run without a history store.
+    let bare = obs::serve(
+        "127.0.0.1:0",
+        obs::ReportContext::default(),
+        obs::Telemetry::default(),
+        obs::http::HttpLimits::default(),
+    )
+    .expect("bind ephemeral port");
+    let (status, _) = get(bare.local_addr(), "/timeseries");
+    assert!(status.contains("503"), "no history store: {status}");
+    bare.shutdown();
 
-    // Install the store, take two samples, and range-query a counter.
-    obs::tsdb::install(obs::tsdb::TsdbConfig {
-        interval: std::time::Duration::from_millis(50),
-        ..obs::tsdb::TsdbConfig::default()
-    });
-    obs::tsdb::sample_now();
+    // Take two samples and range-query a counter.
+    telemetry.sample();
     obs::metrics::counter("scrape/events").add(3); // 7 -> 10
-    obs::tsdb::sample_now();
+    telemetry.sample();
     let (status, body) = get(addr, "/timeseries?metric=scrape/events");
     assert!(status.contains("200"), "timeseries status: {status}");
     let range: obs::tsdb::RangeResult = serde_json::from_str(&body).expect("range parses");
@@ -217,7 +234,6 @@ fn serve_scrape_and_shutdown() {
     // Plain /healthz stays the cheap liveness probe.
     let (_, body) = get(addr, "/healthz");
     assert_eq!(body, "ok\n");
-    obs::tsdb::uninstall();
 
     // Shutdown joins the listener thread; the port must stop answering.
     server.shutdown();

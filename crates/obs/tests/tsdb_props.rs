@@ -4,9 +4,9 @@
 //! preserve true bucket extremes, and a concurrent scraper must only
 //! ever observe consistent, monotone history.
 //!
-//! The property tests drive *owned* [`Tsdb`] instances, so they run in
-//! parallel freely; only the concurrent-scrape test touches the
-//! process-global store (and nothing else in this binary does).
+//! The property tests drive *owned* [`Tsdb`] instances; the
+//! concurrent-scrape test drives a run's [`obs::Telemetry`]. No test
+//! here shares a store, so they run in parallel freely.
 
 use std::time::Duration;
 
@@ -157,7 +157,7 @@ proptest! {
     }
 }
 
-/// Scrape the global store from one thread while another samples a
+/// Scrape a run's store from one thread while another samples a
 /// live counter as fast as it can. Every query answer must be
 /// internally consistent (contiguous ticks, all past the cursor) and
 /// consecutive answers must be monotone — in cursor and, because a
@@ -167,10 +167,13 @@ fn concurrent_scrape_while_sampling_is_consistent() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    obs::tsdb::install(TsdbConfig {
-        interval: Duration::from_millis(1),
-        dense_bytes: 512, // small ring: wrap under the reader's feet
-        ..TsdbConfig::default()
+    let telemetry = obs::Telemetry::new(obs::TelemetryConfig {
+        history: Some(TsdbConfig {
+            interval: Duration::from_millis(1),
+            dense_bytes: 512, // small ring: wrap under the reader's feet
+            ..TsdbConfig::default()
+        }),
+        ..obs::TelemetryConfig::default()
     });
     let counter = obs::metrics::counter("props/live");
     let stop = Arc::new(AtomicBool::new(false));
@@ -179,10 +182,11 @@ fn concurrent_scrape_while_sampling_is_consistent() {
     let writer = std::thread::spawn({
         let stop = Arc::clone(&stop);
         let ticked = Arc::clone(&ticked);
+        let telemetry = telemetry.clone();
         move || {
             while !stop.load(Ordering::Relaxed) {
                 counter.add(3);
-                let tick = obs::tsdb::sample_now().expect("store installed");
+                let tick = telemetry.sample().expect("history store");
                 ticked.store(tick, Ordering::Release);
             }
         }
@@ -197,7 +201,10 @@ fn concurrent_scrape_while_sampling_is_consistent() {
     let mut nonempty_answers = 0u32;
     loop {
         let writer_done = ticked.load(Ordering::Acquire) >= TICKS;
-        let Some(r) = obs::tsdb::query("props/live", since, 0) else {
+        let Some(r) = telemetry
+            .history(|store| store.query("props/live", since, 0))
+            .flatten()
+        else {
             assert!(!writer_done, "no series after {TICKS} ticks");
             continue; // first tick may not have landed yet
         };
@@ -236,5 +243,4 @@ fn concurrent_scrape_while_sampling_is_consistent() {
         nonempty_answers > 0,
         "the reader never saw a sample despite a busy writer"
     );
-    obs::tsdb::uninstall();
 }

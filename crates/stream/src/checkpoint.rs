@@ -175,10 +175,9 @@ pub struct Checkpoint {
     pub transient_retries: u64,
     /// Checkpoints written so far (this one included).
     pub checkpoints_written: u64,
-    /// Process-governor pressure state at checkpoint time
-    /// ([`webpuzzle_obs::governor::PressureState::code`]). Restore
-    /// seeds the reinstalled governor with it so degradation resumes
-    /// where it stood instead of flapping through Green.
+    /// The run's governor stage ([`webpuzzle_obs::governor::PressureState::code`];
+    /// 0 without a governor). Restore seeds the resumed run's governor
+    /// with it so degradation resumes where it stood, not in Green.
     pub governor_state: u8,
 }
 

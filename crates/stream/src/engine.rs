@@ -23,9 +23,9 @@ use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use webpuzzle_obs::diagnostics::{DiagnosticsReport, WindowDiagnostics};
-use webpuzzle_obs::governor;
 use webpuzzle_obs::metrics;
 use webpuzzle_obs::profile::{self, Stage};
+use webpuzzle_obs::Telemetry;
 use webpuzzle_weblog::{LogRecord, Session, DEFAULT_SESSION_THRESHOLD};
 
 /// Estimator sampling stride under governor degradation (Yellow or
@@ -271,6 +271,8 @@ pub struct StreamAnalyzer {
     sampled_out: u64,
     hard_shed_records: u64,
     forced_checkpoint_due: bool,
+    /// The run's observatory: governor and diagnostics slot.
+    telemetry: Telemetry,
     // Flight-recorder bookkeeping: cumulative per-stage totals at the
     // last window-timing event, for per-window self-time deltas. Not
     // part of EngineState — profiler data has process lifetime, like
@@ -341,6 +343,7 @@ impl StreamAnalyzer {
             sampled_out: 0,
             hard_shed_records: 0,
             forced_checkpoint_due: false,
+            telemetry: Telemetry::default(),
             profile_totals: profile::stage_totals(),
             records_counter: metrics::sharded_counter("stream/records"),
             shed_counter: metrics::counter("stream/records_shed"),
@@ -364,6 +367,17 @@ impl StreamAnalyzer {
             agreement_gauge: metrics::gauge("estimator_confidence/agreement_score"),
             cfg,
         })
+    }
+
+    /// Attach the run's observatory. Without a governor a restored
+    /// degradation mode is dropped: nothing would ever walk it back.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        if self.telemetry.governor().is_none() && self.degradation_mode != 0 {
+            self.degradation_mode = 0;
+            self.apply_degradation(false);
+        }
+        self
     }
 
     /// Feed one record (timestamps must be nondecreasing).
@@ -516,7 +530,7 @@ impl StreamAnalyzer {
             self.open_gauge.set(0.0);
             self.occupancy_gauge.set(0.0);
             if self.cfg.diagnostics {
-                webpuzzle_obs::diagnostics::set_current(self.diagnostics_report());
+                self.telemetry.set_diagnostics(self.diagnostics_report());
             }
         }
         Ok(self.summary())
@@ -741,7 +755,7 @@ impl StreamAnalyzer {
                 }
             }
             self.diagnostics_windows.extend(diag_rows);
-            webpuzzle_obs::diagnostics::set_current(self.diagnostics_report());
+            self.telemetry.set_diagnostics(self.diagnostics_report());
         }
     }
 
@@ -809,16 +823,16 @@ impl StreamAnalyzer {
         ));
     }
 
-    /// Re-read the process governor (when one is installed) and apply
-    /// any stage change. Called on the 64-record cadence, so a mode is
-    /// stable between cadence boundaries and a resumed run — which
-    /// restores the mode and the counters the cadence is computed
-    /// from — re-applies it at the same record indexes.
+    /// Re-read the run's governor (when it has one) and apply any stage
+    /// change. Called on the 64-record cadence, so a mode is stable
+    /// between cadence boundaries and a resumed run — which restores
+    /// the mode and the counters the cadence is computed from —
+    /// re-applies it at the same record indexes.
     fn update_degradation(&mut self) {
-        if !governor::is_installed() {
+        let Some(governor) = self.telemetry.governor() else {
             return;
-        }
-        let mode = governor::state().code();
+        };
+        let mode = governor.state().code();
         if mode != self.degradation_mode {
             self.degradation_mode = mode;
             self.apply_degradation(true);
@@ -875,8 +889,10 @@ impl StreamAnalyzer {
         // Session occupancy is one of the governor's budget inputs;
         // evaluate here too so a hub-less binary (stream-analyze)
         // still walks the stage machine on the health-gauge cadence.
-        governor::set_sessions(self.sessionizer.open_sessions() as u64);
-        governor::evaluate();
+        if let Some(governor) = self.telemetry.governor() {
+            governor.set_sessions(self.sessionizer.open_sessions() as u64);
+            governor.evaluate();
+        }
         self.peak_gauge
             .set(self.sessionizer.peak_open_sessions() as f64);
         let sweep = self.sessionizer.last_sweep();

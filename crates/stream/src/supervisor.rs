@@ -43,7 +43,7 @@ use crate::engine::{StreamAnalyzer, StreamConfig, StreamSummary};
 use crate::pipeline::Source;
 use crate::{Result, StreamError};
 use webpuzzle_obs::events::{self, Event, Severity};
-use webpuzzle_obs::{governor, metrics};
+use webpuzzle_obs::{metrics, Telemetry};
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind, WeblogError};
 
 /// A [`Source`] of log records that can report where it stands and be
@@ -87,7 +87,7 @@ pub fn classify(err: &StreamError) -> ErrorClass {
 }
 
 /// Supervisor tuning.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Skip-and-count poison records instead of failing on them.
     pub lenient: bool,
@@ -116,6 +116,9 @@ pub struct SupervisorConfig {
     pub checkpoint_every_records: u64,
     /// Checkpoint every S wall-clock seconds (0 = no time cadence).
     pub checkpoint_every_secs: u64,
+    /// The run's observatory, for every engine the supervisor builds or
+    /// restores; its governor's stage is checkpointed.
+    pub telemetry: Telemetry,
 }
 
 impl Default for SupervisorConfig {
@@ -131,6 +134,7 @@ impl Default for SupervisorConfig {
             checkpoint_path: None,
             checkpoint_every_records: 0,
             checkpoint_every_secs: 0,
+            telemetry: Telemetry::default(),
         }
     }
 }
@@ -248,6 +252,22 @@ where
         self
     }
 
+    /// An engine on the run's observatory, restored from `ck` or fresh.
+    /// A governor resumes in `ck`'s stage, not Green: re-admitting a
+    /// flood the killed process had already shed would flap the pipeline.
+    fn engine(&self, ck: Option<&Checkpoint>) -> Result<StreamAnalyzer> {
+        let engine = match ck {
+            Some(ck) => {
+                if let Some(governor) = self.cfg.telemetry.governor() {
+                    governor.restore_state(ck.governor_state);
+                }
+                StreamAnalyzer::restore(ck.config.clone(), &ck.engine)?
+            }
+            None => StreamAnalyzer::new(self.engine_cfg.clone())?,
+        };
+        Ok(engine.with_telemetry(self.cfg.telemetry.clone()))
+    }
+
     /// Run to completion: ingest the whole stream, surviving transient
     /// faults, poison records (lenient), and engine crashes, then
     /// finish the engine and report.
@@ -264,15 +284,11 @@ where
 
         match self.resume.take() {
             Some(ck) => {
-                engine = StreamAnalyzer::restore(ck.config.clone(), &ck.engine)?;
+                engine = self.engine(Some(&ck))?;
                 position = ck.source;
                 // Never reuse an event sequence a previous incarnation
                 // already published under.
                 events::resume_from(ck.events_seq);
-                // Resume in the degradation stage the killed process
-                // was in, not Green — re-admitting a flood it had
-                // already shed would flap the whole pipeline.
-                governor::restore_state(ck.governor_state);
                 state = RunState {
                     recoveries: ck.recoveries,
                     poison: ck.poison,
@@ -285,7 +301,7 @@ where
                 };
             }
             None => {
-                engine = StreamAnalyzer::new(self.engine_cfg.clone())?;
+                engine = self.engine(None)?;
                 position = SourcePosition::default();
                 state = RunState {
                     recoveries: 0,
@@ -351,17 +367,16 @@ where
                     }
                     match &state.last_checkpoint {
                         Some(ck) => {
-                            engine = StreamAnalyzer::restore(ck.config.clone(), &ck.engine)?;
+                            engine = self.engine(Some(ck))?;
                             position = ck.source;
                             events::resume_from(ck.events_seq);
-                            governor::restore_state(ck.governor_state);
                             // Work after the checkpoint is replayed, so
                             // its per-record tallies roll back with it.
                             state.poison = ck.poison;
                             state.transient_retries = ck.transient_retries;
                         }
                         None => {
-                            engine = StreamAnalyzer::new(self.engine_cfg.clone())?;
+                            engine = self.engine(None)?;
                             position = SourcePosition::default();
                             state.poison = MalformedBreakdown::default();
                             state.transient_retries = 0;
@@ -543,6 +558,7 @@ where
                 format!("event sink fsync failed before checkpoint: {e}"),
             ));
         }
+        let governor = self.cfg.telemetry.governor();
         let ck = Checkpoint {
             config: engine.config().clone(),
             engine: engine.export_state(),
@@ -552,7 +568,7 @@ where
             recoveries: state.recoveries,
             transient_retries: state.transient_retries,
             checkpoints_written: state.checkpoints_written + 1,
-            governor_state: governor::state().code(),
+            governor_state: governor.map_or(0, |g| g.state().code()),
         };
         let t0 = webpuzzle_obs::profile::is_enabled().then(Instant::now);
         let saved = ck.save(&path);

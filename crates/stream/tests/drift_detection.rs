@@ -16,6 +16,8 @@ use webpuzzle_stream::{StreamAnalyzer, StreamConfig};
 use webpuzzle_weblog::{LogRecord, Method};
 use webpuzzle_workload::{ServerProfile, ShiftInjector, ShiftSpec, WorkloadGenerator};
 
+/// Guards the process-wide metrics registry, whose gauges the tests
+/// read back.
 static GAUGES: Mutex<()> = Mutex::new(());
 
 const WINDOW_LEN: f64 = 14_400.0;

@@ -12,6 +12,8 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
+use webpuzzle_obs::governor::{GovernorConfig, PressureState};
+use webpuzzle_obs::{Telemetry, TelemetryConfig};
 use webpuzzle_stream::checkpoint::{Checkpoint, CheckpointError, SourcePosition};
 use webpuzzle_stream::{
     FaultSource, FaultSpec, Source, StreamAnalyzer, StreamConfig, StreamError, StreamSummary,
@@ -19,9 +21,10 @@ use webpuzzle_stream::{
 };
 use webpuzzle_weblog::{LogRecord, Method};
 
-/// The engines in this file share the process-global metrics registry
-/// and event ring; serialize them so counters and gauges don't
-/// interleave. (Summaries under test never read the registry.)
+/// The engines in this file share the process-wide metrics registry
+/// and event ring (whose sequence a resume fast-forwards); serialize
+/// them so counters, gauges and event seqs don't interleave.
+/// (Summaries under test never read the registry.)
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small_config() -> StreamConfig {
@@ -104,7 +107,14 @@ impl webpuzzle_stream::RecoverableSource for VecSource {
 }
 
 fn uninterrupted_summary(records: &[LogRecord]) -> StreamSummary {
-    let mut engine = StreamAnalyzer::new(small_config()).expect("engine");
+    uninterrupted_summary_on(records, Telemetry::default())
+}
+
+/// [`uninterrupted_summary`] on a run's observatory.
+fn uninterrupted_summary_on(records: &[LogRecord], telemetry: Telemetry) -> StreamSummary {
+    let mut engine = StreamAnalyzer::new(small_config())
+        .expect("engine")
+        .with_telemetry(telemetry);
     for rec in records {
         engine.push(rec).expect("push");
     }
@@ -255,29 +265,31 @@ fn process_style_kill_then_resume_from_disk() {
 /// Kill-and-resume equivalence while the overload governor is actively
 /// degrading the engine: the checkpoint must capture the governor
 /// stage and the degradation counters, and a fresh "process" (fresh
-/// governor install, stage reset to Green) resuming from it must
-/// reproduce the uninterrupted degraded summary exactly.
+/// governor, stage Green) resuming from it must reproduce the
+/// uninterrupted degraded summary exactly.
 #[test]
 fn degraded_run_resumes_with_its_governor_stage_intact() {
-    use webpuzzle_obs::governor;
     let _guard = GLOBALS.lock().unwrap();
     // 97 concurrently-open sessions against a budget of 80: Yellow at
     // the first health tick (64 open), Red from the second (97 open),
     // Green again only across the 200 s gap's mass eviction.
-    let gov = || governor::GovernorConfig {
-        session_budget: 80,
-        ..governor::GovernorConfig::default()
+    let governed = || {
+        Telemetry::new(TelemetryConfig {
+            governor: Some(GovernorConfig {
+                session_budget: 80,
+                ..GovernorConfig::default()
+            }),
+            ..TelemetryConfig::default()
+        })
     };
     let records = Arc::new(workload());
-    governor::install(gov());
-    let expected = uninterrupted_summary(&records);
+    let expected = uninterrupted_summary_on(&records, governed());
     assert!(
         expected.sampled_out > 0,
         "the reference run must actually degrade: {expected:?}"
     );
 
     // First incarnation: degraded, checkpointing, killed hard at 1500.
-    governor::install(gov());
     let path = temp_checkpoint("ck-governor.bin");
     let prev = Checkpoint::previous_path(&path);
     let _ = std::fs::remove_file(&path);
@@ -291,6 +303,7 @@ fn degraded_run_resumes_with_its_governor_stage_intact() {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_records: 400,
         max_restores: 0,
+        telemetry: governed(),
         ..SupervisorConfig::default()
     };
     supervised_run(Arc::clone(&records), spec, cfg).expect_err("must die");
@@ -301,10 +314,13 @@ fn degraded_run_resumes_with_its_governor_stage_intact() {
     assert_eq!(ck.governor_state, 2, "killed while Red");
     assert!(ck.engine.sampled_out > 0, "degradation counters captured");
 
-    // Second incarnation: a fresh install resets the stage to Green;
-    // the resume must restore Red from the checkpoint, not re-admit.
-    governor::install(gov());
-    assert_eq!(governor::state(), governor::PressureState::Green);
+    // Second incarnation: a fresh governor starts Green; the resume
+    // must restore Red from the checkpoint, not re-admit.
+    let telemetry = governed();
+    assert_eq!(
+        telemetry.governor().map(|g| g.state()),
+        Some(PressureState::Green)
+    );
     let records2 = Arc::clone(&records);
     let factory =
         move |pos: &SourcePosition| Ok(VecSource::at(Arc::clone(&records2), pos.parsed as usize));
@@ -312,6 +328,7 @@ fn degraded_run_resumes_with_its_governor_stage_intact() {
         backoff_base_ms: 0,
         checkpoint_path: Some(path.clone()),
         checkpoint_every_records: 400,
+        telemetry,
         ..SupervisorConfig::default()
     };
     let report = Supervisor::new(small_config(), cfg, factory)
@@ -322,7 +339,6 @@ fn degraded_run_resumes_with_its_governor_stage_intact() {
         report.summary, expected,
         "degraded resume must reproduce the degraded run"
     );
-    governor::uninstall();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&prev);
 }
