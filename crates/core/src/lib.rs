@@ -49,7 +49,8 @@ pub use intra_session::{IntraSessionAnalysis, SessionMetric, TailAnalysis};
 pub use model::{FullWebModel, LevelPoisson};
 pub use poisson::{
     poisson_arrival_test, poisson_test_spread, spread_ties, PoissonBattery, PoissonTestOutcome,
-    PoissonVerdict, TieSpreading,
+    PoissonVerdict, Subdivision, SubintervalTest, TieSpreader, TieSpreading,
+    MIN_SUBINTERVAL_ARRIVALS,
 };
 
 pub use webpuzzle_stats::StatsError;

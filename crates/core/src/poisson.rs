@@ -20,6 +20,7 @@ use crate::Result;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use webpuzzle_stats::descriptive::autocorrelation;
 use webpuzzle_stats::htest::{
     anderson_darling_exponential, binomial_count_test, ljung_box, sign_balance_test,
@@ -75,6 +76,28 @@ pub struct PoissonTestOutcome {
 }
 
 impl PoissonTestOutcome {
+    /// §4.2 step 4: pool the subintervals' tests, in subinterval order,
+    /// through the binomial count tests and the sign-balance test.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`binomial_count_test`] and [`sign_balance_test`] (none
+    /// for a non-empty `tests`).
+    pub fn combine(tests: &[SubintervalTest], spreading: TieSpreading) -> Result<Self> {
+        let n = tests.len() as u64;
+        let count = |pass: fn(&SubintervalTest) -> bool| tests.iter().filter(|t| pass(t)).count();
+        Ok(PoissonTestOutcome {
+            subintervals: tests.len(),
+            spreading,
+            independence: binomial_count_test(n, count(|t| t.independent) as u64)?,
+            sign_balance: sign_balance_test(n, count(|t| t.lag1 > 0.0) as u64)?,
+            exponentiality: binomial_count_test(n, count(|t| t.exponential) as u64)?,
+            ljung_box: binomial_count_test(n, count(|t| t.ljung_box_independent) as u64)?,
+            lag1_autocorrelations: tests.iter().map(|t| t.lag1).collect(),
+            ad_statistics: tests.iter().map(|t| t.ad_modified).collect(),
+        })
+    }
+
     /// Overall verdict: Poisson survives only if *neither* meta-test
     /// rejects.
     pub fn verdict(&self) -> PoissonVerdict {
@@ -101,41 +124,76 @@ impl PoissonTestOutcome {
 /// assert!((spread[1] - (5.0 + 1.0 / 3.0)).abs() < 1e-12);
 /// ```
 pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64> {
-    // Domain-separate the offset stream from whatever RNG produced the data:
-    // callers routinely use the same small seed for generation and analysis,
-    // and replaying the identical StdRng stream would correlate the uniform
-    // offsets with the arrival gaps (turning a true Poisson stream into an
-    // apparently dependent one).
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5_DEEC_E66D);
     let mut floored: Vec<f64> = times.iter().map(|t| t.floor()).collect();
     floored.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    let mut spreader = TieSpreader::new(spreading, seed);
     let mut out = Vec::with_capacity(floored.len());
-    // One tied second's uniform offsets, reused across seconds.
-    let mut offsets = Vec::new();
-    let mut i = 0;
-    while i < floored.len() {
-        let sec = floored[i];
-        let mut j = i;
-        while j < floored.len() && floored[j] == sec {
-            j += 1;
-        }
-        let k = j - i;
-        match spreading {
-            TieSpreading::Deterministic => {
-                for offset in 0..k {
-                    out.push(sec + offset as f64 / k as f64);
-                }
-            }
-            TieSpreading::Uniform => {
-                offsets.clear();
-                offsets.extend((0..k).map(|_| rng.random::<f64>()));
-                offsets.sort_unstable_by(f64::total_cmp);
-                out.extend(offsets.iter().map(|o| sec + o));
-            }
-        }
-        i = j;
+    for second in floored.chunk_by(|a, b| a == b) {
+        spreader.spread_second(second[0], second.len(), &mut out);
     }
     out
+}
+
+/// [`spread_ties`] one second at a time, for a caller that meets the
+/// seconds in time order (the streaming window spreads each second as
+/// the stream leaves it). Given the same seconds in the same order, it
+/// draws the same offsets as `spread_ties` with the same seed.
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_core::{spread_ties, TieSpreader, TieSpreading};
+///
+/// let times = [5.0, 5.2, 5.9, 9.0, 12.0, 12.5];
+/// let mut spreader = TieSpreader::new(TieSpreading::Uniform, 4);
+/// let mut out = Vec::new();
+/// for (sec, k) in [(5.0, 3), (9.0, 1), (12.0, 2)] {
+///     spreader.spread_second(sec, k, &mut out);
+/// }
+/// assert_eq!(out, spread_ties(&times, TieSpreading::Uniform, 4));
+/// ```
+#[derive(Debug, Clone)]
+pub struct TieSpreader {
+    spreading: TieSpreading,
+    rng: StdRng,
+    /// One tied second's uniform offsets, reused across seconds.
+    offsets: Vec<f64>,
+}
+
+impl TieSpreader {
+    /// A spreader at the start of the offset stream `seed` names.
+    pub fn new(spreading: TieSpreading, seed: u64) -> Self {
+        // Domain-separate the offset stream from whatever RNG produced the
+        // data: callers routinely use the same small seed for generation
+        // and analysis, and replaying the identical StdRng stream would
+        // correlate the uniform offsets with the arrival gaps (turning a
+        // true Poisson stream into an apparently dependent one).
+        let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5_DEEC_E66D);
+        TieSpreader {
+            spreading,
+            rng,
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Append to `out`, in order, the spread times of the `k` arrivals
+    /// logged in the second that starts at `sec`.
+    pub fn spread_second(&mut self, sec: f64, k: usize, out: &mut Vec<f64>) {
+        match self.spreading {
+            TieSpreading::Deterministic => {
+                out.extend((0..k).map(|offset| sec + offset as f64 / k as f64));
+            }
+            // One arrival needs no sort (the common case in a stream).
+            TieSpreading::Uniform if k == 1 => out.push(sec + self.rng.random::<f64>()),
+            TieSpreading::Uniform => {
+                let rng = &mut self.rng;
+                self.offsets.clear();
+                self.offsets.extend((0..k).map(|_| rng.random::<f64>()));
+                self.offsets.sort_unstable_by(f64::total_cmp);
+                out.extend(self.offsets.iter().map(|o| sec + o));
+            }
+        }
+    }
 }
 
 /// Run the §4.2 procedure on the arrival times of one interval:
@@ -146,8 +204,9 @@ pub fn spread_ties(times: &[f64], spreading: TieSpreading, seed: u64) -> Vec<f64
 /// * `interval_start`, `interval_len` — the interval window in seconds.
 /// * `subintervals` — 4 for hourly rates, 24 for 10-minute rates on a
 ///   4-hour interval.
-/// * `min_arrivals` — minimum arrivals per subinterval; below it the test
-///   is [`PoissonVerdict::NotApplicable`] and `None` is returned.
+/// * `min_arrivals` — minimum arrivals per subinterval, raised to
+///   [`MIN_SUBINTERVAL_ARRIVALS`]; below it the test is
+///   [`PoissonVerdict::NotApplicable`] and `None` is returned.
 ///
 /// # Errors
 ///
@@ -198,14 +257,26 @@ pub fn poisson_arrival_test(
     )
 }
 
+/// The fewest arrivals a subinterval may hold before §4.2 is not
+/// applicable: six arrivals give the five gaps Anderson–Darling needs.
+/// A smaller `min_arrivals` is raised to it.
+pub const MIN_SUBINTERVAL_ARRIVALS: usize = 6;
+
 /// Steps 2–4 of the §4.2 procedure on times [`spread_ties`] already
 /// spread with `spreading`, so that one spreading can serve several
-/// subdivisions. The arguments are those of [`poisson_arrival_test`].
+/// subdivisions. The arguments are those of [`poisson_arrival_test`];
+/// `spread` must be sorted, as `spread_ties` returns it.
+///
+/// The steps are [`Subdivision::range`] per subinterval, the NA rule
+/// over all of them, [`SubintervalTest::run`] on each one's gaps, and
+/// [`PoissonTestOutcome::combine`]; the streaming window runs the same
+/// functions, one subinterval at a time.
 ///
 /// # Errors
 ///
 /// Returns [`webpuzzle_stats::StatsError::InvalidParameter`] for a
-/// non-positive interval length or zero subintervals.
+/// non-positive interval length or zero subintervals, and the first
+/// error of a subinterval's tests, in subinterval order.
 ///
 /// # Examples
 ///
@@ -232,74 +303,141 @@ pub fn poisson_test_spread(
     spreading: TieSpreading,
     min_arrivals: usize,
 ) -> Result<Option<PoissonTestOutcome>> {
-    use webpuzzle_stats::StatsError;
-    if !(interval_len.is_finite() && interval_len > 0.0) {
-        return Err(StatsError::InvalidParameter {
-            name: "interval_len",
-            value: interval_len,
-            constraint: "must be finite and > 0",
-        });
-    }
-    if subintervals == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "subintervals",
-            value: 0.0,
-            constraint: "must be >= 1",
-        });
-    }
-
-    let sub_len = interval_len / subintervals as f64;
-
-    // Partition the spread times into subintervals.
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); subintervals];
-    for &t in spread {
-        let idx = ((t - interval_start) / sub_len).floor();
-        if idx >= 0.0 && (idx as usize) < subintervals {
-            buckets[idx as usize].push(t);
-        }
-    }
-    if buckets.iter().any(|b| b.len() < min_arrivals.max(5)) {
+    debug_assert!(spread.is_sorted(), "spread times must be sorted");
+    let subdivision = Subdivision::new(interval_start, interval_len, subintervals)?;
+    let ranges: Vec<Range<usize>> = (0..subintervals)
+        .map(|j| subdivision.range(spread, j))
+        .collect();
+    let floor = min_arrivals.max(MIN_SUBINTERVAL_ARRIVALS);
+    if ranges.iter().any(|r| r.len() < floor) {
         return Ok(None);
     }
+    // A subinterval's gaps are a slice of the interval's.
+    let gaps: Vec<f64> = spread.windows(2).map(|w| w[1] - w[0]).collect();
+    let tests = (ranges.iter())
+        .map(|r| SubintervalTest::run(&gaps[r.start..r.end - 1]))
+        .collect::<Result<Vec<_>>>()?;
+    PoissonTestOutcome::combine(&tests, spreading).map(Some)
+}
 
-    let mut independence_passes = 0u64;
-    let mut positives = 0u64;
-    let mut exponential_passes = 0u64;
-    let mut ljung_box_passes = 0u64;
-    let mut lag1 = Vec::with_capacity(subintervals);
-    let mut ads = Vec::with_capacity(subintervals);
-    for bucket in &buckets {
-        let inter: Vec<f64> = bucket.windows(2).map(|w| w[1] - w[0]).collect();
-        let rho = autocorrelation(&inter, 1)?;
-        lag1.push(rho);
-        let band = 1.96 / (inter.len() as f64).sqrt();
-        if rho.abs() < band {
-            independence_passes += 1;
+/// §4.2 step 2: an interval split into equal subintervals. A time `t`
+/// falls in subinterval `⌊(t − start)/sub_len⌋` when that index is in
+/// `0..count`, and in none otherwise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Subdivision {
+    start: f64,
+    sub_len: f64,
+    count: usize,
+}
+
+impl Subdivision {
+    /// Split `[interval_start, interval_start + interval_len)` into
+    /// `subintervals` parts.
+    ///
+    /// # Errors
+    ///
+    /// [`webpuzzle_stats::StatsError::InvalidParameter`] for a
+    /// non-positive or non-finite length, or zero subintervals.
+    pub fn new(interval_start: f64, interval_len: f64, subintervals: usize) -> Result<Self> {
+        use webpuzzle_stats::StatsError;
+        if !(interval_len.is_finite() && interval_len > 0.0) {
+            return Err(StatsError::InvalidParameter {
+                name: "interval_len",
+                value: interval_len,
+                constraint: "must be finite and > 0",
+            });
         }
-        if rho > 0.0 {
-            positives += 1;
+        if subintervals == 0 {
+            return Err(StatsError::InvalidParameter {
+                name: "subintervals",
+                value: 0.0,
+                constraint: "must be >= 1",
+            });
         }
-        let ad = anderson_darling_exponential(&inter)?;
-        ads.push(ad.modified);
-        if !ad.reject {
-            exponential_passes += 1;
-        }
-        let lb = ljung_box(&inter, 10.min(inter.len() / 4))?;
-        if !lb.reject {
-            ljung_box_passes += 1;
-        }
+        Ok(Subdivision {
+            start: interval_start,
+            sub_len: interval_len / subintervals as f64,
+            count: subintervals,
+        })
     }
 
-    Ok(Some(PoissonTestOutcome {
-        subintervals,
-        spreading,
-        independence: binomial_count_test(subintervals as u64, independence_passes)?,
-        sign_balance: sign_balance_test(subintervals as u64, positives)?,
-        exponentiality: binomial_count_test(subintervals as u64, exponential_passes)?,
-        ljung_box: binomial_count_test(subintervals as u64, ljung_box_passes)?,
-        lag1_autocorrelations: lag1,
-        ad_statistics: ads,
-    }))
+    /// Number of subintervals.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// `⌊(t − start)/sub_len⌋`: negative before the interval, at least
+    /// [`Subdivision::count`] past its end. Nondecreasing in `t`.
+    fn index(&self, t: f64) -> f64 {
+        ((t - self.start) / self.sub_len).floor()
+    }
+
+    /// The least time whose subinterval index is at least `j`: a time
+    /// `t` lies in subinterval `j` or a later one exactly when
+    /// `t >= self.first_time(j)`. Found from `start + j·sub_len` by
+    /// stepping one float at a time, since the index is nondecreasing
+    /// in time; rounding puts the answer a few steps away at most.
+    pub fn first_time(&self, j: usize) -> f64 {
+        let j = j as f64;
+        let mut t = self.start + j * self.sub_len;
+        while self.index(t) >= j {
+            t = t.next_down();
+        }
+        while self.index(t) < j {
+            t = t.next_up();
+        }
+        t
+    }
+
+    /// The positions in the sorted `spread` of the times in subinterval
+    /// `j`.
+    pub fn range(&self, spread: &[f64], j: usize) -> Range<usize> {
+        let before = |j: usize| {
+            let first = self.first_time(j);
+            spread.partition_point(|&t| t < first)
+        };
+        before(j)..before(j + 1)
+    }
+}
+
+/// §4.2 step 3 on one subinterval: the lag-1 independence band,
+/// Anderson–Darling exponentiality, and the 10-lag Ljung–Box
+/// cross-check.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SubintervalTest {
+    /// Lag-1 autocorrelation of the gaps.
+    pub lag1: f64,
+    /// The lag-1 autocorrelation lies inside the ±1.96/√n band.
+    pub independent: bool,
+    /// The modified A² statistic.
+    pub ad_modified: f64,
+    /// Anderson–Darling does not reject exponential gaps.
+    pub exponential: bool,
+    /// Ljung–Box does not reject independence.
+    pub ljung_box_independent: bool,
+}
+
+impl SubintervalTest {
+    /// Test one subinterval's inter-arrival `gaps` (those between its
+    /// consecutive spread times).
+    ///
+    /// # Errors
+    ///
+    /// Those of the three tests, in the order above: for example
+    /// [`webpuzzle_stats::StatsError::InsufficientData`] below five gaps.
+    pub fn run(gaps: &[f64]) -> Result<Self> {
+        let lag1 = autocorrelation(gaps, 1)?;
+        let band = 1.96 / (gaps.len() as f64).sqrt();
+        let ad = anderson_darling_exponential(gaps)?;
+        let lb = ljung_box(gaps, 10.min(gaps.len() / 4))?;
+        Ok(SubintervalTest {
+            lag1,
+            independent: lag1.abs() < band,
+            ad_modified: ad.modified,
+            exponential: !ad.reject,
+            ljung_box_independent: !lb.reject,
+        })
+    }
 }
 
 /// The full §4.2 battery on one interval: both subdivision granularities ×
@@ -555,7 +693,7 @@ mod tests {
                 buckets[idx as usize].push(t);
             }
         }
-        if buckets.iter().any(|b| b.len() < min_arrivals.max(5)) {
+        if buckets.iter().any(|b| b.len() < min_arrivals.max(6)) {
             return None;
         }
         let (mut independent, mut positives, mut exponential, mut lb_passes) = (0, 0, 0, 0);
@@ -643,6 +781,47 @@ mod tests {
                 one(24, TieSpreading::Deterministic)
             );
         }
+    }
+
+    #[test]
+    fn five_arrivals_in_a_subinterval_are_not_applicable() {
+        // Five arrivals are four gaps, one short of Anderson–Darling's
+        // five: such a subinterval makes the interval NA, not an error.
+        let mut times = vec![10.0, 50.0, 100.0, 150.0, 200.0];
+        times.extend((0..40).map(|i| 300.0 + 7.0 * i as f64));
+        let test =
+            |times: &[f64]| poisson_arrival_test(times, 0.0, 600.0, 2, TieSpreading::Uniform, 5, 0);
+        assert_eq!(test(&times), Ok(None));
+        // The sixth arrival makes it testable.
+        times.insert(5, 250.0);
+        let outcome = test(&times).unwrap().expect("six arrivals are enough");
+        assert_eq!(outcome.subintervals, 2);
+    }
+
+    #[test]
+    fn subdivision_ranges_are_the_floor_index_buckets() {
+        // Times before, inside and past a non-integral subdivision,
+        // with ties on the edges.
+        let sub = Subdivision::new(100.0, 1_000.0, 3).unwrap();
+        let spread = [
+            50.0, 99.9, 100.0, 100.0, 333.3, 433.3, 433.4, 766.6, 766.7, 1_099.9, 1_100.0, 2e9,
+        ];
+        let index = |t: f64| ((t - 100.0) / (1_000.0 / 3.0)).floor();
+        for j in 0..3 {
+            let want: Vec<usize> = (0..spread.len())
+                .filter(|&k| index(spread[k]) == j as f64)
+                .collect();
+            let got: Vec<usize> = sub.range(&spread, j).collect();
+            assert_eq!(got, want, "subinterval {j}");
+            // The first time of a subinterval is in it; the float below
+            // is not.
+            let first = sub.first_time(j);
+            assert_eq!(index(first), j as f64);
+            assert_eq!(index(first.next_down()), j as f64 - 1.0);
+        }
+        assert_eq!(sub.range(&[], 1), 0..0);
+        assert!(Subdivision::new(0.0, 0.0, 3).is_err());
+        assert!(Subdivision::new(0.0, 10.0, 0).is_err());
     }
 
     #[test]

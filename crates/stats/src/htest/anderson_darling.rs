@@ -74,9 +74,11 @@ pub fn anderson_darling_exponential(data: &[f64]) -> Result<AndersonDarlingResul
     }
     let rate = 1.0 / mean;
 
-    let mut sorted = data.to_vec();
-    // −0.0 sorts before +0.0 here, but both map to the same u below.
-    sorted.sort_unstable_by(f64::total_cmp);
+    // Sort on the bit patterns, which order non-negative floats as their
+    // values do once −0.0 is made +0.0 (`abs`; both give the same u
+    // below). An integer sort is about twice as fast as `total_cmp`.
+    let mut sorted: Vec<u64> = data.iter().map(|x| x.abs().to_bits()).collect();
+    sorted.sort_unstable();
 
     // Transform to uniforms under the null, clamped away from {0, 1} so the
     // logs below stay finite (ties at zero occur with 1-second-granularity
@@ -84,7 +86,7 @@ pub fn anderson_darling_exponential(data: &[f64]) -> Result<AndersonDarlingResul
     const EPS: f64 = 1e-12;
     let u: Vec<f64> = sorted
         .iter()
-        .map(|&x| (1.0 - (-rate * x).exp()).clamp(EPS, 1.0 - EPS))
+        .map(|&bits| (1.0 - (-rate * f64::from_bits(bits)).exp()).clamp(EPS, 1.0 - EPS))
         .collect();
 
     let nf = n as f64;
@@ -109,6 +111,7 @@ pub fn anderson_darling_exponential(data: &[f64]) -> Result<AndersonDarlingResul
 mod tests {
     use super::*;
     use crate::dist::{Exponential, LogNormal, Pareto, Sampler};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -178,10 +181,90 @@ mod tests {
         assert!(res.a_squared.is_finite());
     }
 
+    /// The function as it was before it sorted on integer keys: a
+    /// `total_cmp` sort of the values themselves.
+    fn anderson_darling_by_total_cmp(data: &[f64]) -> Result<AndersonDarlingResult> {
+        let n = data.len();
+        if n < 5 {
+            return Err(StatsError::InsufficientData { needed: 5, got: n });
+        }
+        if data.iter().any(|x| !x.is_finite()) {
+            return Err(StatsError::NonFiniteData);
+        }
+        if data.iter().any(|&x| x < 0.0) {
+            return Err(StatsError::DegenerateInput {
+                what: "exponential test requires non-negative data",
+            });
+        }
+        let mean = data.iter().sum::<f64>() / n as f64;
+        if mean <= 0.0 {
+            return Err(StatsError::DegenerateInput {
+                what: "zero-mean sample cannot be exponential",
+            });
+        }
+        let rate = 1.0 / mean;
+        let mut sorted = data.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        const EPS: f64 = 1e-12;
+        let u: Vec<f64> = sorted
+            .iter()
+            .map(|&x| (1.0 - (-rate * x).exp()).clamp(EPS, 1.0 - EPS))
+            .collect();
+        let nf = n as f64;
+        let mut sum = 0.0;
+        for i in 0..n {
+            let weight = (2 * i + 1) as f64;
+            sum += weight * (u[i].ln() + (1.0 - u[n - 1 - i]).ln());
+        }
+        let a_squared = -nf - sum / nf;
+        let modified = a_squared * (1.0 + 0.6 / nf);
+        Ok(AndersonDarlingResult {
+            a_squared,
+            modified,
+            critical: AD_EXPONENTIAL_CRITICAL_5PCT,
+            reject: modified > AD_EXPONENTIAL_CRITICAL_5PCT,
+            rate,
+            n,
+        })
+    }
+
+    /// Non-negative gaps as a window's spread arrivals give them, and
+    /// the edge cases of the bit-key sort: both signed zeros, exact
+    /// ties, subnormals and gaps near the top of the range.
+    fn gap() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0..10.0f64,
+            0.0..10.0f64,
+            0.0..10.0f64,
+            Just(0.0),
+            Just(-0.0),
+            Just(0.25),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            1e300..f64::MAX,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn bit_key_sort_scores_as_the_total_cmp_sort(data in prop::collection::vec(gap(), 0..300)) {
+            let got = anderson_darling_exponential(&data);
+            let want = anderson_darling_by_total_cmp(&data);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.a_squared.to_bits(), want.a_squared.to_bits());
+                    prop_assert_eq!(got.modified.to_bits(), want.modified.to_bits());
+                    prop_assert_eq!(got.rate.to_bits(), want.rate.to_bits());
+                    prop_assert_eq!((got.reject, got.n), (want.reject, want.n));
+                }
+                (got, want) => prop_assert_eq!(got, want),
+            }
+        }
+    }
+
     #[test]
     fn signed_zeros_do_not_move_the_statistic() {
-        // −0.0 and +0.0 sort apart under `total_cmp`, but both map to
-        // the clamped u = 1e-12, so a sample holding both must score
+        // −0.0 is keyed as +0.0, and both map to the clamped
+        // u = 1e-12, so a sample holding both must score
         // exactly as the one with +0.0 throughout.
         let mut rng = StdRng::seed_from_u64(104);
         let mut mixed = Exponential::new(2.0).unwrap().sample_n(&mut rng, 200);

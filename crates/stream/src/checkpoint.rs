@@ -22,7 +22,7 @@
 //! payload len bytes
 //! ```
 //!
-//! [`save`] writes atomically: temp file in the target directory,
+//! [`Checkpoint::save`] writes atomically: temp file in the target directory,
 //! `sync_all`, rename over the target, best-effort directory fsync. A
 //! crash mid-write leaves the previous checkpoint intact; a torn read
 //! is caught by the length or checksum and refused with a clear error

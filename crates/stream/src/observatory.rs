@@ -25,10 +25,10 @@
 //! All detectors standardize against a **self-starting running
 //! baseline**: after [`ObservatoryConfig::warmup_windows`] values, each
 //! point is z-scored against the running Welford mean/σ of everything
-//! seen before it, then joins the baseline (see [`Baseline`] for why
-//! freezing the warmup statistics instead would integrate their
-//! estimation error into false alarms). On alarm a detector
-//! **re-baselines** (warmup restarts) — this is the reset/hysteresis
+//! seen before it, then joins the baseline (the private `Baseline`
+//! type's docs say why freezing the warmup statistics instead would
+//! integrate their estimation error into false alarms). On alarm a
+//! detector **re-baselines** (warmup restarts) — this is the reset/hysteresis
 //! rule: one regime change produces one alarm, not an alarm every
 //! window until the end of the stream.
 //!
@@ -162,8 +162,9 @@ impl DriftSummary {
     }
 }
 
-/// Checkpointed state of one [`Baseline`]: the running Welford
-/// accumulator plus the armed mean/σ snapshot.
+/// Checkpointed state of one running baseline (the private
+/// `Baseline`): the running Welford accumulator plus the armed mean/σ
+/// snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineState {
     /// Welford sample count.
@@ -178,7 +179,7 @@ pub struct BaselineState {
     pub sigma: f64,
 }
 
-/// Checkpointed state of one [`Cusum`] detector.
+/// Checkpointed state of one CUSUM detector (the private `Cusum`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CusumState {
     /// Baseline state.
@@ -189,7 +190,8 @@ pub struct CusumState {
     pub s_neg: f64,
 }
 
-/// Checkpointed state of one [`PageHinkley`] detector.
+/// Checkpointed state of one Page–Hinkley detector (the private
+/// `PageHinkley`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageHinkleyState {
     /// Baseline state.
@@ -204,7 +206,8 @@ pub struct PageHinkleyState {
     pub max_dn: f64,
 }
 
-/// Checkpointed state of one [`EwmaBands`] detector.
+/// Checkpointed state of one EWMA-bands detector (the private
+/// `EwmaBands`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EwmaState {
     /// Baseline state.

@@ -228,7 +228,9 @@ impl TopK {
     /// The retained values, descending.
     pub fn descending(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self.heap.iter().map(|Reverse(f)| f.0).collect();
-        v.sort_by(|a, b| b.partial_cmp(a).expect("finite values"));
+        // Positive and finite, so equal values are equal bits and an
+        // unstable sort orders them as a stable one would.
+        v.sort_unstable_by(|a, b| b.total_cmp(a));
         v
     }
 
@@ -297,6 +299,7 @@ impl TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use webpuzzle_stats::dist::{Pareto, Sampler};
@@ -345,6 +348,38 @@ mod tests {
         w.push(5.0);
         assert_eq!(w.mean(), 5.0);
         assert_eq!(w.sample_variance(), 0.0);
+    }
+
+    /// Offered values: ties, subnormals, huge values, and the
+    /// non-positive ones `TopK` ignores.
+    fn offered() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0..10.0f64,
+            0.0..10.0f64,
+            Just(1.5),
+            Just(2.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            1e300..f64::MAX,
+            Just(-0.0),
+            Just(-1.0),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn descending_is_the_stable_partial_cmp_sort(
+            values in prop::collection::vec(offered(), 0..400),
+            k in 2usize..64,
+        ) {
+            let mut top = TopK::new(k);
+            for &x in &values {
+                top.push(x);
+            }
+            let mut want: Vec<f64> = top.heap.iter().map(|Reverse(f)| f.0).collect();
+            want.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&top.descending()), bits(&want));
+        }
     }
 
     #[test]

@@ -3,16 +3,44 @@
 //!
 //! The batch pipeline bins a whole week of arrivals at once; here a
 //! fixed analysis window (default: the paper's 4-hour interval) keeps
-//! the raw arrival times of the *current window only*. At a window
-//! boundary each time maps to its per-second (and per-10-ms) bin, and
-//! [`variance_time_events`] reads those bin indices bit for bit as the
-//! dense counts would read. Memory is `O(window arrivals)` — nothing
+//! the raw arrival times of the *current window only*, with their
+//! tie-spread times and gaps. Memory is `O(window arrivals)` — nothing
 //! outlives its window except the small [`WindowReport`] per window.
+//!
+//! The §4.2 work is done as the stream passes it, not all at the close:
+//!
+//! * **Per push**: the time is kept, and compared with the next
+//!   subinterval edge.
+//! * **Per subinterval edge**: once a new second's floor reaches the
+//!   end of one of the 4 hourly or 24 ten-minute subintervals, the
+//!   finished seconds not yet spread are spread ([`TieSpreader`], one
+//!   offset stream per window drawn in time order: the offsets
+//!   `core::spread_ties` draws for the whole window), the window's gaps
+//!   are extended, and each subinterval passed is tested
+//!   ([`SubintervalTest`]: lag-1 band, Anderson–Darling, Ljung–Box) on
+//!   its slice of the gaps. The result, error included, is held for the
+//!   close.
+//! * **At close**: the last seconds are spread and the last subinterval
+//!   of each granularity tested; the NA rule (too few arrivals in any
+//!   subinterval) is applied before any held error is raised; the tests
+//!   pool into the binomial and sign meta-tests
+//!   ([`PoissonTestOutcome::combine`]). Each time then maps to its
+//!   per-second (and per-10-ms) bin, and [`variance_time_events`] reads
+//!   those bin indices bit for bit as the dense counts would read.
+//!
+//! A window therefore reports exactly what `core::poisson_arrival_test`
+//! gives on its times, at the same push, errors included. On the
+//! `perfbench` drain fixture (about 16 k arrivals per window) the
+//! traced close fell from 2.5–3.0 ms to 1.1–1.4 ms, and the push that
+//! closes a window from about 3.6 ms to about 1.6 ms untraced; a push
+//! that reaches no edge pays one comparison (DESIGN.md §9, *Window
+//! close*).
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_core::{
-    poisson_test_spread, spread_ties, PoissonTestOutcome, PoissonVerdict, TieSpreading,
+    PoissonTestOutcome, PoissonVerdict, StatsError, Subdivision, SubintervalTest, TieSpreader,
+    TieSpreading, MIN_SUBINTERVAL_ARRIVALS,
 };
 use webpuzzle_lrd::{variance_time_events, VarianceTimeFit};
 use webpuzzle_weblog::WeblogError;
@@ -27,8 +55,9 @@ pub struct WindowConfig {
     /// Optional fine count bin width, seconds (default 10 ms) for a
     /// sub-second variance-time reading; `None` disables it.
     pub fine_bin_width: Option<f64>,
-    /// Minimum arrivals per Poisson subinterval; below it the window
-    /// verdict is NA (the paper's NASA-Pub2 situation).
+    /// Minimum arrivals per Poisson subinterval, raised to
+    /// [`MIN_SUBINTERVAL_ARRIVALS`]; below it the window verdict is NA
+    /// (the paper's NASA-Pub2 situation).
     pub min_poisson_arrivals: usize,
     /// Seed for the Poisson battery's uniform tie-spreading.
     pub seed: u64,
@@ -77,7 +106,10 @@ pub struct WindowReport {
 
 /// Complete mutable state of a [`WindowedArrivals`] accumulator, for
 /// checkpointing: the raw arrival times of the current (partial)
-/// window, which the estimators read when it eventually closes.
+/// window. The variance-time fits read them when the window closes;
+/// the Poisson battery's spread times and finished subintervals are
+/// derived from them, and [`WindowedArrivals::restore`] rebuilds those
+/// from the times.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalsState {
     /// Raw arrival times of the current window.
@@ -102,6 +134,7 @@ pub struct ArrivalsState {
 pub struct WindowedArrivals {
     cfg: WindowConfig,
     state: ArrivalsState,
+    poisson: PoissonRuns,
 }
 
 impl WindowedArrivals {
@@ -113,7 +146,12 @@ impl WindowedArrivals {
             last_time: f64::NEG_INFINITY,
             total_events: 0,
         };
-        WindowedArrivals { cfg, state }
+        let poisson = PoissonRuns::new(&cfg, 0.0);
+        WindowedArrivals {
+            cfg,
+            state,
+            poisson,
+        }
     }
 
     /// Feed one arrival time (seconds, nondecreasing). Completed
@@ -139,6 +177,7 @@ impl WindowedArrivals {
         if t >= self.window_start() {
             self.state.times.push(t);
             self.state.total_events += 1;
+            self.poisson.pushed(&self.state.times, t);
         }
         Ok(())
     }
@@ -176,9 +215,22 @@ impl WindowedArrivals {
         self.state.clone()
     }
 
-    /// Rebuild an accumulator from a configuration plus exported state.
+    /// Rebuild an accumulator from a configuration plus exported state;
+    /// the open window's Poisson work is redone from its times, so the
+    /// resumed stream spreads and tests exactly as an uninterrupted one.
     pub fn restore(cfg: WindowConfig, state: ArrivalsState) -> Self {
-        WindowedArrivals { cfg, state }
+        let start = state.window_index as f64 * cfg.window_len;
+        let mut poisson = PoissonRuns::new(&cfg, start);
+        // What the pushes did depends only on how far the last one
+        // reached: the same seconds spread, the same subintervals tested.
+        if let Some(&last) = state.times.last() {
+            poisson.pushed(&state.times, last);
+        }
+        WindowedArrivals {
+            cfg,
+            state,
+            poisson,
+        }
     }
 
     fn window_start(&self) -> f64 {
@@ -210,7 +262,7 @@ impl WindowedArrivals {
         let verdict = |o: Option<PoissonTestOutcome>| {
             o.map_or(PoissonVerdict::NotApplicable, |o| o.verdict())
         };
-        let [hourly, ten_min] = self.poisson_outcomes()?;
+        let [hourly, ten_min] = self.poisson.outcomes(&self.state.times)?;
         let (poisson_hourly, poisson_ten_min) = (verdict(hourly), verdict(ten_min));
 
         let report = WindowReport {
@@ -228,28 +280,174 @@ impl WindowedArrivals {
 
         self.state.times.clear();
         self.state.window_index += 1;
+        self.poisson = PoissonRuns::new(&self.cfg, self.window_start());
         Ok(report)
     }
 
-    /// The §4.2 battery on the window's times, tie-spread once with the
-    /// window's seed, at hourly and at ten-minute subintervals (`None`
-    /// where too few arrivals make it not applicable).
+    /// What the close would report for the Poisson battery on the open
+    /// window's times so far, leaving the window as it is.
+    #[cfg(test)]
     fn poisson_outcomes(&self) -> Result<[Option<PoissonTestOutcome>; 2]> {
-        if self.state.times.is_empty() {
-            return Ok([None, None]);
-        }
-        let spread = spread_ties(&self.state.times, TieSpreading::Uniform, self.cfg.seed);
-        let outcome = |sub_len: f64| {
-            poisson_test_spread(
-                &spread,
-                self.window_start(),
-                self.cfg.window_len,
-                ((self.cfg.window_len / sub_len).round() as usize).max(2),
-                TieSpreading::Uniform,
-                self.cfg.min_poisson_arrivals,
-            )
+        self.poisson.clone().outcomes(&self.state.times)
+    }
+}
+
+/// The §4.2 Poisson battery of one window, run while the window is
+/// open. When a new second's floor reaches the end of a subinterval,
+/// the finished seconds not yet spread are spread (one [`TieSpreader`]
+/// per window, seeded as `core::spread_ties` seeds it and drawing in
+/// time order, so the offsets are those of spreading the whole window
+/// at once), and every subinterval the second has moved past is tested
+/// on its slice of the window's gaps. Results, errors included, are
+/// held for the close. A push that reaches no edge costs one
+/// comparison.
+#[derive(Debug, Clone)]
+struct PoissonRuns {
+    spreader: TieSpreader,
+    /// The window's times already spread: whole seconds only.
+    spread_from: usize,
+    /// Spread times of those seconds, and the gaps between consecutive
+    /// ones (`gaps[k] = spread[k + 1] − spread[k]`).
+    spread: Vec<f64>,
+    gaps: Vec<f64>,
+    /// Hourly, then ten-minute subintervals.
+    grains: [Grain; 2],
+    /// The nearer of the grains' edges.
+    next_edge: f64,
+}
+
+impl PoissonRuns {
+    /// The battery of the window that starts at `start`.
+    fn new(cfg: &WindowConfig, start: f64) -> Self {
+        let floor = cfg.min_poisson_arrivals.max(MIN_SUBINTERVAL_ARRIVALS);
+        let grain = |sub_len: f64| {
+            let subdivision = Subdivision::new(
+                start,
+                cfg.window_len,
+                ((cfg.window_len / sub_len).round() as usize).max(2),
+            );
+            Grain {
+                edge: subdivision.as_ref().map_or(f64::NAN, |s| s.first_time(1)),
+                subdivision,
+                floor,
+                finished: 0,
+                tests: Vec::new(),
+                error: None,
+                not_applicable: false,
+            }
         };
-        Ok([outcome(3_600.0)?, outcome(600.0)?])
+        let grains = [grain(3_600.0), grain(600.0)];
+        PoissonRuns {
+            spreader: TieSpreader::new(TieSpreading::Uniform, cfg.seed),
+            spread_from: 0,
+            spread: Vec::new(),
+            gaps: Vec::new(),
+            next_edge: grains[0].edge.min(grains[1].edge),
+            grains,
+        }
+    }
+
+    /// The window's `times` (nondecreasing) just gained `t`.
+    fn pushed(&mut self, times: &[f64], t: f64) {
+        // The floor can only reach an edge the time has reached.
+        if t >= self.next_edge && t.floor() >= self.next_edge {
+            self.test_before(times, t.floor());
+        }
+    }
+
+    /// Spread the arrivals of the seconds before `second` and test every
+    /// subinterval that ends at or before it: every spread time to come
+    /// is at least `second`.
+    fn test_before(&mut self, times: &[f64], second: f64) {
+        let rest = &times[self.spread_from..];
+        let done = rest.partition_point(|t| t.floor() < second);
+        let from = self.spread.len();
+        for tied in rest[..done].chunk_by(|a, b| a.floor() == b.floor()) {
+            (self.spreader).spread_second(tied[0].floor(), tied.len(), &mut self.spread);
+        }
+        self.spread_from += done;
+        for k in from.max(1)..self.spread.len() {
+            self.gaps.push(self.spread[k] - self.spread[k - 1]);
+        }
+        for grain in &mut self.grains {
+            grain.test_before(second, &self.spread, &self.gaps);
+        }
+        self.next_edge = self.grains[0].edge.min(self.grains[1].edge);
+    }
+
+    /// Finish the window of `times`: spread its last seconds, test its
+    /// remaining subintervals, and pool each granularity (`None` where
+    /// too few arrivals make it not applicable).
+    fn outcomes(&mut self, times: &[f64]) -> Result<[Option<PoissonTestOutcome>; 2]> {
+        self.test_before(times, f64::INFINITY);
+        let [hourly, ten_min] = &self.grains;
+        Ok([hourly.outcome()?, ten_min.outcome()?])
+    }
+}
+
+/// One subdivision of a [`PoissonRuns`] window.
+#[derive(Debug, Clone)]
+struct Grain {
+    subdivision: std::result::Result<Subdivision, StatsError>,
+    /// Fewest arrivals a subinterval may hold (the NA rule).
+    floor: usize,
+    /// Subintervals the stream has moved past.
+    finished: usize,
+    /// The first time past subinterval `finished`: a second at or after
+    /// it finishes that subinterval.
+    edge: f64,
+    /// Their tests, in order, up to the first failure.
+    tests: Vec<SubintervalTest>,
+    error: Option<StatsError>,
+    /// A finished subinterval holds too few arrivals: the window is NA
+    /// at this granularity, and nothing further is tested.
+    not_applicable: bool,
+}
+
+impl Grain {
+    /// Test every subinterval that ends at or before time `t`.
+    fn test_before(&mut self, t: f64, spread: &[f64], gaps: &[f64]) {
+        // The edge is NaN, and never reached, once nothing is left to
+        // test: past the last subinterval, after an NA one, or without
+        // a valid subdivision.
+        while t >= self.edge {
+            let Ok(subdivision) = self.subdivision else {
+                return;
+            };
+            let range = subdivision.range(spread, self.finished);
+            self.finished += 1;
+            self.edge = if self.finished < subdivision.count() {
+                subdivision.first_time(self.finished + 1)
+            } else {
+                f64::NAN
+            };
+            if range.len() < self.floor {
+                self.not_applicable = true;
+                self.edge = f64::NAN;
+            } else if self.error.is_none() {
+                match SubintervalTest::run(&gaps[range.start..range.end - 1]) {
+                    Ok(test) => self.tests.push(test),
+                    Err(e) => self.error = Some(e),
+                }
+            }
+        }
+    }
+
+    /// The pooled outcome once every subinterval is finished, with the
+    /// errors `core::poisson_test_spread` raises, in its order: the
+    /// subdivision's, then NA before any test's, then the first test's.
+    fn outcome(&self) -> Result<Option<PoissonTestOutcome>> {
+        self.subdivision.clone()?;
+        if self.not_applicable {
+            return Ok(None);
+        }
+        if let Some(e) = &self.error {
+            return Err(e.clone().into());
+        }
+        Ok(Some(PoissonTestOutcome::combine(
+            &self.tests,
+            TieSpreading::Uniform,
+        )?))
     }
 }
 
@@ -409,6 +607,111 @@ mod tests {
 
         assert_eq!(split_out, whole_out);
         assert_eq!(second.total_events(), whole.total_events());
+
+        // Whole-second times in a 4-hour window, with a tied second on
+        // every ten-minute edge: split at every record within ±3 of
+        // each edge, some of them inside a tied second.
+        let cfg = cfg(14_400.0);
+        let mut times: Vec<f64> = poisson_times(0.5, 14_460.0, 5)
+            .into_iter()
+            .map(f64::floor)
+            .collect();
+        for edge in (1..=24).map(|e| e as f64 * 600.0) {
+            times.extend([edge - 1.0, edge, edge, edge]);
+        }
+        times.sort_by(f64::total_cmp);
+        let run = |w: &mut WindowedArrivals, times: &[f64], out: &mut Vec<WindowReport>| {
+            for &t in times {
+                w.push(t, out).unwrap();
+            }
+        };
+        let mut whole = WindowedArrivals::new(cfg.clone());
+        let mut whole_out = Vec::new();
+        run(&mut whole, &times, &mut whole_out);
+        whole.finish(&mut whole_out).unwrap();
+        assert_eq!(whole_out.len(), 1);
+        assert_ne!(whole_out[0].poisson_ten_min, PoissonVerdict::NotApplicable);
+
+        let mut splits: Vec<usize> = (0..=24)
+            .flat_map(|e| {
+                let at = times.partition_point(|&t| t < e as f64 * 600.0);
+                at.saturating_sub(3)..=(at + 3).min(times.len())
+            })
+            .collect();
+        splits.dedup();
+        let tied = |&k: &usize| k > 0 && k < times.len() && times[k] == times[k - 1];
+        assert!(splits.iter().filter(|k| tied(k)).count() >= 24);
+        let (mut first, mut first_out, mut done) =
+            (WindowedArrivals::new(cfg.clone()), Vec::new(), 0);
+        for k in splits {
+            run(&mut first, &times[done..k], &mut first_out);
+            done = k;
+            let mut second = WindowedArrivals::restore(cfg.clone(), first.export_state());
+            let mut out = first_out.clone();
+            run(&mut second, &times[k..], &mut out);
+            second.finish(&mut out).unwrap();
+            assert_eq!(out, whole_out, "split at record {k}");
+        }
+    }
+
+    #[test]
+    fn a_window_with_five_arrivals_in_a_subinterval_is_na() {
+        // Five arrivals are four gaps, one short of Anderson–Darling's
+        // five: the window is NA, not a failed close.
+        let mut w = WindowedArrivals::new(WindowConfig {
+            min_poisson_arrivals: 5,
+            ..cfg(600.0)
+        });
+        let mut out = Vec::new();
+        let sparse = [10.0, 50.0, 100.0, 150.0, 200.0];
+        let dense = (0..40).map(|i| 300.0 + 7.0 * i as f64);
+        for t in sparse.into_iter().chain(dense).chain([700.0]) {
+            w.push(t, &mut out).unwrap();
+        }
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].poisson_hourly, PoissonVerdict::NotApplicable);
+        assert_eq!(out[0].poisson_ten_min, PoissonVerdict::NotApplicable);
+    }
+
+    #[test]
+    fn subinterval_errors_surface_at_the_close_after_the_na_rule() {
+        // Past 2^53 every float is an even integer: a second's spread
+        // times collapse onto it, so a subinterval's gaps are constant
+        // and its lag-1 autocorrelation is undefined, a test error.
+        let cfg = WindowConfig {
+            min_poisson_arrivals: 6,
+            ..cfg(600.0)
+        };
+        let index = 15_012_000_000_000u64;
+        let start = index as f64 * 600.0;
+        assert!(start > 2f64.powi(53));
+        for (later, fails) in [(20, true), (3, false)] {
+            // Ten ties in subinterval 0, then `later` arrivals in
+            // subinterval 1: too few of them make the window NA, and NA
+            // is decided before any test's error is raised.
+            let times: Vec<f64> = (std::iter::repeat_n(start, 10))
+                .chain((0..later).map(|i| start + 300.0 + 2.0 * i as f64))
+                .collect();
+            let batch = poisson_arrival_test(&times, start, 600.0, 2, TieSpreading::Uniform, 6, 3);
+            assert_eq!(batch.is_err(), fails);
+            let state = ArrivalsState {
+                times: Vec::new(),
+                window_index: index,
+                last_time: start,
+                total_events: 0,
+            };
+            let mut w = WindowedArrivals::restore(cfg.clone(), state);
+            let mut out = Vec::new();
+            // Pushes past subinterval 0's edge hold its error back.
+            for &t in &times {
+                w.push(t, &mut out).unwrap();
+            }
+            let closed = w.push(start + 600.0, &mut out);
+            assert_eq!(closed.is_err(), fails, "{later} later arrivals");
+            if !fails {
+                assert_eq!(out[0].poisson_hourly, PoissonVerdict::NotApplicable);
+            }
+        }
     }
 
     #[test]
