@@ -53,15 +53,14 @@ fn bench_event_sink(c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("bench-events-{}.jsonl", std::process::id()));
 
     group.bench_function("publish/ring_only", |b| {
-        obs::events::reset();
-        b.iter(|| obs::events::publish(event()))
+        let run = obs::Telemetry::default();
+        b.iter(|| run.publish(event()))
     });
     group.bench_function("publish/jsonl_append", |b| {
-        obs::events::reset();
+        let run = obs::Telemetry::default();
         let sink = obs::events::JsonlEventSink::create(&path).expect("temp file opens");
-        obs::events::set_jsonl_sink(sink);
-        b.iter(|| obs::events::publish(event()));
-        obs::events::clear_jsonl_sink();
+        run.events().set_jsonl_sink(sink);
+        b.iter(|| run.publish(event()));
     });
     group.finish();
     let _ = std::fs::remove_file(&path);

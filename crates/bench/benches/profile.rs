@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
-use webpuzzle_obs::profile;
+use webpuzzle_obs::{profile, Telemetry};
 use webpuzzle_stream::{ClfSource, Source, StreamAnalyzer, StreamConfig, WindowConfig};
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
@@ -33,9 +33,12 @@ fn small_windows() -> StreamConfig {
     }
 }
 
-fn run(text: &str) -> u64 {
-    let mut engine = StreamAnalyzer::new(small_windows()).expect("valid config");
-    let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH);
+fn run(text: &str, telemetry: &Telemetry) -> u64 {
+    let mut engine = StreamAnalyzer::new(small_windows())
+        .expect("valid config")
+        .with_telemetry(telemetry.clone());
+    let mut src = ClfSource::new(black_box(text.as_bytes()), DEFAULT_BASE_EPOCH)
+        .with_profiler(telemetry.profiler());
     while let Some(item) = src.next_item() {
         engine.push(&item.expect("well-formed")).expect("sorted");
     }
@@ -46,11 +49,11 @@ fn bench_profile_overhead(c: &mut Criterion) {
     let text = log_text(0.02);
     let mut group = c.benchmark_group("profile");
     group.sample_size(10);
-    profile::reset();
-    group.bench_function("engine_off", |b| b.iter(|| run(&text)));
-    profile::enable(profile::DEFAULT_SAMPLE_EVERY);
-    group.bench_function("engine_on", |b| b.iter(|| run(&text)));
-    profile::reset();
+    let off = Telemetry::default();
+    group.bench_function("engine_off", |b| b.iter(|| run(&text, &off)));
+    let on = Telemetry::default();
+    on.enable_profiler(profile::DEFAULT_SAMPLE_EVERY);
+    group.bench_function("engine_on", |b| b.iter(|| run(&text, &on)));
     group.finish();
 }
 

@@ -180,7 +180,7 @@ fn main() {
     }
 
     let mut front = Frontend::start("repro", Some(seed), &output);
-    front.start_telemetry(&history, None);
+    front.start_telemetry(&history, None, None);
 
     let cfg = if fast {
         AnalysisConfig::fast()

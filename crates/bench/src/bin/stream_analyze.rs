@@ -88,12 +88,14 @@
 //! exemplar traces as schema-versioned JSONL; either flag implies
 //! `--profile`. The live snapshot is also served at `/profile` under
 //! `--telemetry-addr`, and the `--json` run report embeds it as
-//! `config.profile`. Profiler state intentionally resets on
-//! `--resume`: latency histograms are wall-clock observations of *this*
-//! process, so stitching them across process generations would blur
-//! incomparable timings (the stream-side counters the sampler keys on
-//! do resume, so trace indices stay deterministic). Note the per-window
-//! timing events are info-severity and count toward `--alert-on info`.
+//! `config.profile`. The recorder belongs to the run (its
+//! `obs::Telemetry` handle), and a resumed process is a new run, so
+//! profiler state intentionally resets on `--resume`: latency
+//! histograms are wall-clock observations of *this* process, so
+//! stitching them across process generations would blur incomparable
+//! timings (the stream-side counters the sampler keys on do resume, so
+//! trace indices stay deterministic). Note the per-window timing events
+//! are info-severity and count toward `--alert-on info`.
 //!
 //! ## Estimator diagnostics (DESIGN.md §13)
 //!
@@ -182,6 +184,7 @@ struct Args {
     profile_sample: u64,
     profile_out: Option<std::path::PathBuf>,
     profile_exemplars: Option<std::path::PathBuf>,
+    profile_overhead_pct: Option<f64>,
     truth_alpha: Option<f64>,
     truth_h: Option<f64>,
 }
@@ -199,6 +202,7 @@ fn parse_args() -> Args {
         profile_sample: obs::profile::DEFAULT_SAMPLE_EVERY,
         profile_out: None,
         profile_exemplars: None,
+        profile_overhead_pct: None,
         truth_alpha: None,
         truth_h: None,
     };
@@ -260,7 +264,7 @@ fn stream_config(args: &Args) -> StreamConfig {
 /// the report alone.
 fn config_value(
     args: &Args,
-    profile_overhead_pct: Option<f64>,
+    telemetry: &obs::Telemetry,
     summary: Option<&StreamSummary>,
     partial: bool,
 ) -> serde::Value {
@@ -310,8 +314,8 @@ fn config_value(
         // Live flight-recorder snapshot: stage histograms, exemplars,
         // and the startup-calibrated self-overhead number the CI gate
         // asserts against (DESIGN.md §12 budget: ≤ 3%).
-        fields.push(("profile".to_string(), obs::profile::snapshot().to_value()));
-        if let Some(pct) = profile_overhead_pct {
+        fields.push(("profile".to_string(), telemetry.profile_report().to_value()));
+        if let Some(pct) = args.profile_overhead_pct {
             fields.push(("profile_overhead_pct".to_string(), pct.to_value()));
         }
     }
@@ -349,15 +353,14 @@ impl<S: webpuzzle_stream::RecoverableSource> webpuzzle_stream::RecoverableSource
 type DrainedClf = DrainSource<FaultSource<ClfSource<Box<dyn io::BufRead>>>>;
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     // Flight recorder: calibrate the profiler's own cost first, on
     // synthetic records, so the published overhead number never mixes
-    // with real-stream variance. This runs before `Run::start` resets
-    // the process-global telemetry and before the events sink exists —
-    // everything the calibration touches (metric counters, the event
-    // ring, profiler histograms) is wiped there, so no synthetic sample
-    // can leak into the run.
-    let overhead_pct = args.profile.then(|| {
+    // with real-stream variance. The calibration profiles into a
+    // private run of its own, so no synthetic sample or event reaches
+    // this run; the metric counters it bumps are process-wide, and
+    // `Run::start` resets them.
+    args.profile_overhead_pct = args.profile.then(|| {
         let pct = webpuzzle_bench::measure_profile_overhead_pct(50_000, args.profile_sample);
         if !args.run.output.quiet {
             eprintln!(
@@ -369,13 +372,14 @@ fn main() {
         pct
     });
     let mut run = Run::start("stream-analyze", &args.run);
-    if let Some(pct) = overhead_pct {
-        obs::profile::enable(args.profile_sample);
+    let telemetry = run.front.telemetry.clone();
+    if let Some(pct) = args.profile_overhead_pct {
+        telemetry.enable_profiler(args.profile_sample);
         obs::metrics::gauge("profile/overhead_pct").set(pct);
     }
 
     run.front
-        .serve_telemetry(config_value(&args, overhead_pct, None, true));
+        .serve_telemetry(config_value(&args, &telemetry, None, true));
 
     let input = args.input.clone().unwrap_or_else(|| "-".to_string());
     if args.verify_batch && input == "-" {
@@ -403,6 +407,7 @@ fn main() {
     let base_epoch = args.run.base_epoch;
     let lenient = args.lenient;
     let factory_input = input.clone();
+    let factory_telemetry = telemetry.clone();
     let mut stdin_taken = false;
     let factory = move |pos: &SourcePosition| -> webpuzzle_stream::Result<DrainedClf> {
         let reader: Box<dyn io::BufRead> = if factory_input == "-" {
@@ -423,7 +428,8 @@ fn main() {
         };
         let clf = ClfSource::new(reader, base_epoch)
             .lenient(lenient)
-            .with_position(pos);
+            .with_position(pos)
+            .with_profiler(factory_telemetry.profiler());
         let mut source = FaultSource::new(clf, fault_spec.clone());
         source.set_index(pos.parsed);
         Ok(DrainSource(source))
@@ -432,7 +438,7 @@ fn main() {
     let snapshot_every = args.snapshot_every;
     let snapshot_cfg = args.clone();
     let snapshot_argv = run.front.raw_args().to_vec();
-    let snapshot_telemetry = run.front.telemetry.clone();
+    let snapshot_telemetry = telemetry.clone();
     let mut beat = run.record_beat();
     let supervisor = run
         .supervisor(engine_cfg, resume, args.lenient, factory)
@@ -443,7 +449,7 @@ fn main() {
                 let report = snapshot_telemetry.run_report(
                     "stream-analyze",
                     None,
-                    config_value(&snapshot_cfg, overhead_pct, Some(&partial), true),
+                    config_value(&snapshot_cfg, &snapshot_telemetry, Some(&partial), true),
                     snapshot_argv.clone(),
                 );
                 let snapshot_path = &snapshot_cfg.run.output.report_path;
@@ -476,8 +482,8 @@ fn main() {
     }
 
     if args.profile {
-        let prof = obs::profile::snapshot();
-        print_profile(&prof, overhead_pct);
+        let prof = telemetry.profile_report();
+        print_profile(&prof, args.profile_overhead_pct);
         if let Some(path) = &args.profile_out {
             if let Err(e) = std::fs::write(path, prof.folded()) {
                 eprintln!("failed to write {}: {e}", path.display());
@@ -495,7 +501,7 @@ fn main() {
     }
 
     run.front
-        .finish(config_value(&args, overhead_pct, Some(summary), false));
+        .finish(config_value(&args, &telemetry, Some(summary), false));
     let failed = args.verify_batch && verify_batch(&args, &input, summary, skipped) > 0;
     let drift_alarms = run.alert_gate();
     let truth_failures = check_truth_coverage(summary, &args);

@@ -9,7 +9,7 @@
 pub mod run;
 
 use webpuzzle_core::Result;
-use webpuzzle_obs::profile;
+use webpuzzle_obs::{Telemetry, TelemetryConfig};
 use webpuzzle_stream::{ClfSource, Source, StreamAnalyzer, StreamConfig, WindowConfig};
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_weblog::{LogRecord, Method, WeekDataset};
@@ -70,9 +70,10 @@ fn calibration_log(n: usize) -> String {
 }
 
 /// Wall time of one full `ClfSource` → [`StreamAnalyzer`] drain of the
-/// calibration `text`. Fine bins are off: the 10 ms-resolution window
-/// buffers dominate setup cost and are identical in both arms anyway.
-fn calibration_drain_secs(text: &str) -> f64 {
+/// calibration `text` on `telemetry`'s run. Fine bins are off: the
+/// 10 ms-resolution window buffers dominate setup cost and are
+/// identical in both arms anyway.
+fn calibration_drain_secs(text: &str, telemetry: &Telemetry) -> f64 {
     let cfg = StreamConfig {
         request_window: WindowConfig {
             fine_bin_width: None,
@@ -80,8 +81,11 @@ fn calibration_drain_secs(text: &str) -> f64 {
         },
         ..StreamConfig::default()
     };
-    let mut engine = StreamAnalyzer::new(cfg).expect("valid calibration config");
-    let mut src = ClfSource::new(text.as_bytes(), run::DEFAULT_BASE_EPOCH);
+    let mut engine = StreamAnalyzer::new(cfg)
+        .expect("valid calibration config")
+        .with_telemetry(telemetry.clone());
+    let mut src = ClfSource::new(text.as_bytes(), run::DEFAULT_BASE_EPOCH)
+        .with_profiler(telemetry.profiler());
     let t0 = std::time::Instant::now();
     while let Some(item) = src.next_item() {
         engine
@@ -93,10 +97,10 @@ fn calibration_drain_secs(text: &str) -> f64 {
 }
 
 /// The overhead of an "on" arm over a plain calibration drain of
-/// `n_records` records: each round times a drain, runs `setup`, times
-/// a drain with it, then hands its result to `teardown`. Returns the
-/// minimum `(t_on − t_off) / t_off` over 5–9 rounds as a percentage
-/// (clamped at 0).
+/// `n_records` records: each round times a drain on an unobserved run,
+/// builds the "on" run with `setup`, times a drain on it, then hands it
+/// to `teardown`. Returns the minimum `(t_on − t_off) / t_off` over 5–9
+/// rounds as a percentage (clamped at 0).
 ///
 /// Each round yields its own overhead estimate and the minimum across
 /// rounds is the answer. A load burst on a shared core contaminates one
@@ -105,17 +109,18 @@ fn calibration_drain_secs(text: &str) -> f64 {
 /// it. (Taking per-arm minima instead lets a burst that straddles only
 /// the enabled arms of every round masquerade as overhead.) Alternating
 /// arms keeps cache and frequency state comparable.
-fn paired_overhead_pct<T>(
+fn paired_overhead_pct(
     n_records: usize,
-    mut setup: impl FnMut() -> T,
-    mut teardown: impl FnMut(T),
+    mut setup: impl FnMut() -> Telemetry,
+    mut teardown: impl FnMut(Telemetry),
 ) -> f64 {
     let text = calibration_log(n_records);
+    let off = Telemetry::default();
     let mut pct = f64::INFINITY;
     for round in 0..9 {
-        let t_off = calibration_drain_secs(&text);
+        let t_off = calibration_drain_secs(&text, &off);
         let on = setup();
-        let t_on = calibration_drain_secs(&text);
+        let t_on = calibration_drain_secs(&text, &on);
         teardown(on);
         pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
         if round >= 4 {
@@ -133,27 +138,29 @@ fn paired_overhead_pct<T>(
 }
 
 /// Measure the flight recorder's own cost: run the full `ClfSource` →
-/// [`StreamAnalyzer`] path over `n_records` synthetic records with
-/// profiling off and on (1-in-`sample_every`), paired and alternating,
+/// [`StreamAnalyzer`] path over `n_records` synthetic records without
+/// and with a profiler (1-in-`sample_every`), paired and alternating,
 /// and return `(t_on − t_off) / t_off` as a percentage (clamped at 0).
 ///
 /// The minimum over 5–9 paired rounds suppresses scheduler noise (late
-/// rounds are spaced out to wait bursts out). The measurement drives
-/// the *global* profiler and metrics registry — callers should
-/// [`webpuzzle_obs::reset`] (or at least [`profile::clear`]) afterwards
-/// so synthetic samples never leak into a real run's report. The
-/// profiler is left disabled on return.
+/// rounds are spaced out to wait bursts out). Each "on" arm profiles
+/// into a private run that is dropped afterwards, so no calibration
+/// sample or event reaches the caller's run. The drains do bump the
+/// process-wide metrics registry; [`webpuzzle_obs::reset`] clears it.
 ///
 /// # Panics
 ///
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 {
-    profile::disable();
     paired_overhead_pct(
         n_records,
-        || profile::enable(sample_every),
-        |()| profile::disable(),
+        || {
+            let on = Telemetry::default();
+            on.enable_profiler(sample_every);
+            on
+        },
+        drop,
     )
 }
 
@@ -170,16 +177,16 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
-    let config = webpuzzle_obs::TelemetryConfig {
+    let config = TelemetryConfig {
         history: Some(webpuzzle_obs::tsdb::TsdbConfig {
             interval: std::time::Duration::from_millis(interval_ms.max(1)),
             ..webpuzzle_obs::tsdb::TsdbConfig::default()
         }),
-        ..webpuzzle_obs::TelemetryConfig::default()
+        ..TelemetryConfig::default()
     };
     paired_overhead_pct(
         n_records,
-        || webpuzzle_obs::Telemetry::new(config.clone()).start_sampler(),
+        || Telemetry::new(config.clone()).start_sampler(),
         |telemetry| telemetry.finish(),
     )
 }
@@ -214,11 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn overhead_measurement_is_finite_and_leaves_profiler_disabled() {
+    fn overhead_measurement_is_finite_and_records_nothing_on_the_callers_run() {
+        let caller = Telemetry::default();
+        caller.enable_profiler(32);
         let pct = measure_profile_overhead_pct(2_000, 32);
         assert!(pct.is_finite());
         assert!(pct >= 0.0);
-        assert!(!profile::is_enabled());
+        let report = caller.profile_report();
+        assert_eq!(report.records_sampled, 0);
+        assert!(report.stages.iter().all(|s| s.count == 0));
+        assert!(report.exemplars.is_empty());
+        assert_eq!(caller.events().latest_seq(), 0);
         webpuzzle_obs::reset();
     }
 }

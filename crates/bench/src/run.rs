@@ -18,11 +18,11 @@
 //! 1. [`Cli`] + [`RunArgs::parse_flag`]: parse the shared flags next to
 //!    the binary's own.
 //! 2. [`Run::start`]: [`Frontend::start`], the shutdown handler, the
-//!    JSONL events sink, then [`Frontend::start_telemetry`] (the run's
-//!    governor, SLO judge and history store in one [`obs::Telemetry`];
-//!    the sampler's baseline tick is the burn-rate windows' left edge),
-//!    and the panic hook that keeps injected crashes quiet. It also arms
-//!    the stage watchdog.
+//!    JSONL events log, then [`Frontend::start_telemetry`] (the run's
+//!    events, governor, SLO judge and history store in one
+//!    [`obs::Telemetry`]; the sampler's baseline tick is the burn-rate
+//!    windows' left edge), and the panic hook that keeps injected
+//!    crashes quiet. It also arms the stage watchdog.
 //! 3. [`Frontend::serve_telemetry`] once the binary can describe its
 //!    config.
 //! 4. [`Run::load_resume`]: engine-config validation (exit 2) and the
@@ -241,17 +241,16 @@ pub struct Frontend {
 
 impl Frontend {
     /// Select the output mode (stdout for [`say!`](crate::say), the
-    /// stderr sink) and reset the process-wide telemetry. `seed` goes
-    /// into the telemetry endpoint's and the run report's context.
+    /// stderr sink) and reset the process-wide span arena and metrics
+    /// registry. `seed` goes into the telemetry endpoint's and the run
+    /// report's context.
     pub fn start(tool: &'static str, seed: Option<u64>, output: &OutputArgs) -> Frontend {
         QUIET.store(output.quiet, Ordering::Relaxed);
-        if output.quiet {
-            // NullSink is the default: nothing reaches stderr.
-        } else if output.json {
-            obs::set_sink(Box::new(obs::JsonSink));
-        } else {
-            obs::set_sink(Box::new(obs::StderrSink::default()));
-        }
+        obs::sink::set_mode(match (output.quiet, output.json) {
+            (true, _) => obs::sink::Mode::Off,
+            (false, true) => obs::sink::Mode::Json,
+            (false, false) => obs::sink::Mode::Human,
+        });
         obs::reset();
         Frontend {
             tool,
@@ -269,14 +268,15 @@ impl Frontend {
     }
 
     /// Build the run's observatory: `governor`, the SLO judge (under
-    /// `--slo`) and the history store (under either history flag), whose
-    /// sampler takes an immediate baseline tick, so even a run shorter
-    /// than one interval has a burn-rate window. Exits 2 when the
-    /// objectives file is missing or invalid.
+    /// `--slo`), the `--events` log and the history store (under either
+    /// history flag), whose sampler takes an immediate baseline tick, so
+    /// even a run shorter than one interval has a burn-rate window.
+    /// Exits 2 when the objectives file is missing or invalid.
     pub fn start_telemetry(
         &mut self,
         history: &HistoryArgs,
         governor: Option<obs::governor::GovernorConfig>,
+        events_log: Option<obs::events::JsonlEventSink>,
     ) {
         let slo = history.slo.then(|| {
             obs::slo::SloConfig::load(&history.slo_file).unwrap_or_else(|e| {
@@ -284,15 +284,18 @@ impl Frontend {
                 std::process::exit(2);
             })
         });
-        self.telemetry = obs::Telemetry::new(obs::TelemetryConfig {
+        let telemetry = obs::Telemetry::new(obs::TelemetryConfig {
             history: (history.enabled || history.slo).then(|| obs::tsdb::TsdbConfig {
                 interval: Duration::from_millis(history.interval_ms.max(1)),
                 ..obs::tsdb::TsdbConfig::default()
             }),
             slo,
             governor,
-        })
-        .start_sampler();
+        });
+        if let Some(sink) = events_log {
+            telemetry.events().set_jsonl_sink(sink);
+        }
+        self.telemetry = telemetry.start_sampler();
     }
 
     /// Serve live telemetry on `--telemetry-addr`, if given; `config` is
@@ -543,14 +546,13 @@ impl Run {
                 g.memory_budget_bytes
             );
         }
-        if let Some(path) = &args.events_path {
-            let sink = obs::events::JsonlEventSink::create(path).unwrap_or_else(|e| {
+        let events_log = args.events_path.as_ref().map(|path| {
+            obs::events::JsonlEventSink::create(path).unwrap_or_else(|e| {
                 eprintln!("{tool}: cannot open events log {}: {e}", path.display());
                 std::process::exit(2);
-            });
-            obs::events::set_jsonl_sink(sink);
-        }
-        front.start_telemetry(&args.history, armed.then(|| g.clone()));
+            })
+        });
+        front.start_telemetry(&args.history, armed.then(|| g.clone()), events_log);
 
         // Injected crashes are recovered by the supervisor; keep their
         // panic backtraces off stderr so drills read like operations, not
@@ -578,6 +580,7 @@ impl Run {
                     ..WatchdogConfig::default()
                 },
                 &["engine"],
+                front.telemetry.clone(),
             );
             wd.spawn_monitor();
             wd
@@ -752,13 +755,13 @@ impl Run {
         }
     }
 
-    /// Count the events at or above `--alert-on` (0 without the flag).
-    /// The verdict reaches stderr even under `--quiet`.
+    /// Count the run's events at or above `--alert-on` (0 without the
+    /// flag). The verdict reaches stderr even under `--quiet`.
     pub fn alert_gate(&self) -> u64 {
         let Some(min_sev) = self.args.alert_on else {
             return 0;
         };
-        let alarms = obs::events::total_at_or_above(min_sev);
+        let alarms = self.front.telemetry.events().total_at_or_above(min_sev);
         if alarms > 0 {
             eprintln!(
                 "{}: {alarms} drift alarm(s) at or above {}",

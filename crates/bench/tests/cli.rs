@@ -111,7 +111,8 @@ fn assert_close(a: &Value, b: &Value, path: &str) {
 #[test]
 fn usage_errors_exit_2_on_every_binary() {
     // Per binary: a flag missing its value, a value that does not
-    // parse, and a flag the binary does not take.
+    // parse, and a flag the binary does not take; for the stream
+    // binaries also window lengths that parse but cannot be used.
     let cases: [(&str, &[&[&str]]); 7] = [
         (
             REPRO,
@@ -151,11 +152,28 @@ fn usage_errors_exit_2_on_every_binary() {
         ),
         (
             ANALYZE,
-            &[&["--window"], &["--window", "abc"], &["--no-such-flag"]],
+            &[
+                &["--window"],
+                &["--window", "abc"],
+                &["--no-such-flag"],
+                // Parsable, but no usable window.
+                &["--window", "0"],
+                &["--window", "1e-300"],
+                &["--window", "NaN"],
+                &["--window", "0.5"],
+            ],
         ),
         (
             SERVE,
-            &[&["--window"], &["--window", "abc"], &["--no-such-flag"]],
+            &[
+                &["--window"],
+                &["--window", "abc"],
+                &["--no-such-flag"],
+                &["--window", "0"],
+                &["--window", "1e-300"],
+                &["--window", "NaN"],
+                &["--window", "0.5"],
+            ],
         ),
     ];
     for (bin, cases) in cases {

@@ -51,8 +51,9 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use webpuzzle_obs::governor::{Governor, PressureState};
-use webpuzzle_obs::{events, metrics, Telemetry};
+use webpuzzle_obs::events::{Event, Severity};
+use webpuzzle_obs::governor::PressureState;
+use webpuzzle_obs::{metrics, Telemetry};
 use webpuzzle_stream::SourcePosition;
 use webpuzzle_weblog::clf::MALFORMED_SKIPPED_COUNTER;
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind};
@@ -680,8 +681,8 @@ impl IngestHub {
             st.gate_lifted = true;
             st.last_progress = Instant::now();
             self.counters.stalls.incr();
-            events::publish(events::Event::new(
-                events::Severity::Warn,
+            self.cfg.telemetry.publish(Event::new(
+                Severity::Warn,
                 "ingest",
                 "ingest/watermark_stalls",
                 0,
@@ -709,8 +710,8 @@ impl IngestHub {
         }
         st.last_progress = Instant::now();
         self.counters.stalls.incr();
-        events::publish(events::Event::new(
-            events::Severity::Warn,
+        self.cfg.telemetry.publish(Event::new(
+            Severity::Warn,
             "ingest",
             "ingest/watermark_stalls",
             0,
@@ -732,8 +733,8 @@ impl IngestHub {
     /// caller observed inside it.
     fn publish_breaker_events(&self, source: &str, trips: u64, recoveries: u64) {
         for _ in 0..trips {
-            events::publish(events::Event::new(
-                events::Severity::Warn,
+            self.cfg.telemetry.publish(Event::new(
+                Severity::Warn,
                 "ingest",
                 "ingest/breaker_trips",
                 0,
@@ -751,8 +752,8 @@ impl IngestHub {
             ));
         }
         for _ in 0..recoveries {
-            events::publish(events::Event::new(
-                events::Severity::Info,
+            self.cfg.telemetry.publish(Event::new(
+                Severity::Info,
                 "ingest",
                 "ingest/breaker_trips",
                 0,
@@ -794,19 +795,19 @@ impl IngestHub {
     }
 
     /// Publish the buffered record count and bytes to the gauges and to
-    /// the run's governor, returned for callers that re-evaluate it.
-    fn note_buffered(&self, buffered: usize) -> Option<&Governor> {
+    /// the run's governor.
+    fn note_buffered(&self, buffered: usize) {
         self.counters.queue_depth.set(buffered as f64);
         let queue_bytes = (buffered * std::mem::size_of::<LogRecord>()) as u64;
         self.counters.queue_bytes.set(queue_bytes as f64);
-        let governor = self.cfg.telemetry.governor();
-        governor.inspect(|g| g.set_queue_bytes(queue_bytes))
+        if let Some(governor) = self.cfg.telemetry.governor() {
+            governor.set_queue_bytes(queue_bytes);
+        }
     }
 
     fn refresh_gauges(&self, st: &mut MutexGuard<'_, HubState>) {
-        if let Some(governor) = self.note_buffered(st.merger.buffered()) {
-            governor.evaluate();
-        }
+        self.note_buffered(st.merger.buffered());
+        self.cfg.telemetry.evaluate_governor();
         let open_breakers = st
             .admissions
             .iter()

@@ -20,7 +20,7 @@ fn rec(t: f64, client: u32) -> LogRecord {
 }
 
 /// A run's observatory whose governor (16-session budget) is forced to
-/// `want` via session pressure. `evaluate` walks one stage per call, so
+/// `want` via session pressure. `evaluate_governor` walks one stage per call, so
 /// Red takes two rounds.
 fn governed(sessions: u64, want: PressureState) -> Telemetry {
     let telemetry = Telemetry::new(TelemetryConfig {
@@ -32,9 +32,9 @@ fn governed(sessions: u64, want: PressureState) -> Telemetry {
     });
     let governor = telemetry.governor().expect("a governor");
     governor.set_sessions(sessions);
-    governor.evaluate();
+    telemetry.evaluate_governor();
     if governor.state() != want {
-        governor.evaluate();
+        telemetry.evaluate_governor();
     }
     assert_eq!(governor.state(), want, "could not force governor state");
     telemetry

@@ -46,8 +46,8 @@ fn settled(sessions: u64) -> Telemetry {
     });
     let governor = telemetry.governor().expect("a governor");
     governor.set_sessions(sessions);
-    governor.evaluate();
-    governor.evaluate();
+    telemetry.evaluate_governor();
+    telemetry.evaluate_governor();
     telemetry
 }
 

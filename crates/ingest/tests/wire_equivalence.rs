@@ -25,8 +25,8 @@ use webpuzzle_stream::{
 use webpuzzle_weblog::clf::{format_line, WVU_BASE_EPOCH};
 use webpuzzle_weblog::{LogRecord, Method};
 
-/// Engines here share the process-global metrics registry and event
-/// ring; serialize tests so counters don't interleave.
+/// Engines here share the process-wide metrics registry; serialize
+/// tests so counters don't interleave.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small_config() -> StreamConfig {

@@ -1,16 +1,22 @@
 //! Typed drift/anomaly events: a bounded in-memory ring, per-severity
 //! counters, and an append-only JSONL sink.
 //!
-//! Detectors (the `webpuzzle-stream` drift observatory) publish
-//! [`Event`]s through [`publish`]; the subsystem then
+//! Each run's [`crate::Telemetry`] handle owns one [`EventLog`].
+//! Detectors (the `webpuzzle-stream` drift observatory, the supervisor,
+//! the ingest hub, the governor, the SLO judge, the watchdog) publish
+//! [`Event`]s through [`crate::Telemetry::publish`]; the log then
 //!
 //! 1. assigns a monotonically increasing sequence number and stores the
 //!    event in a bounded ring (oldest events drop first), which the
 //!    `/events?since=<seq>` endpoint on [`crate::server`] polls;
-//! 2. bumps the `events/total/<severity>` counter family (exported to
-//!    Prometheus as `webpuzzle_events_total{severity="..."}`);
+//! 2. bumps the run's per-severity totals and the process-wide
+//!    `events/total/<severity>` counter family (exported to Prometheus
+//!    as `webpuzzle_events_total{severity="..."}`);
 //! 3. appends one schema-versioned JSON line to the installed
 //!    [`JsonlEventSink`], if any (`stream-analyze --events <path>`).
+//!
+//! Two runs in one process have two logs: their sequence numbers,
+//! totals and rings never mix.
 //!
 //! The JSONL append is atomic at the line level: the file is opened in
 //! append mode and each event is written with a single `write_all` of a
@@ -25,23 +31,24 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics;
+use crate::profile::{Profiler, Stage};
 
 /// Version stamped into every serialized event (`schema` field). Bump on
 /// breaking field changes only; additive fields keep the version.
 pub const EVENT_SCHEMA_VERSION: u32 = 1;
 
-/// Default capacity of the in-memory event ring.
-pub const DEFAULT_RING_CAPACITY: usize = 1_024;
+/// Capacity of a run's event ring; older events drop first.
+pub const RING_CAPACITY: usize = 1_024;
 
-/// Prefix of the counter-family names fed by [`publish`]; the
+/// Prefix of the counter-family names fed by every publish; the
 /// Prometheus exporter folds `events/total/<severity>` counters into a
 /// single `webpuzzle_events_total{severity="..."}` family.
 pub const EVENTS_TOTAL_PREFIX: &str = "events/total/";
@@ -91,7 +98,7 @@ impl Severity {
 pub struct Event {
     /// Serialization schema version ([`EVENT_SCHEMA_VERSION`]).
     pub schema: u32,
-    /// Monotonic sequence number, assigned by [`publish`] (0 before).
+    /// Monotonic sequence number, assigned at publication (0 before).
     pub seq: u64,
     /// Unix seconds when the event was published.
     pub unix_time: u64,
@@ -117,23 +124,26 @@ pub struct Event {
     pub message: String,
 }
 
+#[derive(Debug, Default)]
 struct Ring {
     buf: VecDeque<Event>,
-    capacity: usize,
-    next_seq: u64,
+    /// The last sequence number assigned (0 before the first event).
+    last_seq: u64,
 }
 
-static RING: Mutex<Ring> = Mutex::new(Ring {
-    buf: VecDeque::new(),
-    capacity: DEFAULT_RING_CAPACITY,
-    next_seq: 1,
-});
-
-/// Published-event totals per severity (index = `Severity as usize`),
-/// immune to ring overflow.
-static TOTALS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-
-static SINK: Mutex<Option<JsonlEventSink>> = Mutex::new(None);
+/// One run's drift events: the bounded ring `/events` polls, the
+/// per-severity totals `--alert-on` counts, and the optional JSONL log
+/// (`--events`). Every [`crate::Telemetry`] handle has one; events are
+/// published through [`crate::Telemetry::publish`], which also times
+/// the log append when the run is profiled.
+#[derive(Debug, Default)]
+pub struct EventLog {
+    ring: Mutex<Ring>,
+    /// Published-event totals per severity (index = `Severity as
+    /// usize`), immune to ring overflow.
+    totals: [AtomicU64; 3],
+    sink: Mutex<Option<JsonlEventSink>>,
+}
 
 /// Append-only JSONL event log. One complete line per event, written
 /// with a single `write_all` against a file opened in append mode, so
@@ -142,7 +152,6 @@ static SINK: Mutex<Option<JsonlEventSink>> = Mutex::new(None);
 #[derive(Debug)]
 pub struct JsonlEventSink {
     file: std::fs::File,
-    path: PathBuf,
 }
 
 impl JsonlEventSink {
@@ -156,15 +165,7 @@ impl JsonlEventSink {
             .create(true)
             .append(true)
             .open(path)?;
-        Ok(JsonlEventSink {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(JsonlEventSink { file })
     }
 
     /// Append one event as a single JSON line.
@@ -209,142 +210,124 @@ pub fn parse_jsonl(text: &str) -> (Vec<Event>, usize) {
     (events, skipped)
 }
 
-/// Install a JSONL sink; every subsequent [`publish`] appends to it.
-/// Replaces (and closes) any previously installed sink.
-pub fn set_jsonl_sink(sink: JsonlEventSink) {
-    *SINK.lock().expect("event sink poisoned") = Some(sink);
-}
-
-/// Remove the installed JSONL sink, if any.
-pub fn clear_jsonl_sink() {
-    *SINK.lock().expect("event sink poisoned") = None;
-}
-
-/// `fsync` the installed JSONL sink. Returns `Ok(false)` when no sink is
-/// installed (nothing to make durable). Checkpoint writers call this
-/// before persisting a cursor into the event log.
-///
-/// # Errors
-///
-/// Propagates the sync failure.
-pub fn sync_jsonl_sink() -> io::Result<bool> {
-    match SINK.lock().expect("event sink poisoned").as_mut() {
-        Some(sink) => sink.sync().map(|()| true),
-        None => Ok(false),
+impl EventLog {
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("event ring poisoned")
     }
-}
 
-/// Fast-forward sequence numbering so the next published event gets a
-/// `seq` strictly above `seq` — used when resuming from a checkpoint
-/// whose event log already holds sequences up to `seq`. Never moves the
-/// counter backwards.
-pub fn resume_from(seq: u64) {
-    let mut ring = RING.lock().expect("event ring poisoned");
-    ring.next_seq = ring.next_seq.max(seq + 1);
-}
-
-/// Override the ring capacity (existing overflow drops oldest-first).
-pub fn set_ring_capacity(capacity: usize) {
-    let mut ring = RING.lock().expect("event ring poisoned");
-    ring.capacity = capacity.max(1);
-    while ring.buf.len() > ring.capacity {
-        ring.buf.pop_front();
+    fn sink(&self) -> MutexGuard<'_, Option<JsonlEventSink>> {
+        self.sink.lock().expect("event sink poisoned")
     }
-}
 
-/// Publish one event: assign its sequence number and wall-clock stamp,
-/// store it in the ring, bump `events/total/<severity>`, and append to
-/// the JSONL sink when one is installed. Returns the assigned sequence
-/// number.
-pub fn publish(mut event: Event) -> u64 {
-    event.schema = EVENT_SCHEMA_VERSION;
-    if event.unix_time == 0 {
-        event.unix_time = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
+    /// Install a JSONL sink; every subsequent publish appends to it.
+    /// Replaces (and closes) any previously installed sink.
+    pub fn set_jsonl_sink(&self, sink: JsonlEventSink) {
+        *self.sink() = Some(sink);
     }
-    let seq = {
-        let mut ring = RING.lock().expect("event ring poisoned");
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        event.seq = seq;
-        if ring.buf.len() == ring.capacity {
-            ring.buf.pop_front();
+
+    /// `fsync` the installed JSONL sink. Returns `Ok(false)` when no sink
+    /// is installed (nothing to make durable). Checkpoint writers call
+    /// this before persisting a cursor into the event log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync_jsonl_sink(&self) -> io::Result<bool> {
+        match self.sink().as_mut() {
+            Some(sink) => sink.sync().map(|()| true),
+            None => Ok(false),
         }
-        ring.buf.push_back(event.clone());
+    }
+
+    /// Fast-forward sequence numbering so the next published event gets
+    /// a `seq` strictly above `seq` — used when resuming from a
+    /// checkpoint whose event log already holds sequences up to `seq`.
+    /// Never moves the counter backwards.
+    pub fn resume_from(&self, seq: u64) {
+        let mut ring = self.ring();
+        ring.last_seq = ring.last_seq.max(seq);
+    }
+
+    /// Publish one event: assign its sequence number and wall-clock
+    /// stamp, store it in the ring, bump `events/total/<severity>`, and
+    /// append to the JSONL sink when one is installed, timing the append
+    /// into `profiler`. Returns the assigned sequence number.
+    pub(crate) fn publish(&self, mut event: Event, profiler: Option<&Profiler>) -> u64 {
+        event.schema = EVENT_SCHEMA_VERSION;
+        if event.unix_time == 0 {
+            event.unix_time = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0);
+        }
+        let seq = {
+            let mut ring = self.ring();
+            ring.last_seq += 1;
+            event.seq = ring.last_seq;
+            if ring.buf.len() == RING_CAPACITY {
+                ring.buf.pop_front();
+            }
+            ring.buf.push_back(event.clone());
+            event.seq
+        };
+        self.totals[event.severity as usize].fetch_add(1, Ordering::Relaxed);
+        metrics::counter(&format!(
+            "{}{}",
+            EVENTS_TOTAL_PREFIX,
+            event.severity.as_str()
+        ))
+        .incr();
+        if let Some(sink) = self.sink().as_mut() {
+            // Flight-recorder timing of the append: event publication is
+            // rare, so every append of a profiled run is timed.
+            let t0 = profiler.map(|_| Instant::now());
+            if let Err(e) = sink.append(&event) {
+                crate::sink::warn(&format!("event log append failed: {e}"));
+            }
+            if let (Some(profiler), Some(t0)) = (profiler, t0) {
+                profiler.record_stage_ns(Stage::EventSink, t0.elapsed().as_nanos() as u64);
+            }
+        }
         seq
-    };
-    TOTALS[event.severity as usize].fetch_add(1, Ordering::Relaxed);
-    metrics::counter(&format!(
-        "{}{}",
-        EVENTS_TOTAL_PREFIX,
-        event.severity.as_str()
-    ))
-    .incr();
-    if let Some(sink) = SINK.lock().expect("event sink poisoned").as_mut() {
-        // Flight-recorder timing of the append: event publication is
-        // rare, so this is always-on while profiling is enabled.
-        let t0 = crate::profile::is_enabled().then(std::time::Instant::now);
-        if let Err(e) = sink.append(&event) {
-            crate::sink::warn(&format!("event log append failed: {e}"));
-        }
-        if let Some(t0) = t0 {
-            crate::profile::record_stage_ns(
-                crate::profile::Stage::EventSink,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
     }
-    seq
-}
 
-/// Events with `seq > cursor`, oldest first. A cursor of 0 returns the
-/// whole ring. Events older than the ring capacity are gone — pollers
-/// that fall behind resynchronize from whatever remains.
-pub fn since(cursor: u64) -> Vec<Event> {
-    let ring = RING.lock().expect("event ring poisoned");
-    ring.buf
-        .iter()
-        .filter(|e| e.seq > cursor)
-        .cloned()
-        .collect()
-}
+    /// Events with `seq > cursor`, oldest first. A cursor of 0 returns
+    /// the whole ring. Events older than the ring capacity are gone —
+    /// pollers that fall behind resynchronize from whatever remains.
+    pub fn since(&self, cursor: u64) -> Vec<Event> {
+        self.ring()
+            .buf
+            .iter()
+            .filter(|e| e.seq > cursor)
+            .cloned()
+            .collect()
+    }
 
-/// Highest sequence number assigned so far (0 before the first event).
-pub fn latest_seq() -> u64 {
-    RING.lock().expect("event ring poisoned").next_seq - 1
-}
+    /// Highest sequence number assigned so far (0 before the first
+    /// event).
+    pub fn latest_seq(&self) -> u64 {
+        self.ring().last_seq
+    }
 
-/// Total events published at `severity` (ring overflow does not lower
-/// this).
-pub fn total(severity: Severity) -> u64 {
-    TOTALS[severity as usize].load(Ordering::Relaxed)
-}
+    /// Total events published at `severity` (ring overflow does not
+    /// lower this).
+    pub fn total(&self, severity: Severity) -> u64 {
+        self.totals[severity as usize].load(Ordering::Relaxed)
+    }
 
-/// Total events published at or above `severity`.
-pub fn total_at_or_above(severity: Severity) -> u64 {
-    Severity::ALL
-        .iter()
-        .filter(|s| **s >= severity)
-        .map(|s| total(*s))
-        .sum()
-}
-
-/// Clear the ring and severity totals (the JSONL sink stays installed).
-/// Sequence numbering restarts at 1. For tests and multi-run tools.
-pub fn reset() {
-    let mut ring = RING.lock().expect("event ring poisoned");
-    ring.buf.clear();
-    ring.next_seq = 1;
-    for t in &TOTALS {
-        t.store(0, Ordering::Relaxed);
+    /// Total events published at or above `severity`.
+    pub fn total_at_or_above(&self, severity: Severity) -> u64 {
+        Severity::ALL
+            .iter()
+            .filter(|s| **s >= severity)
+            .map(|s| self.total(*s))
+            .sum()
     }
 }
 
 impl Event {
     /// An event with the bookkeeping fields (schema, seq, unix_time)
-    /// zeroed for [`publish`] to fill in.
+    /// zeroed for publication to fill in.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         severity: Severity,
@@ -407,69 +390,61 @@ mod tests {
 
     #[test]
     fn publish_assigns_monotone_seqs_and_counts() {
-        let _lock = crate::global_test_lock();
-        reset();
-        let a = publish(ev(Severity::Warn, 0));
-        let b = publish(ev(Severity::Critical, 1));
-        assert!(b > a);
-        assert_eq!(latest_seq(), b);
-        assert_eq!(total(Severity::Warn), 1);
-        assert_eq!(total(Severity::Critical), 1);
-        assert_eq!(total_at_or_above(Severity::Warn), 2);
-        assert_eq!(total_at_or_above(Severity::Critical), 1);
-        let all = since(0);
+        let log = EventLog::default();
+        let a = log.publish(ev(Severity::Warn, 0), None);
+        let b = log.publish(ev(Severity::Critical, 1), None);
+        assert_eq!((a, b), (1, 2), "a fresh log numbers from 1");
+        assert_eq!(log.latest_seq(), b);
+        assert_eq!(log.total(Severity::Warn), 1);
+        assert_eq!(log.total(Severity::Critical), 1);
+        assert_eq!(log.total_at_or_above(Severity::Warn), 2);
+        assert_eq!(log.total_at_or_above(Severity::Critical), 1);
+        let all = log.since(0);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].seq, a);
         assert!(all[0].unix_time > 0);
         assert_eq!(all[0].schema, EVENT_SCHEMA_VERSION);
-        assert_eq!(since(a).len(), 1);
-        assert_eq!(since(b).len(), 0);
-        reset();
+        assert_eq!(log.since(a).len(), 1);
+        assert_eq!(log.since(b).len(), 0);
     }
 
     #[test]
     fn ring_is_bounded_oldest_first() {
-        let _lock = crate::global_test_lock();
-        reset();
-        set_ring_capacity(4);
-        for i in 0..10 {
-            publish(ev(Severity::Info, i));
+        let log = EventLog::default();
+        let n = RING_CAPACITY as u64 + 6;
+        for i in 0..n {
+            log.publish(ev(Severity::Info, i), None);
         }
-        let kept = since(0);
-        assert_eq!(kept.len(), 4);
+        let kept = log.since(0);
+        assert_eq!(kept.len(), RING_CAPACITY);
         assert_eq!(kept[0].window_index, 6);
-        assert_eq!(kept[3].window_index, 9);
+        assert_eq!(kept[RING_CAPACITY - 1].window_index, n - 1);
         // Totals survive the overflow.
-        assert_eq!(total(Severity::Info), 10);
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
-        reset();
+        assert_eq!(log.total(Severity::Info), n);
     }
 
     #[test]
     fn resume_from_fast_forwards_but_never_rewinds() {
-        let _lock = crate::global_test_lock();
-        reset();
-        resume_from(41);
-        let seq = publish(ev(Severity::Info, 0));
+        let log = EventLog::default();
+        log.resume_from(41);
+        let seq = log.publish(ev(Severity::Info, 0), None);
         assert_eq!(seq, 42);
         // A stale (lower) cursor must not rewind numbering.
-        resume_from(7);
-        let seq = publish(ev(Severity::Info, 1));
+        log.resume_from(7);
+        let seq = log.publish(ev(Severity::Info, 1), None);
         assert_eq!(seq, 43);
-        reset();
     }
 
     #[test]
     fn sink_sync_reports_installation_state() {
         // No sink installed: nothing to sync, not an error.
-        clear_jsonl_sink();
-        assert!(!sync_jsonl_sink().unwrap());
+        let log = EventLog::default();
+        assert!(!log.sync_jsonl_sink().unwrap());
         let dir = std::env::temp_dir().join(format!("webpuzzle-evsync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        set_jsonl_sink(JsonlEventSink::create(&path).unwrap());
-        assert!(sync_jsonl_sink().unwrap());
-        clear_jsonl_sink();
+        log.set_jsonl_sink(JsonlEventSink::create(&path).unwrap());
+        assert!(log.sync_jsonl_sink().unwrap());
         let _ = std::fs::remove_file(&path);
     }
 

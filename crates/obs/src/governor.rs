@@ -42,7 +42,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
-use crate::events::{self, Event, Severity};
+use crate::events::{Event, Severity};
 use crate::metrics;
 
 /// Staged degradation state, ordered by severity.
@@ -202,12 +202,12 @@ impl Governor {
     /// Re-evaluate pressure against the budgets and walk the state
     /// machine one step (states never skip a stage in a single
     /// evaluation, so every transition is observable). Publishes gauges
-    /// always and a typed event on each transition. Returns the
-    /// post-evaluation state.
+    /// always and a typed event to `run` on each transition (under the
+    /// lock, so in order). Returns the post-evaluation state.
     ///
     /// Cheap enough for a 64-record cadence: three atomic loads, three
     /// divisions, and a mutex that is uncontended outside transitions.
-    pub fn evaluate(&self) -> PressureState {
+    pub(crate) fn evaluate(&self, run: &crate::Telemetry) -> PressureState {
         let _transition = self.transition.lock().expect("governor poisoned");
         let cfg = &self.cfg;
         let budgets = [
@@ -248,7 +248,7 @@ impl Governor {
                 (PressureState::Yellow, _) => cfg.yellow_exit,
                 (PressureState::Red, _) => cfg.red_exit,
             };
-            events::publish(Event::new(
+            run.publish(Event::new(
                 severity,
                 "governor",
                 "governor/state",
@@ -305,7 +305,10 @@ mod tests {
         gov.set_sessions(50); // 0.5
         gov.set_queue_bytes(300); // 0.3
         gov.set_memory_bytes(u64::MAX); // budget 0: ignored
-        assert_eq!(gov.evaluate(), PressureState::Green);
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Green
+        );
         assert!((gov.pressure() - 0.5).abs() < 1e-12);
     }
 
@@ -316,37 +319,56 @@ mod tests {
         // Straight to over-red pressure: first evaluation only reaches
         // Yellow, the next one Red — no stage is skipped.
         gov.set_sessions(95);
-        assert_eq!(gov.evaluate(), PressureState::Yellow);
-        assert_eq!(gov.evaluate(), PressureState::Red);
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Yellow
+        );
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Red
+        );
         assert_eq!(gov.state(), PressureState::Red);
         // Between red_exit and red_enter: Red holds (hysteresis).
         gov.set_sessions(85);
-        assert_eq!(gov.evaluate(), PressureState::Red);
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Red
+        );
         // Below red_exit: back to Yellow; holds above yellow_exit.
         gov.set_sessions(65);
-        assert_eq!(gov.evaluate(), PressureState::Yellow);
-        assert_eq!(gov.evaluate(), PressureState::Yellow);
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Yellow
+        );
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Yellow
+        );
         // Below yellow_exit: recovered.
         gov.set_sessions(10);
-        assert_eq!(gov.evaluate(), PressureState::Green);
+        assert_eq!(
+            gov.evaluate(&crate::Telemetry::default()),
+            PressureState::Green
+        );
     }
 
     #[test]
     fn transitions_publish_events_and_gauges() {
         let _lock = crate::global_test_lock();
-        crate::events::reset();
         let transitions_before = metrics::counter("governor/transitions").get();
-        let gov = Governor::new(base_cfg());
+        let run = crate::Telemetry::new(crate::TelemetryConfig {
+            governor: Some(base_cfg()),
+            ..crate::TelemetryConfig::default()
+        });
+        let gov = run.governor().expect("a governor");
         gov.set_queue_bytes(950);
-        gov.evaluate(); // -> Yellow
-        gov.evaluate(); // -> Red
+        run.evaluate_governor(); // -> Yellow
+        run.evaluate_governor(); // -> Red
         gov.set_queue_bytes(0);
-        gov.evaluate(); // -> Yellow
-        gov.evaluate(); // -> Green
-        let evs: Vec<_> = crate::events::since(0)
-            .into_iter()
-            .filter(|e| e.detector == "governor")
-            .collect();
+        run.evaluate_governor(); // -> Yellow
+        run.evaluate_governor(); // -> Green
+        let evs = run.events().since(0);
+        assert!(evs.iter().all(|e| e.detector == "governor"));
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].severity, Severity::Warn);
         assert_eq!(evs[1].severity, Severity::Critical);

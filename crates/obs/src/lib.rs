@@ -9,9 +9,9 @@
 //!   counters, gauges, and log-bucket histograms. [`metrics::Histogram`]
 //!   is the workspace's one histogram type: base-2 buckets in the
 //!   registry, 16 sub-buckets per octave in the flight recorder.
-//! - **Sinks** ([`sink`]): pluggable live-output backends. The default
-//!   is silence; binaries install [`sink::StderrSink`] (human lines) or
-//!   [`sink::JsonSink`] (JSON lines) per their flags.
+//! - **Message sink** ([`sink`]): where span closes, progress and
+//!   messages surface. The default is silence; binaries select human
+//!   lines or JSON lines on stderr ([`sink::Mode`]) per their flags.
 //! - **Progress** ([`progress::ProgressMeter`]): rate-limited progress
 //!   events for long loops.
 //! - **Reports** ([`report::RunReport`]): a serializable snapshot of
@@ -24,12 +24,12 @@
 //! - **Sharded counters** ([`sharded::ShardedCounter`]): per-thread
 //!   cache-line-sharded counters for contended hot loops.
 //! - **Drift events** ([`events`]): typed, schema-versioned change
-//!   events in a bounded ring with per-severity counters and an
+//!   events in a run's bounded ring with per-severity counters and an
 //!   append-only JSONL log, served live at `/events?since=`.
-//! - **Flight recorder** ([`profile`]): sampled per-stage latency
-//!   histograms (p50/p95/p99/p999 + max), slowest-record trace
-//!   exemplars, and folded flamegraph dumps for the streaming
-//!   pipeline, served live at `/profile`.
+//! - **Flight recorder** ([`profile`]): a profiled run's sampled
+//!   per-stage latency histograms (p50/p95/p99/p999 + max),
+//!   slowest-record trace exemplars, and folded flamegraph dumps for
+//!   the streaming pipeline, served live at `/profile`.
 //! - **Estimator diagnostics** ([`diagnostics`]): schema-versioned
 //!   per-window confidence intervals, Hill-plateau evidence, and
 //!   cross-estimator agreement verdicts published by the streaming
@@ -52,15 +52,28 @@
 //!
 //! # Run-scoped and process-wide state
 //!
-//! A run's history store and sampler, SLO judge, governor and latest
-//! diagnostics block live in its [`Telemetry`] handle, which the
-//! binaries build from their flags and pass to the ingest hub, the
-//! supervisor (and so to every engine) and [`serve`]. The metrics
-//! registry, the event ring and its JSONL sink, the message sink, the
-//! span arena and the flight recorder stay process-wide: library
-//! numerics write to them without a handle. [`shutdown`]'s flag is
-//! process-wide because a signal handler sets it. [`reset`] clears the
-//! process-wide parts between analyses.
+//! A run's state lives in its [`Telemetry`] handle, which the binaries
+//! build from their flags and pass to the ingest hub, the supervisor
+//! (and so to every engine), the watchdog and [`serve`]: its drift
+//! events (ring, per-severity totals and `--events` JSONL log), its
+//! latest diagnostics block, and, when the run asks for them, its
+//! history store and sampler, SLO judge, governor and flight recorder.
+//! Two runs in one process share none of it.
+//!
+//! What stays process-wide, and why:
+//!
+//! - the metrics registry ([`metrics`]): perfbench reads it through
+//!   [`RunReport::collect`], and library numerics write fidelity
+//!   gauges into it without a handle;
+//! - the span arena ([`spans`]): library numerics write to it without
+//!   a handle;
+//! - the message sink's mode ([`sink`]): one process has one stderr;
+//! - the shutdown flag ([`shutdown`]): a signal handler sets it;
+//! - the thread-local trace that carries one sampled record from the
+//!   source to the engine on one thread ([`profile::begin_trace`]).
+//!
+//! [`reset`] clears the span arena and the metrics registry between
+//! analyses.
 //!
 //! ```
 //! use webpuzzle_obs as obs;
@@ -98,25 +111,21 @@ pub use progress::ProgressMeter;
 pub use report::RunReport;
 pub use server::{serve, ReportContext, TelemetryServer};
 pub use sharded::ShardedCounter;
-pub use sink::{
-    clear_sink, info, set_sink, warn, Event, EventSink, JsonSink, Level, NullSink, StderrSink,
-};
+pub use sink::{info, warn};
 pub use telemetry::{Telemetry, TelemetryConfig};
 
-/// Reset spans, metrics, the drift-event ring, and the flight recorder
-/// (the message sink and any JSONL event sink are left installed).
+/// Reset the span arena and the metrics registry (the message sink's
+/// mode is left as it is).
 ///
 /// For tests and tools that run several independent analyses in one
 /// process; run-scoped state goes with its [`Telemetry`] handle.
 pub fn reset() {
     spans::reset();
     metrics::reset();
-    events::reset();
-    profile::reset();
 }
 
-/// Serializes tests that read back the process-wide metrics registry or
-/// event ring. Lock poisoning is ignored: a failed test must not cascade
+/// Serializes tests that read back the process-wide metrics registry.
+/// Lock poisoning is ignored: a failed test must not cascade
 /// into unrelated ones.
 #[cfg(test)]
 pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {

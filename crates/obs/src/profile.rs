@@ -2,10 +2,11 @@
 //!
 //! The streaming engine is instrumented at every stage boundary
 //! (source read, CLF parse, sessionize, online estimators, window
-//! close, checkpoint encode, event sink). When profiling is enabled
-//! ([`enable`]), a deterministic 1-in-N sample of records (record
-//! index `i` is sampled iff `i % N == 0`) is timed through the whole
-//! pipeline:
+//! close, checkpoint encode, event sink). A profiled run's
+//! [`crate::Telemetry`] handle carries a [`Profiler`]
+//! ([`crate::Telemetry::enable_profiler`], `stream-analyze --profile`);
+//! a deterministic 1-in-N sample of records (record index `i` is
+//! sampled iff `i % N == 0`) is then timed through the whole pipeline:
 //!
 //! 1. each stage's nanoseconds land in a per-stage
 //!    [`Histogram<4>`](Histogram) (the registry's log-bucket histogram
@@ -15,33 +16,37 @@
 //!    its full per-stage breakdown; a bounded slowest-K ring keeps the
 //!    worst traces as [`Exemplar`]s, exported as schema-versioned JSONL
 //!    and served at `/profile`;
-//! 3. per-stage cumulative self-time totals ([`stage_totals`], the
-//!    histogram sums) feed per-window timing timeline events in the
-//!    engine.
+//! 3. per-stage cumulative self-time totals
+//!    ([`Profiler::stage_totals`], the histogram sums) feed per-window
+//!    timing timeline events in the engine.
 //!
 //! Rare, inherently per-batch operations (window close, checkpoint
-//! encode, event-sink append) are timed on *every* occurrence while
-//! profiling is on — they are orders of magnitude less frequent than
+//! encode, event-sink append) are timed on *every* occurrence in a
+//! profiled run — they are orders of magnitude less frequent than
 //! records, so always-on timing is free, and sampling 1-in-N of
 //! something that happens once per 4-hour window would record nothing.
 //!
-//! Overhead: when profiling is **off**, the per-record cost is one
-//! atomic load; when **on**, unsampled records pay one atomic load plus
-//! an integer modulo — no `Instant::now()` call. Only the 1-in-N
-//! sampled records (and the rare per-batch stages) take timestamps.
-//! The `stream-analyze --profile` path measures this end to end and
-//! records `profile/overhead_pct` in the run report; CI gates it ≤ 3 %.
+//! Overhead: an unprofiled run pays one `None` check per record; in a
+//! profiled run unsampled records pay an integer modulo — no
+//! `Instant::now()` call. Only the 1-in-N sampled records (and the rare
+//! per-batch stages) take timestamps. The `stream-analyze --profile`
+//! path measures this end to end and records `profile/overhead_pct` in
+//! the run report; CI gates it ≤ 3 %.
 //!
 //! Sampling is keyed on the deterministic record index, not on wall
 //! clock or RNG, so the *set* of sampled records is reproducible across
 //! runs and survives checkpoint/resume (the restored engine continues
-//! from the restored record count). The profiler's accumulated state
-//! itself intentionally resets on resume, like every other registry
-//! metric (see `EngineState` in `webpuzzle-stream`): histograms and
-//! exemplars have process lifetime.
+//! from the restored record count). The recorded histograms and
+//! exemplars belong to the run's handle and are not checkpointed (see
+//! `EngineState` in `webpuzzle-stream`): a resumed process starts with
+//! an empty recorder.
+//!
+//! The one piece of process-wide state is the thread-local trace that
+//! carries one sampled record from the source to the engine on one
+//! thread ([`begin_trace`], [`trace_add`]); it holds no recorded data
+//! until a [`Profiler`] flushes it.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -122,38 +127,26 @@ impl Stage {
     }
 }
 
-// --- global profiler state ------------------------------------------------
+// --- the run's recorder ---------------------------------------------------
 
+#[derive(Debug)]
 struct ProfilerState {
     // One latency histogram per stage. The registry's base-2 layout is
     // too coarse for latency tails; 16 linear sub-buckets per power of
     // two (4 sub-bits) give ≤ 6.25 % relative error across the full
     // u64 nanosecond range.
-    stages: Vec<Histogram<4>>,
+    stages: [Histogram<4>; STAGE_COUNT],
     exemplars: Vec<Exemplar>,
     exemplar_capacity: usize,
     records_sampled: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_EVERY);
-static STATE: Mutex<ProfilerState> = Mutex::new(ProfilerState {
-    stages: Vec::new(),
-    exemplars: Vec::new(),
-    exemplar_capacity: DEFAULT_EXEMPLAR_CAPACITY,
-    records_sampled: 0,
-});
-
-/// Lock the profiler state, recovering from poisoning: a panic while
-/// the lock was held (the supervisor recovers engine panics via
-/// `catch_unwind`) leaves at worst one partially recorded observation,
-/// which is strictly better than aborting inside the unwind.
-fn lock_state() -> MutexGuard<'static, ProfilerState> {
-    let mut state = STATE.lock().unwrap_or_else(PoisonError::into_inner);
-    if state.stages.is_empty() {
-        state.stages = (0..STAGE_COUNT).map(|_| Histogram::default()).collect();
-    }
-    state
+/// One run's flight recorder: its sampling period, stage histograms,
+/// exemplar ring and sampled-record count.
+#[derive(Debug)]
+pub struct Profiler {
+    sample_every: u64,
+    state: Mutex<ProfilerState>,
 }
 
 struct TraceCtx {
@@ -164,44 +157,6 @@ struct TraceCtx {
 
 thread_local! {
     static CURRENT: RefCell<Option<TraceCtx>> = const { RefCell::new(None) };
-}
-
-/// Turn profiling on with the given sampling period (`0` is clamped to
-/// `1`, i.e. trace every record). Accumulated data is kept; call
-/// [`clear`] first for a fresh run.
-pub fn enable(sample_every: u64) {
-    SAMPLE_EVERY.store(sample_every.max(1), Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turn profiling off. Accumulated data stays readable.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Is profiling currently enabled?
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Current sampling period N (1-in-N records traced).
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
-/// Should the record with this deterministic 0-based index be traced?
-/// Always samples index 0, so even tiny streams produce an exemplar.
-pub fn should_sample(index: u64) -> bool {
-    is_enabled() && index.is_multiple_of(SAMPLE_EVERY.load(Ordering::Relaxed))
-}
-
-/// Resize the slowest-K exemplar ring (existing overflow drops the
-/// fastest exemplars first).
-pub fn set_exemplar_capacity(capacity: usize) {
-    let mut state = lock_state();
-    state.exemplar_capacity = capacity.max(1);
-    let cap = state.exemplar_capacity;
-    state.exemplars.truncate(cap);
 }
 
 /// Begin a trace for the sampled record `index` on this thread. A
@@ -217,22 +172,17 @@ pub fn begin_trace(index: u64, stream_time: f64) {
     });
 }
 
-/// Is a trace active on this thread?
-pub fn trace_active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// Drop this thread's active trace, if any, without recording an
 /// exemplar (error paths).
-pub fn abandon_trace() {
+fn abandon_trace() {
     CURRENT.with(|c| c.borrow_mut().take());
 }
 
 /// Accumulate `ns` nanoseconds of `stage` self-time into this thread's
 /// active trace. No-op without an active trace. This is how the
 /// **per-record** stages are fed: the trace carries the running totals
-/// and [`finish_trace`] flushes exactly one histogram observation per
-/// stage per sampled record.
+/// and [`Profiler::finish_trace`] flushes exactly one histogram
+/// observation per stage per sampled record.
 pub fn trace_add(stage: Stage, ns: u64) {
     CURRENT.with(|c| {
         if let Some(trace) = c.borrow_mut().as_mut() {
@@ -241,117 +191,189 @@ pub fn trace_add(stage: Stage, ns: u64) {
     });
 }
 
-/// Record one occurrence of a **per-batch** stage (window close,
-/// checkpoint encode, event sink): one histogram observation, and into
-/// this thread's active trace when one exists. No-op while profiling is
-/// disabled. Per-record stages go through [`trace_add`] instead —
-/// feeding them here would double-count once the trace flushes.
-pub fn record_stage_ns(stage: Stage, ns: u64) {
-    if !is_enabled() {
-        return;
-    }
-    lock_state().stages[stage.idx()].record(ns);
-    trace_add(stage, ns);
-}
-
-/// Finish this thread's active trace: flush its per-record stage times
-/// into the stage histograms (one observation per stage) and fold the
-/// whole breakdown into the slowest-K exemplar ring. No-op when no
-/// trace is active.
-pub fn finish_trace() {
-    let Some(trace) = CURRENT.with(|c| c.borrow_mut().take()) else {
-        return;
-    };
-    let total_ns: u64 = trace.stage_ns.iter().sum();
-    let exemplar = Exemplar {
-        schema: PROFILE_SCHEMA_VERSION,
-        record_index: trace.index,
-        stream_time: trace.stream_time,
-        total_ns,
-        stages: STAGES
-            .iter()
-            .filter(|s| trace.stage_ns[s.idx()] > 0)
-            .map(|s| StageBreakdown {
-                stage: s.as_str().to_string(),
-                ns: trace.stage_ns[s.idx()],
-            })
-            .collect(),
-    };
-    let mut state = lock_state();
-    for s in STAGES {
-        let ns = trace.stage_ns[s.idx()];
-        if s.is_per_record() && ns > 0 {
-            state.stages[s.idx()].record(ns);
+impl Profiler {
+    /// A recorder tracing 1 record in `sample_every` (`0` is clamped to
+    /// `1`, i.e. trace every record).
+    pub fn new(sample_every: u64) -> Profiler {
+        Profiler {
+            sample_every: sample_every.max(1),
+            state: Mutex::new(ProfilerState {
+                stages: Default::default(),
+                exemplars: Vec::new(),
+                exemplar_capacity: DEFAULT_EXEMPLAR_CAPACITY,
+                records_sampled: 0,
+            }),
         }
     }
-    state.records_sampled += 1;
-    if state.exemplars.len() == state.exemplar_capacity
-        && state
-            .exemplars
-            .last()
-            .is_some_and(|e| e.total_ns >= total_ns)
-    {
-        return;
+
+    /// Lock the recorder, recovering from poisoning: a panic while the
+    /// lock was held (the supervisor recovers engine panics via
+    /// `catch_unwind`) leaves at worst one partially recorded
+    /// observation, which is strictly better than aborting inside the
+    /// unwind.
+    fn state(&self) -> MutexGuard<'_, ProfilerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    let at = state
-        .exemplars
-        .partition_point(|e| e.total_ns >= exemplar.total_ns);
-    state.exemplars.insert(at, exemplar);
-    let cap = state.exemplar_capacity;
-    state.exemplars.truncate(cap);
+
+    /// Sampling period N (1-in-N records traced).
+    pub fn sample_every(&self) -> u64 {
+        self.sample_every
+    }
+
+    /// Should the record with this deterministic 0-based index be
+    /// traced? Always samples index 0, so even tiny streams produce an
+    /// exemplar.
+    pub fn should_sample(&self, index: u64) -> bool {
+        index.is_multiple_of(self.sample_every)
+    }
+
+    /// Resize the slowest-K exemplar ring (existing overflow drops the
+    /// fastest exemplars first).
+    pub fn set_exemplar_capacity(&self, capacity: usize) {
+        let mut state = self.state();
+        state.exemplar_capacity = capacity.max(1);
+        let cap = state.exemplar_capacity;
+        state.exemplars.truncate(cap);
+    }
+
+    /// Record one occurrence of a **per-batch** stage (window close,
+    /// checkpoint encode, event sink): one histogram observation, and
+    /// into this thread's active trace when one exists. Per-record
+    /// stages go through [`trace_add`] instead — feeding them here would
+    /// double-count once the trace flushes.
+    pub fn record_stage_ns(&self, stage: Stage, ns: u64) {
+        self.state().stages[stage.idx()].record(ns);
+        trace_add(stage, ns);
+    }
+
+    /// Finish this thread's active trace: flush its per-record stage
+    /// times into the stage histograms (one observation per stage) and
+    /// fold the whole breakdown into the slowest-K exemplar ring. No-op
+    /// when no trace is active.
+    pub fn finish_trace(&self) {
+        let Some(trace) = CURRENT.with(|c| c.borrow_mut().take()) else {
+            return;
+        };
+        let total_ns: u64 = trace.stage_ns.iter().sum();
+        let exemplar = Exemplar {
+            schema: PROFILE_SCHEMA_VERSION,
+            record_index: trace.index,
+            stream_time: trace.stream_time,
+            total_ns,
+            stages: STAGES
+                .iter()
+                .filter(|s| trace.stage_ns[s.idx()] > 0)
+                .map(|s| StageBreakdown {
+                    stage: s.as_str().to_string(),
+                    ns: trace.stage_ns[s.idx()],
+                })
+                .collect(),
+        };
+        let mut state = self.state();
+        for s in STAGES {
+            let ns = trace.stage_ns[s.idx()];
+            if s.is_per_record() && ns > 0 {
+                state.stages[s.idx()].record(ns);
+            }
+        }
+        state.records_sampled += 1;
+        if state.exemplars.len() == state.exemplar_capacity
+            && state
+                .exemplars
+                .last()
+                .is_some_and(|e| e.total_ns >= total_ns)
+        {
+            return;
+        }
+        let at = state
+            .exemplars
+            .partition_point(|e| e.total_ns >= exemplar.total_ns);
+        state.exemplars.insert(at, exemplar);
+        let cap = state.exemplar_capacity;
+        state.exemplars.truncate(cap);
+    }
+
+    /// Cumulative per-stage self-time totals (the stage histograms'
+    /// sums), nanoseconds, in [`STAGES`] order. The engine diffs
+    /// consecutive readings to attribute self-time to each analysis
+    /// window.
+    pub fn stage_totals(&self) -> [u64; STAGE_COUNT] {
+        let state = self.state();
+        std::array::from_fn(|i| state.stages[i].sum())
+    }
+
+    /// Snapshot the recorder into a [`ProfileReport`].
+    pub fn snapshot(&self) -> ProfileReport {
+        let state = self.state();
+        ProfileReport {
+            schema: PROFILE_SCHEMA_VERSION,
+            enabled: true,
+            sample_every: self.sample_every,
+            records_sampled: state.records_sampled,
+            stages: STAGES
+                .iter()
+                .map(|s| {
+                    let h = state.stages[s.idx()].report(s.as_str());
+                    StageLatencyReport {
+                        stage: h.name,
+                        count: h.count,
+                        total_ns: h.sum,
+                        p50_ns: h.p50,
+                        p95_ns: h.p95,
+                        p99_ns: h.p99,
+                        p999_ns: h.p999,
+                        max_ns: h.max.unwrap_or(0),
+                    }
+                })
+                .collect(),
+            exemplars: state.exemplars.clone(),
+        }
+    }
 }
 
-/// Cumulative per-stage self-time totals (the stage histograms' sums),
-/// nanoseconds, in [`STAGES`] order. The engine diffs consecutive
-/// readings to attribute self-time to each analysis window.
-pub fn stage_totals() -> [u64; STAGE_COUNT] {
-    let state = lock_state();
-    std::array::from_fn(|i| state.stages[i].sum())
-}
-
-/// Per-record timer for one `push` through the engine. Obtained via
-/// [`record_timer`]; [`RecordTimer::mark`] attributes the time since
-/// the previous mark to a stage. Inactive timers (unsampled records,
-/// profiling off) are free: no timestamps are ever taken.
+/// Per-record timer for one `push` through the engine, from
+/// [`RecordTimer::start`]; [`RecordTimer::mark`] attributes the time
+/// since the previous mark to a stage. Idle timers (unsampled records,
+/// no profiler) are free: no timestamps are ever taken.
 #[must_use = "an unused timer records nothing"]
 pub struct RecordTimer {
     last: Option<Instant>,
 }
 
-/// Start (or adopt) the trace for the record with deterministic index
-/// `index` at stream time `stream_time` seconds. If the source already
-/// began a trace for this record on this thread, the timer continues
-/// it; otherwise a fresh trace begins iff the index is sampled.
-pub fn record_timer(index: u64, stream_time: f64) -> RecordTimer {
-    if !is_enabled() {
-        return RecordTimer { last: None };
-    }
-    // Adopt only a trace for *this* record index; a leftover trace for
-    // another index was leaked (a record pulled but never pushed, e.g.
-    // around fault injection) and must not pollute this record.
-    let adopted = CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        match cur.as_ref() {
-            Some(t) if t.index == index => true,
-            Some(_) => {
-                *cur = None;
-                false
+impl RecordTimer {
+    /// Start (or adopt) the trace for the record with deterministic
+    /// index `index` at stream time `stream_time` seconds in the run's
+    /// `profiler` (idle without one). If the source already began a
+    /// trace for this record on this thread, the timer continues it;
+    /// otherwise a fresh trace begins iff the index is sampled.
+    pub fn start(profiler: Option<&Profiler>, index: u64, stream_time: f64) -> RecordTimer {
+        let Some(profiler) = profiler else {
+            return RecordTimer { last: None };
+        };
+        // Adopt only a trace for *this* record index; a leftover trace
+        // for another index was leaked (a record pulled but never
+        // pushed, e.g. around fault injection) and must not pollute this
+        // record.
+        let adopted = CURRENT.with(|c| {
+            let mut cur = c.borrow_mut();
+            match cur.as_ref() {
+                Some(t) if t.index == index => true,
+                Some(_) => {
+                    *cur = None;
+                    false
+                }
+                None => false,
             }
-            None => false,
-        }
-    });
-    if adopted || index.is_multiple_of(SAMPLE_EVERY.load(Ordering::Relaxed)) {
-        if !adopted {
+        });
+        let sampled = profiler.should_sample(index);
+        if sampled && !adopted {
             begin_trace(index, stream_time);
         }
-        return RecordTimer {
-            last: Some(Instant::now()),
-        };
+        RecordTimer {
+            last: (adopted || sampled).then(Instant::now),
+        }
     }
-    RecordTimer { last: None }
-}
 
-impl RecordTimer {
     /// Attribute the time since the previous mark to the per-record
     /// `stage` (accumulated in the trace, flushed at finish).
     pub fn mark(&mut self, stage: Stage) {
@@ -371,10 +393,12 @@ impl RecordTimer {
     }
 
     /// Complete the record: the active trace becomes an exemplar
-    /// candidate.
-    pub fn finish(mut self) {
-        if self.last.take().is_some() {
-            finish_trace();
+    /// candidate in `profiler`, the recorder that started the timer.
+    pub fn finish(mut self, profiler: Option<&Profiler>) {
+        if let Some(profiler) = profiler {
+            if self.last.take().is_some() {
+                profiler.finish_trace();
+            }
         }
     }
 }
@@ -486,73 +510,13 @@ impl ProfileReport {
     }
 }
 
-/// Snapshot the flight recorder into a [`ProfileReport`].
-pub fn snapshot() -> ProfileReport {
-    let state = lock_state();
-    ProfileReport {
-        schema: PROFILE_SCHEMA_VERSION,
-        enabled: is_enabled(),
-        sample_every: sample_every(),
-        records_sampled: state.records_sampled,
-        stages: STAGES
-            .iter()
-            .map(|s| {
-                let h = state.stages[s.idx()].report(s.as_str());
-                StageLatencyReport {
-                    stage: h.name,
-                    count: h.count,
-                    total_ns: h.sum,
-                    p50_ns: h.p50,
-                    p95_ns: h.p95,
-                    p99_ns: h.p99,
-                    p999_ns: h.p999,
-                    max_ns: h.max.unwrap_or(0),
-                }
-            })
-            .collect(),
-        exemplars: state.exemplars.clone(),
-    }
-}
-
-/// Clear accumulated data (histograms, exemplars, sampled count) but
-/// keep the enabled flag, sampling period, and exemplar capacity. Used
-/// between the profiler's self-overhead measurement and the real run.
-pub fn clear() {
-    let mut state = lock_state();
-    for h in &mut state.stages {
-        *h = Histogram::default();
-    }
-    state.exemplars.clear();
-    state.records_sampled = 0;
-}
-
-/// Full reset: disable profiling, restore the default sampling period
-/// and exemplar capacity, and clear all data. Called by
-/// [`crate::reset`]; any trace active on the calling thread is
-/// abandoned.
-pub fn reset() {
-    ENABLED.store(false, Ordering::Relaxed);
-    SAMPLE_EVERY.store(DEFAULT_SAMPLE_EVERY, Ordering::Relaxed);
-    abandon_trace();
-    let mut state = lock_state();
-    for h in &mut state.stages {
-        *h = Histogram::default();
-    }
-    state.exemplars.clear();
-    state.exemplar_capacity = DEFAULT_EXEMPLAR_CAPACITY;
-    state.records_sampled = 0;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::tests::{check_layout, check_quantiles};
 
-    // Profiler state is process-global; serialize tests that touch it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    fn trace_active() -> bool {
+        CURRENT.with(|c| c.borrow().is_some())
     }
 
     #[test]
@@ -586,31 +550,26 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_gated() {
-        let _lock = locked();
-        reset();
-        assert!(!should_sample(0), "disabled profiler samples nothing");
-        enable(10);
-        assert!(should_sample(0));
-        assert!(!should_sample(1));
-        assert!(should_sample(10));
-        assert!(should_sample(20));
-        enable(0); // clamped to every record
-        assert!(should_sample(7));
-        reset();
+        let profiler = Profiler::new(10);
+        assert!(profiler.should_sample(0));
+        assert!(!profiler.should_sample(1));
+        assert!(profiler.should_sample(10));
+        assert!(profiler.should_sample(20));
+        let every = Profiler::new(0); // clamped to every record
+        assert_eq!(every.sample_every(), 1);
+        assert!(every.should_sample(7));
     }
 
     #[test]
     fn traces_accumulate_into_exemplars_and_histograms() {
-        let _lock = locked();
-        reset();
-        enable(1);
+        let profiler = Profiler::new(1);
         for i in 0..5u64 {
             begin_trace(i, i as f64);
             trace_add(Stage::ClfParse, 100 * (i + 1));
             trace_add(Stage::Sessionize, 50);
-            finish_trace();
+            profiler.finish_trace();
         }
-        let report = snapshot();
+        let report = profiler.snapshot();
         assert_eq!(report.records_sampled, 5);
         let parse = report.stage("clf_parse").unwrap();
         assert_eq!(parse.count, 5);
@@ -626,99 +585,70 @@ mod tests {
         assert!(folded.contains("pipeline;clf_parse 1500\n"));
         assert!(folded.contains("pipeline;sessionize 250\n"));
         assert!(!folded.contains("window_close"));
-        reset();
     }
 
     #[test]
     fn exemplar_ring_keeps_the_slowest_k() {
-        let _lock = locked();
-        reset();
-        enable(1);
-        set_exemplar_capacity(3);
+        let profiler = Profiler::new(1);
+        profiler.set_exemplar_capacity(3);
         for i in 0..10u64 {
             begin_trace(i, 0.0);
             // Total ns: 10, 20, ..., 100 — only 80/90/100 survive.
             trace_add(Stage::Estimators, (i + 1) * 10);
-            finish_trace();
+            profiler.finish_trace();
         }
-        let report = snapshot();
+        let report = profiler.snapshot();
         assert_eq!(report.records_sampled, 10);
         let totals: Vec<u64> = report.exemplars.iter().map(|e| e.total_ns).collect();
         assert_eq!(totals, vec![100, 90, 80]);
-        reset();
     }
 
     #[test]
     fn record_timer_adopts_or_starts_and_abandons_on_drop() {
-        let _lock = locked();
-        reset();
-        enable(2);
+        let profiler = Profiler::new(2);
+        let sampled = || profiler.snapshot().records_sampled;
         // Unsampled index: inactive timer, no trace.
-        let t = record_timer(1, 0.0);
-        t.finish();
+        let t = RecordTimer::start(Some(&profiler), 1, 0.0);
+        t.finish(Some(&profiler));
         assert!(!trace_active());
-        assert_eq!(snapshot().records_sampled, 0);
+        assert_eq!(sampled(), 0);
         // Sampled index: active timer, finish records an exemplar.
-        let mut t = record_timer(2, 17.0);
+        let mut t = RecordTimer::start(Some(&profiler), 2, 17.0);
         trace_add(Stage::Sessionize, 5);
         t.mark(Stage::Estimators);
-        t.finish();
-        assert_eq!(snapshot().records_sampled, 1);
-        assert_eq!(snapshot().exemplars[0].stream_time, 17.0);
+        t.finish(Some(&profiler));
+        assert_eq!(sampled(), 1);
+        assert_eq!(profiler.snapshot().exemplars[0].stream_time, 17.0);
         // A source-started trace for the same index is adopted even
         // when the index itself is not on the sampling grid.
         begin_trace(1, 1.0);
         trace_add(Stage::SourceRead, 7);
-        let t = record_timer(1, 1.0);
+        let t = RecordTimer::start(Some(&profiler), 1, 1.0);
         assert!(trace_active());
-        t.finish();
-        assert_eq!(snapshot().records_sampled, 2);
+        t.finish(Some(&profiler));
+        assert_eq!(sampled(), 2);
         // A leaked trace for a *different* index is discarded, not
         // adopted.
         begin_trace(99, 3.0);
-        let t = record_timer(3, 3.0);
+        let t = RecordTimer::start(Some(&profiler), 3, 3.0);
         assert!(!trace_active());
-        t.finish();
-        assert_eq!(snapshot().records_sampled, 2);
+        t.finish(Some(&profiler));
+        assert_eq!(sampled(), 2);
         // Dropping an active timer abandons the trace (error path).
-        let t = record_timer(4, 2.0);
+        let t = RecordTimer::start(Some(&profiler), 4, 2.0);
         assert!(trace_active());
         drop(t);
         assert!(!trace_active());
-        assert_eq!(snapshot().records_sampled, 2);
-        reset();
-    }
-
-    #[test]
-    fn clear_keeps_config_reset_restores_defaults() {
-        let _lock = locked();
-        reset();
-        enable(5);
-        set_exemplar_capacity(2);
-        begin_trace(0, 0.0);
-        record_stage_ns(Stage::EventSink, 9);
-        finish_trace();
-        assert_eq!(snapshot().records_sampled, 1);
-        clear();
-        let report = snapshot();
-        assert!(report.enabled);
-        assert_eq!(report.sample_every, 5);
-        assert_eq!(report.records_sampled, 0);
-        assert!(report.stages.iter().all(|s| s.count == 0));
-        reset();
-        assert!(!is_enabled());
-        assert_eq!(sample_every(), DEFAULT_SAMPLE_EVERY);
+        assert_eq!(sampled(), 2);
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let _lock = locked();
-        reset();
-        enable(1);
+        let profiler = Profiler::new(1);
         begin_trace(3, 42.5);
-        record_stage_ns(Stage::WindowClose, 1_234);
-        finish_trace();
-        let report = snapshot();
+        profiler.record_stage_ns(Stage::WindowClose, 1_234);
+        profiler.finish_trace();
+        let report = profiler.snapshot();
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -728,6 +658,5 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 1);
         let e: Exemplar = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(e.record_index, 3);
-        reset();
     }
 }

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::sink::{self, Event};
+use crate::sink;
 
 /// Minimum interval between emitted progress events.
 const INTERVAL: Duration = Duration::from_millis(200);
@@ -51,11 +51,7 @@ impl ProgressMeter {
     }
 
     fn emit(&mut self) {
-        sink::emit(&Event::Progress {
-            stage: self.stage,
-            done: self.done,
-            total: self.total,
-        });
+        sink::progress(self.stage, self.done, self.total);
         self.last_emit = Some(Instant::now());
     }
 }

@@ -13,13 +13,14 @@
 //!   status code alone);
 //! - `GET /report` — the current [`crate::RunReport`] as JSON, collected at
 //!   request time;
-//! - `GET /events?since=SEQ` — drift events published through
-//!   [`crate::events`] with sequence numbers above `SEQ` (default 0:
+//! - `GET /events?since=SEQ` — the run's drift events
+//!   ([`crate::events`]) with sequence numbers above `SEQ` (default 0:
 //!   the whole ring), as a JSON array. Pollers pass the highest `seq`
 //!   they have seen as the next cursor;
-//! - `GET /profile` — the flight recorder's [`crate::profile`]
+//! - `GET /profile` — the run's flight-recorder ([`crate::profile`])
 //!   snapshot (per-stage latency histograms + slowest-record
-//!   exemplars) as JSON; `GET /profile?format=folded` returns the
+//!   exemplars) as JSON, an empty disabled one when the run is not
+//!   profiled; `GET /profile?format=folded` returns the
 //!   collapsed-stack rendering flamegraph tooling consumes directly;
 //! - `GET /diagnostics` — the run's current estimator-confidence block
 //!   ([`crate::diagnostics::DiagnosticsReport`]) as JSON: per-window
@@ -235,7 +236,7 @@ fn handle_connection(
             )
         }
         "/profile" => {
-            let report = crate::profile::snapshot();
+            let report = telemetry.profile_report();
             if query.split('&').any(|kv| kv == "format=folded") {
                 ("200 OK", "text/plain; charset=utf-8", report.folded())
             } else {
@@ -253,7 +254,7 @@ fn handle_connection(
                 .find_map(|kv| kv.strip_prefix("since="))
                 .and_then(|v| v.parse::<u64>().ok())
                 .unwrap_or(0);
-            let batch = events::since(since);
+            let batch = telemetry.events().since(since);
             (
                 "200 OK",
                 "application/json; charset=utf-8",

@@ -1,180 +1,125 @@
-//! Pluggable event sinks.
+//! The message sink: where span closes, progress and messages go.
 //!
-//! Instrumented code emits [`Event`]s; the process-wide sink decides how
-//! they surface. The default sink is [`NullSink`] (silence), so library
-//! code can emit freely without polluting test output; binaries install
-//! [`StderrSink`] (human lines) or [`JsonSink`] (one JSON object per
-//! line, machine-readable) according to their flags.
+//! Instrumented code reports through [`span_close`], [`progress`],
+//! [`info`] and [`warn`]; the process-wide [`Mode`] decides how they
+//! surface. The default is [`Mode::Off`] (silence), so library code can
+//! report freely without polluting test output; binaries select
+//! [`Mode::Human`] (human lines on stderr) or [`Mode::Json`] (one JSON
+//! object per line, machine-readable) according to their flags. A
+//! report reads the mode with one relaxed atomic load and takes no
+//! lock.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Number, Value};
 
-/// Severity of a [`Event::Message`].
+/// How reports surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Routine progress information.
-    Info,
-    /// Something surprising but recoverable.
-    Warn,
+pub enum Mode {
+    /// Discard everything (the default).
+    Off,
+    /// Human-readable lines on stderr; only the two outermost span
+    /// levels are printed.
+    Human,
+    /// One JSON object per report on stderr, for log scrapers.
+    Json,
 }
 
-impl Level {
-    fn as_str(self) -> &'static str {
-        match self {
-            Level::Info => "info",
-            Level::Warn => "warn",
-        }
+/// Human mode prints spans at depth `< SPAN_DEPTH_LIMIT` only;
+/// progress and messages always print.
+const SPAN_DEPTH_LIMIT: usize = 2;
+
+static MODE: AtomicU8 = AtomicU8::new(Mode::Off as u8);
+
+/// Select the process-wide mode.
+pub fn set_mode(mode: Mode) {
+    MODE.store(mode as u8, Ordering::Relaxed);
+}
+
+fn mode() -> Mode {
+    match MODE.load(Ordering::Relaxed) {
+        m if m == Mode::Human as u8 => Mode::Human,
+        m if m == Mode::Json as u8 => Mode::Json,
+        _ => Mode::Off,
     }
 }
 
-/// One instrumentation event.
-#[derive(Debug)]
-pub enum Event<'a> {
-    /// A span finished; `depth` is its nesting level (0 = root).
-    SpanClose {
-        /// Span name.
-        name: &'a str,
-        /// Nesting depth at entry.
-        depth: usize,
-        /// Wall-clock duration.
-        nanos: u64,
-    },
-    /// Rate-limited progress from a long-running stage.
-    Progress {
-        /// Stage name, e.g. `"genlog/records"`.
-        stage: &'a str,
-        /// Units completed so far.
-        done: u64,
-        /// Expected total, when known.
-        total: Option<u64>,
-    },
-    /// Free-form diagnostic line.
-    Message {
-        /// Severity.
-        level: Level,
-        /// The text.
-        text: &'a str,
-    },
+/// One JSON line on stderr: `"type"` first, then `fields`.
+fn json(kind: &str, fields: Vec<(&str, Value)>) {
+    let value = Value::Object(
+        std::iter::once(("type".to_string(), Value::Str(kind.into())))
+            .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
+            .collect(),
+    );
+    eprintln!("{}", serde_json::to_string(&value).unwrap_or_default());
 }
 
-/// Destination for instrumentation events.
-pub trait EventSink: Send {
-    /// Handle one event.
-    fn event(&self, event: &Event<'_>);
-}
-
-/// Discards everything (the default).
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn event(&self, _event: &Event<'_>) {}
-}
-
-/// Human-readable lines on stderr.
-pub struct StderrSink {
-    /// Only spans at depth `< span_depth_limit` are printed
-    /// (0 silences spans entirely); progress and messages always print.
-    pub span_depth_limit: usize,
-}
-
-impl Default for StderrSink {
-    fn default() -> Self {
-        StderrSink {
-            span_depth_limit: 2,
-        }
+/// A span finished; `depth` is its nesting level at entry (0 = root).
+pub fn span_close(name: &str, depth: usize, nanos: u64) {
+    match mode() {
+        Mode::Off => {}
+        Mode::Human if depth >= SPAN_DEPTH_LIMIT => {}
+        Mode::Human => eprintln!(
+            "[span] {:indent$}{name} {:.1} ms",
+            "",
+            nanos as f64 / 1e6,
+            indent = depth * 2,
+        ),
+        Mode::Json => json(
+            "span",
+            vec![
+                ("name", Value::Str(name.into())),
+                ("depth", Value::Num(Number::U(depth as u64))),
+                ("nanos", Value::Num(Number::U(nanos))),
+            ],
+        ),
     }
 }
 
-impl EventSink for StderrSink {
-    fn event(&self, event: &Event<'_>) {
-        match event {
-            Event::SpanClose { name, depth, nanos } => {
-                if *depth < self.span_depth_limit {
-                    eprintln!(
-                        "[span] {:indent$}{name} {:.1} ms",
-                        "",
-                        *nanos as f64 / 1e6,
-                        indent = depth * 2,
-                    );
-                }
-            }
-            Event::Progress { stage, done, total } => match total {
-                Some(total) => eprintln!("[progress] {stage}: {done}/{total}"),
-                None => eprintln!("[progress] {stage}: {done}"),
-            },
-            Event::Message { level, text } => {
-                eprintln!("[{}] {text}", level.as_str());
-            }
-        }
-    }
-}
-
-/// One JSON object per event on stderr, for log scrapers.
-pub struct JsonSink;
-
-impl EventSink for JsonSink {
-    fn event(&self, event: &Event<'_>) {
-        let value = match event {
-            Event::SpanClose { name, depth, nanos } => Value::Object(vec![
-                ("type".into(), Value::Str("span".into())),
-                ("name".into(), Value::Str((*name).into())),
-                ("depth".into(), Value::Num(Number::U(*depth as u64))),
-                ("nanos".into(), Value::Num(Number::U(*nanos))),
-            ]),
-            Event::Progress { stage, done, total } => Value::Object(vec![
-                ("type".into(), Value::Str("progress".into())),
-                ("stage".into(), Value::Str((*stage).into())),
-                ("done".into(), Value::Num(Number::U(*done))),
+/// Rate-limited progress from a long-running stage: `done` units so
+/// far, of `total` when known.
+pub fn progress(stage: &str, done: u64, total: Option<u64>) {
+    match mode() {
+        Mode::Off => {}
+        Mode::Human => match total {
+            Some(total) => eprintln!("[progress] {stage}: {done}/{total}"),
+            None => eprintln!("[progress] {stage}: {done}"),
+        },
+        Mode::Json => json(
+            "progress",
+            vec![
+                ("stage", Value::Str(stage.into())),
+                ("done", Value::Num(Number::U(done))),
                 (
-                    "total".into(),
-                    match total {
-                        Some(t) => Value::Num(Number::U(*t)),
-                        None => Value::Null,
-                    },
+                    "total",
+                    total.map_or(Value::Null, |t| Value::Num(Number::U(t))),
                 ),
-            ]),
-            Event::Message { level, text } => Value::Object(vec![
-                ("type".into(), Value::Str("message".into())),
-                ("level".into(), Value::Str(level.as_str().into())),
-                ("text".into(), Value::Str((*text).into())),
-            ]),
-        };
-        eprintln!("{}", serde_json::to_string(&value).unwrap_or_default());
+            ],
+        ),
     }
 }
 
-static SINK: Mutex<Option<Box<dyn EventSink>>> = Mutex::new(None);
-
-/// Install the process-wide sink.
-pub fn set_sink(sink: Box<dyn EventSink>) {
-    *SINK.lock().expect("sink poisoned") = Some(sink);
-}
-
-/// Restore the default [`NullSink`].
-pub fn clear_sink() {
-    *SINK.lock().expect("sink poisoned") = None;
-}
-
-/// Deliver an event to the current sink (no-op under the default).
-pub fn emit(event: &Event<'_>) {
-    if let Some(sink) = SINK.lock().expect("sink poisoned").as_ref() {
-        sink.event(event);
+/// A free-form line at `level` (`"info"` or `"warn"`).
+fn message(level: &str, text: &str) {
+    match mode() {
+        Mode::Off => {}
+        Mode::Human => eprintln!("[{level}] {text}"),
+        Mode::Json => json(
+            "message",
+            vec![
+                ("level", Value::Str(level.into())),
+                ("text", Value::Str(text.into())),
+            ],
+        ),
     }
 }
 
 /// Emit an informational message.
 pub fn info(text: &str) {
-    emit(&Event::Message {
-        level: Level::Info,
-        text,
-    });
+    message("info", text);
 }
 
 /// Emit a warning message.
 pub fn warn(text: &str) {
-    emit(&Event::Message {
-        level: Level::Warn,
-        text,
-    });
+    message("warn", text);
 }

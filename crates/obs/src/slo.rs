@@ -948,10 +948,9 @@ fast_long_secs = 300
     /// absolute counter values other tests left behind do not matter.
     #[test]
     fn burn_rate_pages_on_shed_and_stays_silent_when_clean() {
-        // Reads registry counters and asserts on the event ring.
+        // Reads registry counters.
         let _lock = crate::global_test_lock();
         let t = telemetry(shed_config());
-        events::reset();
 
         let bad = crate::metrics::counter("ingest/records_late_dropped");
         let good = crate::metrics::counter("ingest/records_admitted");
@@ -961,7 +960,7 @@ fast_long_secs = 300
         t.sample();
         good.add(500);
         assert!(t.sample().is_some());
-        assert_eq!(events::total_at_or_above(Severity::Warn), 0);
+        assert_eq!(t.events().total_at_or_above(Severity::Warn), 0);
         let health = t.deep_health();
         assert_eq!(health.status, "healthy");
         assert_eq!(health.objectives[0].status, "ok", "{health:?}");
@@ -971,7 +970,7 @@ fast_long_secs = 300
         bad.add(400);
         good.add(400);
         assert!(t.sample().is_some());
-        assert_eq!(events::total(Severity::Critical), 1, "page fired once");
+        assert_eq!(t.events().total(Severity::Critical), 1, "page fired once");
         let health = t.deep_health();
         assert_eq!(health.status, "critical");
         assert_eq!(health.objectives[0].status, "critical");
@@ -984,7 +983,9 @@ fast_long_secs = 300
                 .status,
             "critical"
         );
-        let alert = events::since(0)
+        let alert = t
+            .events()
+            .since(0)
             .into_iter()
             .find(|e| e.severity == Severity::Critical)
             .unwrap();
@@ -994,7 +995,7 @@ fast_long_secs = 300
 
         // Same state next tick: hysteresis, no duplicate page.
         t.sample();
-        assert_eq!(events::total(Severity::Critical), 1);
+        assert_eq!(t.events().total(Severity::Critical), 1);
 
         // Recovery: the shed stops and good volume dilutes the window
         // below the burn bar; the objective downgrades with an info
@@ -1010,12 +1011,12 @@ fast_long_secs = 300
         }
         assert!(recovered, "{:?}", t.deep_health());
         assert!(
-            events::since(0)
+            t.events()
+                .since(0)
                 .iter()
                 .any(|e| e.severity == Severity::Info && e.metric == "slo/ingest-shed"),
             "recovery info event"
         );
-        events::reset();
     }
 
     /// A counter registered after the first tick, whose events all land

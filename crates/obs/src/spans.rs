@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::sink::{self, Event};
+use crate::sink;
 
 /// Aggregated statistics for one span node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,11 +108,7 @@ impl Drop for SpanGuard {
                 stack.remove(at);
             }
         });
-        sink::emit(&Event::SpanClose {
-            name: self.name,
-            depth: self.depth,
-            nanos,
-        });
+        sink::span_close(self.name, self.depth, nanos);
     }
 }
 

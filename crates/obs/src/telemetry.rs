@@ -1,23 +1,27 @@
 //! The run-scoped observatory: one [`Telemetry`] handle per run.
 //!
-//! A run's history store ([`Tsdb`]) and its sampler thread, its SLO
-//! judge (`SloEngine`), its overload governor ([`Governor`]) and its
-//! latest [`DiagnosticsReport`] live behind one cheap-[`Clone`] handle,
-//! each only when the run asks for it. What stays process-wide, and
+//! A run's drift events ([`EventLog`]: ring, per-severity totals and
+//! the `--events` JSONL log), its latest [`DiagnosticsReport`], and —
+//! each only when the run asks for it — its history store ([`Tsdb`])
+//! and sampler thread, its SLO judge (`SloEngine`), its overload
+//! governor ([`Governor`]) and its flight recorder ([`Profiler`]) live
+//! behind one cheap-[`Clone`] handle. What stays process-wide, and
 //! why, is in the crate docs.
 
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 use serde::Value;
 
 use crate::diagnostics::DiagnosticsReport;
-use crate::governor::{Governor, GovernorConfig};
+use crate::events::{Event, EventLog};
+use crate::governor::{Governor, GovernorConfig, PressureState};
+use crate::metrics;
+use crate::profile::{ProfileReport, Profiler, DEFAULT_SAMPLE_EVERY};
 use crate::report::RunReport;
 use crate::slo::{DeepHealth, SloConfig, SloEngine};
 use crate::tsdb::{self, Tsdb, TsdbConfig};
-use crate::{events, metrics};
 
 /// What a run asks of its observatory; `None` leaves a part out.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +46,8 @@ struct Inner {
     slo: Option<Mutex<SloEngine>>,
     governor: Option<Governor>,
     diagnostics: Mutex<Option<DiagnosticsReport>>,
+    events: EventLog,
+    profiler: OnceLock<Profiler>,
     /// The cadence thread, and the sender whose drop ends it.
     sampler: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
 }
@@ -70,6 +76,47 @@ impl Telemetry {
         self.inner.governor.as_ref()
     }
 
+    /// Re-evaluate the run's governor, publishing any transition event
+    /// to this run. `None` without a governor.
+    pub fn evaluate_governor(&self) -> Option<PressureState> {
+        self.governor().map(|governor| governor.evaluate(self))
+    }
+
+    /// Publish `event` to the run's [`EventLog`], timing the JSONL
+    /// append in a profiled run. Returns its sequence number.
+    pub fn publish(&self, event: Event) -> u64 {
+        self.inner.events.publish(event, self.profiler())
+    }
+
+    /// The run's drift events.
+    pub fn events(&self) -> &EventLog {
+        &self.inner.events
+    }
+
+    /// Turn on the run's flight recorder, tracing 1 record in
+    /// `sample_every`; later calls return the same recorder.
+    pub fn enable_profiler(&self, sample_every: u64) -> &Profiler {
+        self.inner
+            .profiler
+            .get_or_init(|| Profiler::new(sample_every))
+    }
+
+    /// The run's flight recorder, once enabled.
+    pub fn profiler(&self) -> Option<&Profiler> {
+        self.inner.profiler.get()
+    }
+
+    /// The recorder's snapshot; empty and disabled when unprofiled.
+    pub fn profile_report(&self) -> ProfileReport {
+        match self.profiler() {
+            Some(profiler) => profiler.snapshot(),
+            None => ProfileReport {
+                enabled: false,
+                ..Profiler::new(DEFAULT_SAMPLE_EVERY).snapshot()
+            },
+        }
+    }
+
     /// Take one history tick (the registry is read before the store is
     /// locked, so a `/timeseries` scrape never waits on it), refresh the
     /// `tsdb/*` self-metrics, feed the store's memory to the governor,
@@ -93,12 +140,12 @@ impl Telemetry {
         // is re-assessed even when the engine is idle.
         if let Some(governor) = self.governor() {
             governor.set_memory_bytes(stats.memory_bytes);
-            governor.evaluate();
+            self.evaluate_governor();
         }
         if let Some(slo) = &self.inner.slo {
             let fired = lock(slo).evaluate(&lock(store));
             for event in fired {
-                events::publish(event);
+                self.publish(event);
             }
         }
         Some(tick)

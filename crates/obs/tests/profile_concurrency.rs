@@ -1,19 +1,20 @@
 //! Flight-recorder behaviour under threads: aggregation across worker
-//! threads, reset while spans and traces are live, and the determinism
-//! of 1-in-N sampling. Profiler and span state are process-global, so
-//! the tests serialize on one lock (this file is its own test binary,
-//! but `cargo test` still runs `#[test]`s in parallel threads).
+//! threads, a process-wide reset while spans and traces are live, and
+//! the determinism of 1-in-N sampling. Each test records into its own
+//! [`Profiler`]; the two that touch the process-wide span arena
+//! serialize on one lock (this file is its own test binary, but
+//! `cargo test` still runs `#[test]`s in parallel threads).
 
 use std::sync::Mutex;
 
 use webpuzzle_obs as obs;
-use webpuzzle_obs::profile::{self, Stage};
+use webpuzzle_obs::profile::{self, Profiler, Stage};
 
-/// Guards the process-wide profiler and span arena.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
+/// Guards the process-wide span arena.
+static SPANS: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK
+    SPANS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -22,12 +23,13 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 fn spans_and_profile_aggregate_across_threads() {
     let _guard = locked();
     obs::reset();
-    profile::enable(1);
+    let profiler = Profiler::new(1);
 
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 50;
     std::thread::scope(|s| {
         for t in 0..THREADS {
+            let profiler = &profiler;
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let _span = obs::spans::enter("worker");
@@ -36,14 +38,14 @@ fn spans_and_profile_aggregate_across_threads() {
                     profile::begin_trace((t as u64) * PER_THREAD + i, i as f64);
                     profile::trace_add(Stage::Sessionize, 100);
                     profile::trace_add(Stage::Estimators, 50);
-                    profile::finish_trace();
-                    profile::record_stage_ns(Stage::WindowClose, 10);
+                    profiler.finish_trace();
+                    profiler.record_stage_ns(Stage::WindowClose, 10);
                 }
             });
         }
     });
 
-    let report = profile::snapshot();
+    let report = profiler.snapshot();
     let n = (THREADS as u64) * PER_THREAD;
     assert_eq!(report.records_sampled, n);
     let sess = report.stage("sessionize").expect("sessionize stage");
@@ -69,10 +71,10 @@ fn spans_and_profile_aggregate_across_threads() {
 fn reset_with_live_guards_and_traces_does_not_panic() {
     let _guard = locked();
     obs::reset();
-    profile::enable(1);
+    let profiler = Profiler::new(1);
 
     // A span guard and a trace are live on this thread when another
-    // thread resets the world out from under them.
+    // thread resets the process-wide state out from under them.
     let span = obs::spans::enter("doomed");
     profile::begin_trace(7, 1.0);
     profile::trace_add(Stage::ClfParse, 500);
@@ -81,44 +83,41 @@ fn reset_with_live_guards_and_traces_does_not_panic() {
         s.spawn(obs::reset);
     });
 
-    // The trace is thread-local, so it survives the reset; finishing it
-    // lands in the freshly cleared (now disabled) state without panics.
+    // The trace is thread-local and the recorder belongs to the run, so
+    // both survive the reset; finishing the trace records it whole.
     profile::trace_add(Stage::ClfParse, 500);
-    profile::finish_trace();
+    profiler.finish_trace();
     drop(span); // arena may have shrunk; Drop must tolerate that
 
-    let report = profile::snapshot();
-    assert!(!report.enabled, "reset disables profiling");
-    let leaked = report.records_sampled;
-    assert!(leaked <= 1);
-    // The world is still usable afterwards.
-    profile::enable(2);
-    profile::begin_trace(0, 0.0);
-    profile::trace_add(Stage::SourceRead, 1);
-    profile::finish_trace();
-    assert_eq!(profile::snapshot().records_sampled, leaked + 1);
+    let report = profiler.snapshot();
+    assert!(report.enabled);
+    assert_eq!(report.records_sampled, 1);
+    assert_eq!(
+        report.stage("clf_parse").expect("clf_parse").total_ns,
+        1_000
+    );
+    // The span arena is still usable afterwards.
+    drop(obs::spans::enter("after"));
+    assert!(obs::spans::snapshot().iter().any(|s| s.name == "after"));
     obs::reset();
 }
 
 #[test]
 fn sampling_is_deterministic_across_runs() {
-    let _guard = locked();
-
     // Synthetic per-record cost: varies with the index but is a pure
     // function of it, so two passes over the "stream" are identical.
     let cost = |i: u64| 100 + (i * 37) % 5_000;
     let run = || -> (Vec<u64>, u64) {
-        obs::reset();
-        profile::enable(8);
-        profile::set_exemplar_capacity(1_024);
+        let profiler = Profiler::new(8);
+        profiler.set_exemplar_capacity(1_024);
         for i in 0..1_000u64 {
-            if profile::should_sample(i) {
+            if profiler.should_sample(i) {
                 profile::begin_trace(i, i as f64);
                 profile::trace_add(Stage::ClfParse, cost(i));
-                profile::finish_trace();
+                profiler.finish_trace();
             }
         }
-        let report = profile::snapshot();
+        let report = profiler.snapshot();
         let mut indexes: Vec<u64> = report.exemplars.iter().map(|e| e.record_index).collect();
         indexes.sort_unstable();
         (indexes, report.records_sampled)
@@ -133,5 +132,4 @@ fn sampling_is_deterministic_across_runs() {
     // so short streams still yield at least one trace.
     assert!(first.iter().all(|i| i % 8 == 0));
     assert!(first.contains(&0));
-    obs::reset();
 }

@@ -127,7 +127,7 @@ fn serve_scrape_and_shutdown() {
 
     // /events serves the drift-event ring as a JSON array with a
     // `?since=` cursor for incremental polling.
-    let seq = obs::events::publish(obs::events::Event::new(
+    let seq = telemetry.publish(obs::events::Event::new(
         obs::events::Severity::Warn,
         "cusum",
         "stream/arrival_rate",
@@ -162,13 +162,21 @@ fn serve_scrape_and_shutdown() {
         .iter()
         .any(|c| c.name == "scrape/events" && c.value == 7));
 
-    // /profile serves the flight recorder: JSON snapshot by default,
+    // /profile serves the run's flight recorder: an empty, disabled
+    // one before the run turns it on; then a JSON snapshot by default,
     // folded flamegraph stacks with ?format=folded.
-    obs::profile::enable(4);
+    let (status, body) = get(addr, "/profile");
+    assert!(status.contains("200"), "profile status: {status}");
+    let off: obs::profile::ProfileReport = serde_json::from_str(&body).expect("profile parses");
+    assert!(!off.enabled);
+    assert_eq!(off.sample_every, obs::profile::DEFAULT_SAMPLE_EVERY);
+    assert_eq!(off.stages.len(), obs::profile::STAGE_COUNT);
+    assert!(off.stages.iter().all(|s| s.count == 0));
+    let profiler = telemetry.enable_profiler(4);
     obs::profile::begin_trace(0, 1.5);
     obs::profile::trace_add(obs::profile::Stage::ClfParse, 1_000);
-    obs::profile::finish_trace();
-    obs::profile::record_stage_ns(obs::profile::Stage::WindowClose, 2_000_000);
+    profiler.finish_trace();
+    profiler.record_stage_ns(obs::profile::Stage::WindowClose, 2_000_000);
     let (status, body) = get(addr, "/profile");
     assert!(status.contains("200"), "profile status: {status}");
     let prof: obs::profile::ProfileReport = serde_json::from_str(&body).expect("profile parses");

@@ -23,8 +23,9 @@ use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use webpuzzle_obs::diagnostics::{DiagnosticsReport, WindowDiagnostics};
+use webpuzzle_obs::events::{Event, Severity};
 use webpuzzle_obs::metrics;
-use webpuzzle_obs::profile::{self, Stage};
+use webpuzzle_obs::profile::{self, Profiler, RecordTimer, Stage};
 use webpuzzle_obs::Telemetry;
 use webpuzzle_weblog::{LogRecord, Session, DEFAULT_SESSION_THRESHOLD};
 
@@ -271,12 +272,12 @@ pub struct StreamAnalyzer {
     sampled_out: u64,
     hard_shed_records: u64,
     forced_checkpoint_due: bool,
-    /// The run's observatory: governor and diagnostics slot.
+    /// The run's observatory: events, governor, diagnostics, recorder.
     telemetry: Telemetry,
     // Flight-recorder bookkeeping: cumulative per-stage totals at the
     // last window-timing event, for per-window self-time deltas. Not
-    // part of EngineState — profiler data has process lifetime, like
-    // every other registry metric (see the EngineState docs).
+    // part of EngineState — profiler data belongs to this process's
+    // run, like every registry metric (see the EngineState docs).
     profile_totals: [u64; profile::STAGE_COUNT],
     records_counter: Arc<webpuzzle_obs::ShardedCounter>,
     shed_counter: Arc<metrics::Counter>,
@@ -306,8 +307,12 @@ impl StreamAnalyzer {
     /// # Errors
     ///
     /// Rejects a non-finite or non-positive session threshold, exactly
-    /// as batch [`webpuzzle_weblog::sessionize`] would.
+    /// as batch [`webpuzzle_weblog::sessionize`] would, and a request or
+    /// session window that is not finite or is shorter than one of its
+    /// bins, or a bin width that is not finite and positive.
     pub fn new(cfg: StreamConfig) -> Result<Self> {
+        cfg.request_window.validate()?;
+        cfg.session_window.validate()?;
         let sessionizer =
             StreamSessionizer::new(cfg.session_threshold)?.with_max_open(cfg.max_open_sessions);
         let request_arrivals = WindowedArrivals::new(cfg.request_window.clone());
@@ -344,7 +349,7 @@ impl StreamAnalyzer {
             hard_shed_records: 0,
             forced_checkpoint_due: false,
             telemetry: Telemetry::default(),
-            profile_totals: profile::stage_totals(),
+            profile_totals: [0; profile::STAGE_COUNT],
             records_counter: metrics::sharded_counter("stream/records"),
             shed_counter: metrics::counter("stream/records_shed"),
             hard_shed_counter: metrics::counter("stream/records_hard_shed"),
@@ -369,9 +374,13 @@ impl StreamAnalyzer {
         })
     }
 
-    /// Attach the run's observatory. Without a governor a restored
-    /// degradation mode is dropped: nothing would ever walk it back.
+    /// Attach the run's observatory, which gets its events and timings.
+    /// Without a governor a restored degradation mode is dropped:
+    /// nothing would ever walk it back.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.profile_totals = telemetry
+            .profiler()
+            .map_or([0; profile::STAGE_COUNT], Profiler::stage_totals);
         self.telemetry = telemetry;
         if self.telemetry.governor().is_none() && self.degradation_mode != 0 {
             self.degradation_mode = 0;
@@ -404,7 +413,8 @@ impl StreamAnalyzer {
         // Flight recorder: adopt the trace the source began for this
         // record, or start one iff the deterministic record index is
         // sampled. Inactive timers take no timestamps at all.
-        let mut timer = profile::record_timer(self.records, record.timestamp);
+        let mut timer =
+            RecordTimer::start(self.telemetry.profiler(), self.records, record.timestamp);
         let started = self.sessionizer.push(record, &mut self.session_buf)?;
         timer.mark(Stage::Sessionize);
         // Degraded sampling gates the per-record estimators only:
@@ -429,7 +439,8 @@ impl StreamAnalyzer {
         // Poisson battery), so while profiling they are timed on every
         // occurrence, not 1-in-N — a one-comparison pre-check decides
         // whether any timestamp is taken.
-        let closing = profile::is_enabled() && self.request_arrivals.would_close(record.timestamp);
+        let closing = self.telemetry.profiler().is_some()
+            && self.request_arrivals.would_close(record.timestamp);
         let close_start = closing.then(std::time::Instant::now);
         let closed_from = self.request_windows.len();
         self.request_arrivals
@@ -464,9 +475,8 @@ impl StreamAnalyzer {
             );
         }
         if let Some(t0) = close_start {
-            profile::record_stage_ns(Stage::WindowClose, t0.elapsed().as_nanos() as u64);
+            self.record_window_close(closed_from, t0);
             timer.resync();
-            self.publish_window_timing(closed_from);
         }
 
         if !self.session_buf.is_empty() {
@@ -483,7 +493,7 @@ impl StreamAnalyzer {
             self.update_health_gauges();
         }
         timer.mark(Stage::Estimators);
-        timer.finish();
+        timer.finish(self.telemetry.profiler());
         Ok(())
     }
 
@@ -504,7 +514,7 @@ impl StreamAnalyzer {
                 self.absorb_session(session);
             }
             let closed_from = self.request_windows.len();
-            let close_start = profile::is_enabled().then(std::time::Instant::now);
+            let close_start = self.telemetry.profiler().map(|_| std::time::Instant::now());
             self.request_arrivals.finish(&mut self.window_buf)?;
             Self::drain_windows(
                 &mut self.window_buf,
@@ -515,10 +525,7 @@ impl StreamAnalyzer {
                 self.observe_closed_windows(closed_from);
             }
             if let Some(t0) = close_start {
-                if self.request_windows.len() > closed_from {
-                    profile::record_stage_ns(Stage::WindowClose, t0.elapsed().as_nanos() as u64);
-                    self.publish_window_timing(closed_from);
-                }
+                self.record_window_close(closed_from, t0);
             }
             self.session_arrivals.finish(&mut self.window_buf)?;
             Self::drain_windows(
@@ -578,11 +585,6 @@ impl StreamAnalyzer {
     /// Records pushed so far.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Drift results so far (cheaper than a full [`StreamAnalyzer::summary`]).
-    pub fn drift_summary(&self) -> DriftSummary {
-        self.observatory.summary()
     }
 
     /// Export the engine's complete mutable state for checkpointing.
@@ -687,7 +689,7 @@ impl StreamAnalyzer {
     }
 
     /// Feed every request window closed since `from` to the drift
-    /// observatory, publishing any alarms to the global event ring.
+    /// observatory, publishing any alarms to the run's events.
     /// The per-window bytes accumulator describes the oldest closed
     /// window (later ones, if any, were empty quiet stretches) and is
     /// recycled here.
@@ -733,7 +735,7 @@ impl StreamAnalyzer {
         self.window_interarrival = Welford::new();
         for obs in &observations {
             for event in self.observatory.observe(obs) {
-                webpuzzle_obs::events::publish(event);
+                self.telemetry.publish(event);
             }
         }
         if self.cfg.diagnostics {
@@ -751,7 +753,7 @@ impl StreamAnalyzer {
                     self.agreement_gauge.set(v);
                 }
                 if let Some(event) = diagnostics::events_for(row) {
-                    webpuzzle_obs::events::publish(event);
+                    self.telemetry.publish(event);
                 }
             }
             self.diagnostics_windows.extend(diag_rows);
@@ -768,21 +770,23 @@ impl StreamAnalyzer {
         diagnostics::build_report(self.cfg.diagnostics, self.diagnostics_windows.clone())
     }
 
-    /// Publish one Info timeline event for the window-close batch that
-    /// just happened: per-stage self-time accumulated since the
-    /// previous timing event, plus the watermark lag behind the newest
-    /// closed window's end. Batches are singletons except across quiet
-    /// gaps (empty windows closed by one push share a delta). Only
-    /// called while profiling is enabled, so runs without `--profile`
-    /// leave the event ring and JSONL log untouched.
-    fn publish_window_timing(&mut self, closed_from: usize) {
-        if self.request_windows.len() <= closed_from {
-            return;
-        }
-        let Some(last) = self.request_windows.last() else {
+    /// Time the window-close batch that started at `t0` and closed the
+    /// request windows from `closed_from` on, if any, then publish one
+    /// Info timeline event for it: per-stage self-time accumulated since
+    /// the previous timing event, plus the watermark lag behind the
+    /// newest closed window's end. Batches are singletons except across
+    /// quiet gaps (empty windows closed by one push share a delta). Does
+    /// nothing in an unprofiled run, so runs without `--profile` leave
+    /// the event ring and JSONL log untouched.
+    fn record_window_close(&mut self, closed_from: usize, t0: std::time::Instant) {
+        let (Some(last), Some(profiler)) = (
+            self.request_windows[closed_from..].last(),
+            self.telemetry.profiler(),
+        ) else {
             return;
         };
-        let totals = profile::stage_totals();
+        profiler.record_stage_ns(Stage::WindowClose, t0.elapsed().as_nanos() as u64);
+        let totals = profiler.stage_totals();
         let mut breakdown = String::new();
         let mut delta_total_ns = 0u64;
         for (i, stage) in profile::STAGES.iter().enumerate() {
@@ -799,8 +803,8 @@ impl StreamAnalyzer {
         let end = last.start + self.cfg.request_window.window_len;
         let lag = (self.sessionizer.watermark() - end).max(0.0);
         let self_time_ms = delta_total_ns as f64 / 1e6;
-        webpuzzle_obs::events::publish(webpuzzle_obs::events::Event::new(
-            webpuzzle_obs::events::Severity::Info,
+        self.telemetry.publish(Event::new(
+            Severity::Info,
             "flight_recorder",
             "window_timing",
             last.index,
@@ -891,7 +895,7 @@ impl StreamAnalyzer {
         // still walks the stage machine on the health-gauge cadence.
         if let Some(governor) = self.telemetry.governor() {
             governor.set_sessions(self.sessionizer.open_sessions() as u64);
-            governor.evaluate();
+            self.telemetry.evaluate_governor();
         }
         self.peak_gauge
             .set(self.sessionizer.peak_open_sessions() as f64);
@@ -905,8 +909,8 @@ impl StreamAnalyzer {
             let shed_records = self.sessionizer.shed_records();
             self.shed_counter
                 .add(shed_records - self.shed_records_synced);
-            webpuzzle_obs::events::publish(webpuzzle_obs::events::Event::new(
-                webpuzzle_obs::events::Severity::Warn,
+            self.telemetry.publish(Event::new(
+                Severity::Warn,
                 "load_shed",
                 "stream/open_sessions",
                 0,
@@ -975,7 +979,7 @@ impl StreamAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webpuzzle_weblog::{sessionize, Method};
+    use webpuzzle_weblog::{sessionize, Method, WeblogError};
 
     fn record(t: f64, client: u32, bytes: u64) -> LogRecord {
         LogRecord::new(t, client, Method::Get, client, 200, bytes)
@@ -1305,5 +1309,56 @@ mod tests {
             ..StreamConfig::default()
         };
         assert!(StreamAnalyzer::new(cfg).is_err());
+    }
+
+    #[test]
+    fn rejects_unusable_windows() {
+        let with_request = |window: WindowConfig| StreamConfig {
+            request_window: window,
+            ..StreamConfig::default()
+        };
+        let defaults = WindowConfig::default();
+        let field_at_fault = |cfg: StreamConfig| match StreamAnalyzer::new(cfg) {
+            Err(crate::StreamError::Weblog(WeblogError::InvalidParameter { name, .. })) => name,
+            other => panic!("expected an invalid window, got {other:?}"),
+        };
+        for window_len in [0.0, 1e-300, 0.5, -3.0, f64::NAN, f64::INFINITY] {
+            let cfg = with_request(WindowConfig {
+                window_len,
+                ..defaults.clone()
+            });
+            assert_eq!(field_at_fault(cfg), "window_len", "window_len {window_len}");
+        }
+        for bin_width in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = with_request(WindowConfig {
+                bin_width,
+                ..defaults.clone()
+            });
+            assert_eq!(field_at_fault(cfg), "bin_width", "bin_width {bin_width}");
+        }
+        for fine in [0.0, -0.01, f64::NAN, 20_000.0] {
+            let cfg = with_request(WindowConfig {
+                fine_bin_width: Some(fine),
+                ..defaults.clone()
+            });
+            assert_eq!(field_at_fault(cfg), "fine_bin_width", "fine {fine}");
+        }
+        // The session window is checked too.
+        let cfg = StreamConfig {
+            session_window: WindowConfig {
+                window_len: 0.0,
+                ..defaults.clone()
+            },
+            ..StreamConfig::default()
+        };
+        assert_eq!(field_at_fault(cfg), "window_len");
+        // One bin per window, and fine bins as long as the window, are
+        // usable.
+        let edge = WindowConfig {
+            window_len: 1.0,
+            fine_bin_width: Some(1.0),
+            ..defaults
+        };
+        assert!(StreamAnalyzer::new(with_request(edge)).is_ok());
     }
 }

@@ -533,8 +533,8 @@ impl SeasonalDiff {
 /// | `h_variance_time` | per-window variance-time H | EWMA bands |
 ///
 /// [`DriftObservatory::observe`] returns ready-to-publish [`Event`]s;
-/// the caller decides whether they reach the global event ring (the
-/// engine publishes them, unit tests inspect them directly).
+/// the caller decides whether they reach a run's events (the engine
+/// publishes them, unit tests inspect them directly).
 #[derive(Debug)]
 pub struct DriftObservatory {
     seasonal: SeasonalDiff,

@@ -15,7 +15,8 @@ use crate::supervisor::RecoverableSource;
 use crate::Result;
 use std::io::BufRead;
 use std::sync::Arc;
-use webpuzzle_obs::{metrics, profile};
+use webpuzzle_obs::metrics;
+use webpuzzle_obs::profile::{self, Profiler};
 use webpuzzle_weblog::clf::{parse_raw_line, MALFORMED_SKIPPED_COUNTER};
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind, WeblogError};
 
@@ -77,6 +78,8 @@ pub struct ClfSource<R> {
     skipped: u64,
     malformed: MalformedBreakdown,
     done: bool,
+    /// The run's 1-in-N flight-recorder period; 0 when unprofiled.
+    sample_every: u64,
     parsed_counter: Arc<webpuzzle_obs::ShardedCounter>,
     skip_counter: Arc<metrics::Counter>,
     kind_counters: [Arc<metrics::Counter>; 4],
@@ -97,6 +100,7 @@ impl<R: BufRead> ClfSource<R> {
             skipped: 0,
             malformed: MalformedBreakdown::default(),
             done: false,
+            sample_every: 0,
             parsed_counter: metrics::sharded_counter("weblog/records_parsed"),
             skip_counter: metrics::counter(MALFORMED_SKIPPED_COUNTER),
             kind_counters: malformed_kind_counters(),
@@ -112,6 +116,13 @@ impl<R: BufRead> ClfSource<R> {
         self
     }
 
+    /// Time the read and parse of the records the run's `profiler`
+    /// samples, the start of each one's trace.
+    pub fn with_profiler(mut self, profiler: Option<&Profiler>) -> Self {
+        self.sample_every = profiler.map_or(0, Profiler::sample_every);
+        self
+    }
+
     /// Records successfully parsed so far.
     pub fn parsed(&self) -> u64 {
         self.parsed
@@ -120,11 +131,6 @@ impl<R: BufRead> ClfSource<R> {
     /// Malformed lines skipped so far (always 0 in strict mode).
     pub fn skipped(&self) -> u64 {
         self.skipped
-    }
-
-    /// 1-based number of the last line read.
-    pub fn line_number(&self) -> usize {
-        self.line_no
     }
 
     /// Bytes consumed from the reader so far. After a yielded record
@@ -178,7 +184,7 @@ impl<R: BufRead> Source for ClfSource<R> {
         // work — unsampled records never take a timestamp. Skipped
         // malformed/blank lines on the way to a sampled record are
         // charged to it (they are part of producing it).
-        let sample = profile::should_sample(self.parsed);
+        let sample = self.sample_every != 0 && self.parsed.is_multiple_of(self.sample_every);
         let mut read_ns = 0u64;
         let mut parse_ns = 0u64;
         loop {

@@ -28,10 +28,10 @@
 //! [`SupervisorConfig::max_restores`] times.
 //!
 //! Checkpoints are taken on a record and/or wall-clock cadence. The
-//! JSONL event sink is fsynced *before* each checkpoint is written:
-//! the checkpoint stores the event-ring sequence, and a resume
-//! fast-forwards past it, so an event must never be durable *later*
-//! than a checkpoint that claims it happened.
+//! run's JSONL event log is fsynced *before* each checkpoint is
+//! written: the checkpoint stores the run's event sequence, and a
+//! resume fast-forwards past it, so an event must never be durable
+//! *later* than a checkpoint that claims it happened.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -42,7 +42,8 @@ use crate::checkpoint::{Checkpoint, SourcePosition};
 use crate::engine::{StreamAnalyzer, StreamConfig, StreamSummary};
 use crate::pipeline::Source;
 use crate::{Result, StreamError};
-use webpuzzle_obs::events::{self, Event, Severity};
+use webpuzzle_obs::events::{Event, Severity};
+use webpuzzle_obs::profile::Stage;
 use webpuzzle_obs::{metrics, Telemetry};
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind, WeblogError};
 
@@ -117,7 +118,8 @@ pub struct SupervisorConfig {
     /// Checkpoint every S wall-clock seconds (0 = no time cadence).
     pub checkpoint_every_secs: u64,
     /// The run's observatory, for every engine the supervisor builds or
-    /// restores; its governor's stage is checkpointed.
+    /// restores; the supervisor publishes its own events there, and the
+    /// governor's stage and the event sequence are checkpointed.
     pub telemetry: Telemetry,
 }
 
@@ -288,7 +290,7 @@ where
                 position = ck.source;
                 // Never reuse an event sequence a previous incarnation
                 // already published under.
-                events::resume_from(ck.events_seq);
+                self.cfg.telemetry.events().resume_from(ck.events_seq);
                 state = RunState {
                     recoveries: ck.recoveries,
                     poison: ck.poison,
@@ -337,7 +339,7 @@ where
                     state.recoveries += 1;
                     self.recoveries_counter.incr();
                     let what = panic_message(payload.as_ref());
-                    events::publish(Event::new(
+                    self.cfg.telemetry.publish(Event::new(
                         Severity::Warn,
                         "supervisor",
                         "stream/recoveries",
@@ -369,7 +371,7 @@ where
                         Some(ck) => {
                             engine = self.engine(Some(ck))?;
                             position = ck.source;
-                            events::resume_from(ck.events_seq);
+                            self.cfg.telemetry.events().resume_from(ck.events_seq);
                             // Work after the checkpoint is replayed, so
                             // its per-record tallies roll back with it.
                             state.poison = ck.poison;
@@ -531,8 +533,8 @@ where
         }
     }
 
-    /// Write one checkpoint: fsync the event sink first (the snapshot
-    /// stores the ring sequence), then save atomically. A failed save
+    /// Write one checkpoint: fsync the run's event log first (the
+    /// snapshot stores its sequence), then save atomically. A failed save
     /// is a warning, not a crash — losing checkpoint freshness must not
     /// kill an otherwise healthy run.
     fn checkpoint(
@@ -544,8 +546,9 @@ where
         let Some(path) = self.cfg.checkpoint_path.clone() else {
             return;
         };
-        if let Err(e) = events::sync_jsonl_sink() {
-            events::publish(Event::new(
+        let telemetry = &self.cfg.telemetry;
+        if let Err(e) = telemetry.events().sync_jsonl_sink() {
+            telemetry.publish(Event::new(
                 Severity::Warn,
                 "supervisor",
                 "stream/checkpoints_written",
@@ -558,25 +561,22 @@ where
                 format!("event sink fsync failed before checkpoint: {e}"),
             ));
         }
-        let governor = self.cfg.telemetry.governor();
+        let governor = telemetry.governor();
         let ck = Checkpoint {
             config: engine.config().clone(),
             engine: engine.export_state(),
             source: position,
-            events_seq: events::latest_seq(),
+            events_seq: telemetry.events().latest_seq(),
             poison: state.poison,
             recoveries: state.recoveries,
             transient_retries: state.transient_retries,
             checkpoints_written: state.checkpoints_written + 1,
             governor_state: governor.map_or(0, |g| g.state().code()),
         };
-        let t0 = webpuzzle_obs::profile::is_enabled().then(Instant::now);
+        let t0 = Instant::now();
         let saved = ck.save(&path);
-        if let Some(t0) = t0 {
-            webpuzzle_obs::profile::record_stage_ns(
-                webpuzzle_obs::profile::Stage::CheckpointEncode,
-                t0.elapsed().as_nanos() as u64,
-            );
+        if let Some(profiler) = telemetry.profiler() {
+            profiler.record_stage_ns(Stage::CheckpointEncode, t0.elapsed().as_nanos() as u64);
         }
         match saved {
             Ok(()) => {
@@ -587,7 +587,7 @@ where
                 state.last_checkpoint = Some(ck);
             }
             Err(e) => {
-                events::publish(Event::new(
+                telemetry.publish(Event::new(
                     Severity::Warn,
                     "supervisor",
                     "stream/checkpoints_written",

@@ -4,7 +4,7 @@
 //! drained, a poll loop turned) **beats** its [`StageHandle`]. The
 //! watchdog scans those beats; a stage whose last beat is older than
 //! [`WatchdogConfig::stall_after`] is declared stalled — a `Critical`
-//! `watchdog` event is published, the stage's stall counter and the
+//! `watchdog` event is published to the run's [`Telemetry`], the stage's stall counter and the
 //! `watchdog/stalled_stages` gauge go up, and the stage shows up in
 //! [`Watchdog::stalled_stages`] for the supervisor loop to escalate on
 //! (degrade the exit code, force a checkpoint, refuse new work). The
@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use webpuzzle_obs::events::{self, Event, Severity};
-use webpuzzle_obs::metrics;
+use webpuzzle_obs::events::{Event, Severity};
+use webpuzzle_obs::{metrics, Telemetry};
 
 /// Watchdog tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +65,7 @@ struct Inner {
     stages: Vec<StageSlot>,
     stop: AtomicBool,
     stalled_gauge: Arc<metrics::Gauge>,
+    telemetry: Telemetry,
 }
 
 impl Inner {
@@ -103,10 +104,10 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Build a watchdog over named stages; every stage starts freshly
-    /// beaten (a stage is only stalled `stall_after` after the watchdog
-    /// comes up, never at t=0).
-    pub fn new(cfg: WatchdogConfig, stage_names: &[&str]) -> Watchdog {
+    /// Build a watchdog over named stages that publishes its verdicts
+    /// to `telemetry`; every stage starts freshly beaten (a stage is only
+    /// stalled `stall_after` after the watchdog comes up, never at t=0).
+    pub fn new(cfg: WatchdogConfig, stage_names: &[&str], telemetry: Telemetry) -> Watchdog {
         let stages = stage_names
             .iter()
             .map(|name| StageSlot {
@@ -123,6 +124,7 @@ impl Watchdog {
                 stages,
                 stop: AtomicBool::new(false),
                 stalled_gauge: metrics::gauge("watchdog/stalled_stages"),
+                telemetry,
             }),
             monitor: None,
         }
@@ -156,7 +158,7 @@ impl Watchdog {
                 if !was_stalled {
                     slot.stalled.store(true, Ordering::Relaxed);
                     slot.stalls.incr();
-                    events::publish(Event::new(
+                    self.inner.telemetry.publish(Event::new(
                         Severity::Critical,
                         "watchdog",
                         &format!("watchdog/{}_stalls", slot.name),
@@ -177,7 +179,7 @@ impl Watchdog {
                 }
             } else if was_stalled {
                 slot.stalled.store(false, Ordering::Relaxed);
-                events::publish(Event::new(
+                self.inner.telemetry.publish(Event::new(
                     Severity::Info,
                     "watchdog",
                     &format!("watchdog/{}_stalls", slot.name),
@@ -258,19 +260,21 @@ impl Drop for Watchdog {
 mod tests {
     use super::*;
 
-    fn dog(stall_secs: u64) -> Watchdog {
+    fn dog(stall_secs: u64, telemetry: Telemetry) -> Watchdog {
         Watchdog::new(
             WatchdogConfig {
                 stall_after: Duration::from_secs(stall_secs),
                 poll_interval: Duration::from_millis(10),
             },
             &["ingest", "engine"],
+            telemetry,
         )
     }
 
     #[test]
     fn silence_past_the_deadline_stalls_and_a_beat_recovers() {
-        let wd = dog(5);
+        let run = Telemetry::default();
+        let wd = dog(5, run.clone());
         let ingest = wd.handle(0);
         let engine = wd.handle(1);
         ingest.beat_at(0);
@@ -298,11 +302,15 @@ mod tests {
         // A second silence is a second stall.
         assert_eq!(wd.scan_at(20_000), 2);
         assert_eq!(wd.total_stalls(), 3);
+
+        // Every verdict is one of the run's events.
+        assert_eq!(run.events().total(Severity::Critical), 3);
+        assert_eq!(run.events().total(Severity::Info), 1);
     }
 
     #[test]
     fn monitor_thread_stops_cleanly() {
-        let mut wd = dog(3600);
+        let mut wd = dog(3600, Telemetry::default());
         wd.handle(0).beat();
         wd.handle(1).beat();
         wd.spawn_monitor();

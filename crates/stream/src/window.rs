@@ -75,6 +75,30 @@ impl Default for WindowConfig {
     }
 }
 
+impl WindowConfig {
+    /// Check that bin widths are finite and positive and the window is
+    /// finite and no shorter than a bin of either width.
+    ///
+    /// # Errors
+    ///
+    /// [`WeblogError::InvalidParameter`] naming the first field at fault.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let usable = |w: f64| w.is_finite() && w > 0.0;
+        let (name, constraint) = if !usable(self.bin_width) {
+            ("bin_width", "must be finite and > 0")
+        } else if self.fine_bin_width.is_some_and(|w| !usable(w)) {
+            ("fine_bin_width", "must be finite and > 0")
+        } else if !self.window_len.is_finite() || self.window_len < self.bin_width {
+            ("window_len", "must be finite and at least bin_width")
+        } else if self.fine_bin_width.is_some_and(|w| w > self.window_len) {
+            ("fine_bin_width", "must not exceed window_len")
+        } else {
+            return Ok(());
+        };
+        Err(WeblogError::InvalidParameter { name, constraint }.into())
+    }
+}
+
 /// Analysis of one completed window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowReport {

@@ -5,25 +5,23 @@
 //! recorder enabled must still reproduce the uninterrupted summary bit
 //! for bit. Second, the documented resume semantics of the profiler
 //! itself (DESIGN.md §12): latency histograms and exemplars are
-//! wall-clock observations of one process, so they intentionally
+//! wall-clock observations of one process's run, so they intentionally
 //! RESET on restore rather than round-trip through the checkpoint —
 //! but the sampling grid continues exactly where the stream left off,
 //! because the engine's restored record counter is what the 1-in-N
 //! decision keys on.
+//!
+//! Each test profiles into its own run's [`Telemetry`], so they need no
+//! lock.
 
-use std::sync::{Arc, Mutex};
-use webpuzzle_obs as obs;
-use webpuzzle_obs::profile;
+use std::sync::Arc;
+use webpuzzle_obs::Telemetry;
 use webpuzzle_stream::checkpoint::{Checkpoint, SourcePosition};
 use webpuzzle_stream::{
     FaultSource, FaultSpec, Source, StreamAnalyzer, StreamConfig, StreamSummary, Supervisor,
     SupervisorConfig, WindowConfig,
 };
 use webpuzzle_weblog::{LogRecord, Method};
-
-/// Engines here share the process-global profiler, metrics registry,
-/// and event ring; serialize the tests.
-static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small_config() -> StreamConfig {
     StreamConfig {
@@ -95,8 +93,6 @@ fn uninterrupted_summary(records: &[LogRecord]) -> StreamSummary {
 
 #[test]
 fn profiled_crash_resume_reproduces_unprofiled_summary() {
-    let _guard = GLOBALS.lock().unwrap();
-    obs::reset();
     let records = Arc::new(workload());
 
     // Reference run with the recorder off: profiling must never change
@@ -108,7 +104,8 @@ fn profiled_crash_resume_reproduces_unprofiled_summary() {
     let path = dir.join("ck-profiled.bin");
     let _ = std::fs::remove_file(&path);
 
-    profile::enable(16);
+    let telemetry = Telemetry::default();
+    telemetry.enable_profiler(16);
     let src_records = Arc::clone(&records);
     let factory = move |pos: &SourcePosition| {
         let inner = VecSource {
@@ -131,6 +128,7 @@ fn profiled_crash_resume_reproduces_unprofiled_summary() {
             backoff_base_ms: 0,
             checkpoint_path: Some(path.clone()),
             checkpoint_every_records: 500,
+            telemetry: telemetry.clone(),
             ..SupervisorConfig::default()
         },
         factory,
@@ -145,31 +143,30 @@ fn profiled_crash_resume_reproduces_unprofiled_summary() {
     );
     // The recorder saw the run: per-record stages were sampled and the
     // checkpoint encodes were timed.
-    let prof = profile::snapshot();
+    let prof = telemetry.profile_report();
     assert!(prof.records_sampled > 0);
     assert!(prof.stage("checkpoint_encode").expect("stage").count > 0);
     let _ = std::fs::remove_file(&path);
-    obs::reset();
 }
 
 #[test]
 fn profiler_resets_on_resume_but_sampling_grid_continues() {
-    let _guard = GLOBALS.lock().unwrap();
-    obs::reset();
     let records = workload();
     const SPLIT: usize = 1_500;
     const EVERY: u64 = 16;
 
     // First process generation: profile the prefix, checkpoint-export
     // the engine, and note what the recorder accumulated.
-    profile::enable(EVERY);
-    profile::set_exemplar_capacity(4_096);
-    let mut engine = StreamAnalyzer::new(small_config()).expect("engine");
+    let first = Telemetry::default();
+    first.enable_profiler(EVERY).set_exemplar_capacity(4_096);
+    let mut engine = StreamAnalyzer::new(small_config())
+        .expect("engine")
+        .with_telemetry(first.clone());
     for rec in &records[..SPLIT] {
         engine.push(rec).expect("push");
     }
     let state = engine.export_state();
-    let prefix_sampled = profile::snapshot().records_sampled;
+    let prefix_sampled = first.profile_report().records_sampled;
     assert_eq!(
         prefix_sampled,
         (0..SPLIT as u64).filter(|i| i % EVERY == 0).count() as u64
@@ -198,20 +195,20 @@ fn profiler_resets_on_resume_but_sampling_grid_continues() {
     ck.save(&path).expect("save checkpoint");
     let ck = Checkpoint::load(&path).expect("load checkpoint");
 
-    // Second process generation: a fresh profiler (obs::reset is what a
-    // new process starts from), the restored engine, the tail of the
-    // stream.
-    obs::reset();
-    profile::enable(EVERY);
-    profile::set_exemplar_capacity(4_096);
-    let mut engine = StreamAnalyzer::restore(ck.config.clone(), &ck.engine).expect("restore");
+    // Second process generation: a new run's fresh profiler, the
+    // restored engine, the tail of the stream.
+    let second = Telemetry::default();
+    second.enable_profiler(EVERY).set_exemplar_capacity(4_096);
+    let mut engine = StreamAnalyzer::restore(ck.config.clone(), &ck.engine)
+        .expect("restore")
+        .with_telemetry(second.clone());
     assert_eq!(engine.records(), SPLIT as u64);
     for rec in &records[SPLIT..] {
         engine.push(rec).expect("push");
     }
     engine.finish().expect("finish");
 
-    let prof = profile::snapshot();
+    let prof = second.profile_report();
     // Reset: nothing from the prefix survives.
     let tail_grid: Vec<u64> = (SPLIT as u64..records.len() as u64)
         .filter(|i| i % EVERY == 0)
@@ -224,6 +221,8 @@ fn profiler_resets_on_resume_but_sampling_grid_continues() {
     seen.sort_unstable();
     assert_eq!(seen, tail_grid);
     assert!(seen.iter().all(|i| *i >= SPLIT as u64));
+    // The first generation's recorder is its own: the tail never
+    // reached it.
+    assert_eq!(first.profile_report().records_sampled, prefix_sampled);
     let _ = std::fs::remove_file(&path);
-    obs::reset();
 }

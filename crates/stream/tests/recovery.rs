@@ -21,10 +21,9 @@ use webpuzzle_stream::{
 };
 use webpuzzle_weblog::{LogRecord, Method};
 
-/// The engines in this file share the process-wide metrics registry
-/// and event ring (whose sequence a resume fast-forwards); serialize
-/// them so counters, gauges and event seqs don't interleave.
-/// (Summaries under test never read the registry.)
+/// The engines in this file share the process-wide metrics registry;
+/// serialize them so counters and gauges don't interleave. (Summaries
+/// under test never read the registry.)
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small_config() -> StreamConfig {
