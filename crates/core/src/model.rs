@@ -137,10 +137,12 @@ impl FullWebModel {
     ///   indices (Tables 2–4 Week rows);
     /// - `fidelity/poisson/<server>/<request|session>_reject_rate` —
     ///   fraction of applicable Poisson verdicts that reject (§4.2 /
-    ///   §5.1.2).
+    ///   §5.1.2);
+    /// - `fidelity/period/<server>/<request|session>` — the seasonal period
+    ///   `decompose` detected in the arrival series, in seconds.
     ///
-    /// Estimates that did not compute record no gauge (targets treat an
-    /// absent gauge as drift).
+    /// Estimates that did not compute, and periods not detected, record no
+    /// gauge (targets treat an absent gauge as drift).
     fn record_fidelity(&self) {
         use webpuzzle_obs::metrics::gauge;
         let server = &self.server;
@@ -159,6 +161,14 @@ impl FullWebModel {
                 if let Some(e) = e {
                     gauge(&format!("{prefix}/{server}/{est}")).set(e.h);
                 }
+            }
+        }
+        for (kind, analysis) in [
+            ("request", &self.request_level),
+            ("session", &self.inter_session),
+        ] {
+            if let Some(p) = analysis.period_seconds {
+                gauge(&format!("fidelity/period/{server}/{kind}")).set(p);
             }
         }
         for tail in self.intra_session_week.iter() {
@@ -366,6 +376,18 @@ mod tests {
         let json = m.to_json().unwrap();
         let back: FullWebModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn fidelity_gauges_publish_detected_periods() {
+        let m = small_model();
+        assert!(m.request_level.period_seconds.is_some());
+        let gauges = webpuzzle_obs::metrics::snapshot().gauges;
+        for (kind, a) in [("request", &m.request_level), ("session", &m.inter_session)] {
+            let name = format!("fidelity/period/ClarkNet/{kind}");
+            let published = gauges.iter().find(|(n, _)| *n == name).map(|g| g.1);
+            assert_eq!(published, a.period_seconds, "{name}");
+        }
     }
 
     #[test]

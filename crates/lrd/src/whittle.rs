@@ -5,16 +5,30 @@
 use crate::estimate::{EstimatorKind, HurstEstimate};
 use crate::periodogram_est::{check_spectral_len, spectral_periodogram};
 use crate::Result;
+use std::f64::consts::PI;
 use webpuzzle_stats::StatsError;
 use webpuzzle_timeseries::Periodogram;
 
-const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+const TWO_PI: f64 = 2.0 * PI;
 
 // Alias terms summed exactly on each side of λ in the fGn spectral density;
 // the remainder is the integral tail (Paxson's device) plus its
 // Euler–Maclaurin correction. The smallest count that keeps Ĥ within 1e-6
 // of a 30-term midpoint-tail fit (see the `oracle` tests).
 const ALIAS_TERMS: usize = 4;
+
+// Chebyshev nodes, and so terms, of the series that stands in for the alias
+// sum without its j = 0 term. That sum is analytic in t = 2λ²/π² − 1 out to
+// λ = 2π (t = 7, Bernstein ρ = 7 + √48 ≈ 13.9), so each term gains about
+// 1.1 digits: against `AliasLogs::sum`, 8 terms leave 2.3e-7 relative error,
+// 12 leave 1.3e-11 and 14 leave 9.2e-14; from 16 on, what is left (4–6e-15)
+// is the rounding of the node values (`series_matches_alias_logs`). The four
+// terms past 16 cost one multiply-add per frequency each.
+const SERIES_TERMS: usize = 20;
+
+// Frequencies per Clenshaw pass: the recurrence runs over a block in an
+// inner loop of its own, which vectorizes, while its state stays in L1.
+const BLOCK: usize = 64;
 
 // Brent's stopping tolerance on Ĥ: its error stays under 2.5e-7, which
 // leaves the rest of the 1e-6 budget to the alias truncation and to the
@@ -24,12 +38,13 @@ const SEARCH_TOL: f64 = 3e-7;
 // Objective evaluations after which the search reports `NoConvergence`.
 const MAX_EVALUATIONS: u64 = 200;
 
-/// The H-independent logarithms the fGn alias sum needs at one frequency λ:
-/// with them, each power `x^{−2H−1}` costs one `exp`.
+// Step of the numeric derivative ∂ log f / ∂H in the asymptotic variance.
+const CI_DH: f64 = 1e-5;
+
+/// The H-independent logarithms of the fGn alias sum's terms other than
+/// `λ^e` at one frequency λ: with them, each power costs one `exp`.
 #[derive(Debug, Clone, Copy)]
 struct AliasLogs {
-    /// `ln λ`.
-    ln_lambda: f64,
     /// `ln(2πj + λ)` and `ln(2πj − λ)` for `j = 1..=ALIAS_TERMS`.
     ln_alias: [f64; 2 * ALIAS_TERMS],
     /// `ln(edge ± λ)`, `edge = 2π(ALIAS_TERMS + ½)`.
@@ -49,30 +64,108 @@ impl AliasLogs {
         let edge = TWO_PI * (ALIAS_TERMS as f64 + 0.5);
         let (hi, lo) = (edge + lambda, edge - lambda);
         AliasLogs {
-            ln_lambda: lambda.ln(),
             ln_alias,
             ln_edge: [hi.ln(), lo.ln()],
             inv_edge_sq: [1.0 / (hi * hi), 1.0 / (lo * lo)],
         }
     }
 
-    /// `Σ_{j∈ℤ} |2πj + λ|^{e}`, `e = −2H − 1`: the terms `|j| ≤ J` exactly,
-    /// the rest as `∫_{J+½}^∞ g + g′(J+½)/24` with
+    /// `S(λ; H) = Σ_{j≠0} |2πj + λ|^{e}`, `e = −2H − 1`: the terms
+    /// `1 ≤ |j| ≤ J` exactly, the rest as `∫_{J+½}^∞ g + g′(J+½)/24` with
     /// `g(x) = (2πx + λ)^e + (2πx − λ)^e`. The correction term
     /// `(2π·e/24)·(edge ± λ)^{e−1}` reuses the tail power `(edge ± λ)^{e+1}`.
     #[inline]
     fn sum(&self, h: f64) -> f64 {
         let e = -(2.0 * h + 1.0);
-        let mut b = (e * self.ln_lambda).exp();
+        let mut s = 0.0;
         for &l in &self.ln_alias {
-            b += (e * l).exp();
+            s += (e * l).exp();
         }
         let integral = 1.0 / (2.0 * h * TWO_PI);
         let slope = TWO_PI * e / 24.0;
         for (&l, &inv_sq) in self.ln_edge.iter().zip(&self.inv_edge_sq) {
-            b += ((e + 1.0) * l).exp() * (integral + slope * inv_sq);
+            s += ((e + 1.0) * l).exp() * (integral + slope * inv_sq);
         }
-        b
+        s
+    }
+}
+
+/// `t = 2λ²/π² − 1`, which maps λ ∈ [0, π] onto the Chebyshev interval.
+fn series_arg(lambda: f64) -> f64 {
+    let r = lambda / PI;
+    2.0 * r * r - 1.0
+}
+
+/// What building an [`AliasSeries`] needs that does not depend on H: the
+/// [`AliasLogs`] of the Chebyshev nodes and the cosine sum that turns
+/// values there into coefficients.
+struct SeriesNodes {
+    logs: [AliasLogs; SERIES_TERMS],
+    /// Row `j`: `(2/K)·cos(πj(i + ½)/K)` over the nodes `i` (halved for
+    /// `j = 0`), `K = SERIES_TERMS`.
+    cos: [[f64; SERIES_TERMS]; SERIES_TERMS],
+}
+
+impl SeriesNodes {
+    fn new() -> Self {
+        let k = SERIES_TERMS as f64;
+        // Node i sits at t = cos θ_i, θ_i = π(i + ½)/K, that is at
+        // λ = π·cos(θ_i / 2).
+        let logs =
+            std::array::from_fn(|i| AliasLogs::new(PI * (0.5 * PI * (i as f64 + 0.5) / k).cos()));
+        let cos = std::array::from_fn(|j| {
+            let scale = if j == 0 { 1.0 / k } else { 2.0 / k };
+            std::array::from_fn(|i| scale * (PI * j as f64 * (i as f64 + 0.5) / k).cos())
+        });
+        SeriesNodes { logs, cos }
+    }
+
+    /// `S(·; H)` interpolated at the nodes: `10·K` `exp` and a K × K sum.
+    fn series(&self, h: f64) -> AliasSeries {
+        let values = self.logs.map(|logs| logs.sum(h));
+        AliasSeries {
+            e: -(2.0 * h + 1.0),
+            coeffs: self
+                .cos
+                .map(|row| row.iter().zip(&values).map(|(c, v)| c * v).sum()),
+        }
+    }
+}
+
+/// [`AliasLogs::sum`] at one H for every λ ∈ (0, π], as the Chebyshev
+/// series `Σ_j c_j T_j(t)` in `t` of [`series_arg`] (the sum is even in λ),
+/// and the exponent `e = −2H − 1` of the alias sum's `λ^e` term.
+struct AliasSeries {
+    e: f64,
+    coeffs: [f64; SERIES_TERMS],
+}
+
+impl AliasSeries {
+    /// The series at each `t[i]` into `s[i]`, by Clenshaw's recurrence run
+    /// over the whole block once per coefficient.
+    fn eval_block(&self, t: &[f64], s: &mut [f64]) {
+        debug_assert_eq!(t.len(), s.len());
+        let mut b2 = [0.0; BLOCK];
+        let b2 = &mut b2[..t.len()];
+        s.fill(0.0);
+        for &c in self.coeffs[1..].iter().rev() {
+            for ((b1, b2), &t) in s.iter_mut().zip(b2.iter_mut()).zip(t) {
+                let b0 = c + 2.0 * t * *b1 - *b2;
+                *b2 = *b1;
+                *b1 = b0;
+            }
+        }
+        for ((b1, &b2), &t) in s.iter_mut().zip(b2.iter()).zip(t) {
+            *b1 = self.coeffs[0] + t * *b1 - b2;
+        }
+    }
+
+    /// The whole alias sum `λ^e + S(λ; H)` at one frequency, from `ln λ`
+    /// and `t`.
+    fn total(&self, ln_lambda: f64, t: f64) -> f64 {
+        let mut s = [0.0];
+        self.eval_block(&[t], &mut s);
+        (self.e * ln_lambda).exp() + s[0]
     }
 }
 
@@ -93,7 +186,9 @@ fn two_one_minus_cos(lambda: f64) -> f64 {
 /// Whittle fits with this density stay within |ΔĤ| ≤ 1e-6 of fits with 30
 /// alias terms and the plain integral tail, over H ∈ [0.5, 0.95] and
 /// 2 048–16 384 points: the measured maximum is 7.4e-7 for Ĥ and 7.6e-7
-/// for the CI endpoints (3 terms give 2.1e-6).
+/// for the CI endpoints (3 terms give 2.1e-6). [`whittle`] evaluates the
+/// alias sum through a Chebyshev series in λ² that matches it to 1e-14
+/// relative.
 ///
 /// # Panics
 ///
@@ -111,59 +206,84 @@ fn two_one_minus_cos(lambda: f64) -> f64 {
 /// ```
 pub fn fgn_spectral_density(lambda: f64, h: f64) -> f64 {
     assert!(
-        lambda > 0.0 && lambda <= std::f64::consts::PI,
+        lambda > 0.0 && lambda <= PI,
         "lambda must be in (0, π], got {lambda}"
     );
     assert!(h > 0.0 && h < 1.0, "h must be in (0, 1), got {h}");
-    two_one_minus_cos(lambda) * AliasLogs::new(lambda).sum(h)
+    let origin = (-(2.0 * h + 1.0) * lambda.ln()).exp();
+    two_one_minus_cos(lambda) * (origin + AliasLogs::new(lambda).sum(h))
 }
 
-/// The Whittle objective's per-call tables, one row per Fourier frequency:
-/// its [`AliasLogs`] and `w = I(λ) / 2(1 − cos λ)`. About
-/// `(2·ALIAS_TERMS + 6)` f64 per frequency, freed when the fit returns.
+/// The Fourier frequencies and periodogram ordinates a fit uses: all but
+/// the Nyquist ordinate of an even-length series, which has a different
+/// distribution.
+fn fit_ordinates(p: &Periodogram) -> Result<(&[f64], &[f64])> {
+    let n = p.series_len();
+    check_spectral_len(n)?;
+    let m = if n.is_multiple_of(2) {
+        p.power().len() - 1
+    } else {
+        p.power().len()
+    };
+    let power = &p.power()[..m];
+    if power.iter().all(|&x| x == 0.0) {
+        return Err(StatsError::DegenerateInput {
+            what: "all-zero periodogram",
+        });
+    }
+    Ok((&p.freqs()[..m], power))
+}
+
+/// The Whittle objective's per-call tables: per Fourier frequency λ, `t`
+/// (see [`series_arg`]), `ln λ` and `w = I(λ) / 2(1 − cos λ)`, 24 B in all,
+/// and the [`SeriesNodes`]; freed when the fit returns.
 struct WhittleTable {
-    rows: Vec<(AliasLogs, f64)>,
+    t: Vec<f64>,
+    ln_lambda: Vec<f64>,
+    w: Vec<f64>,
+    nodes: SeriesNodes,
 }
 
 impl WhittleTable {
     fn new(p: &Periodogram) -> Result<Self> {
-        let n = p.series_len();
-        check_spectral_len(n)?;
-        // Exclude the Nyquist ordinate when n is even (it has a different
-        // distribution), keep everything else.
-        let m = if n.is_multiple_of(2) {
-            p.power().len() - 1
-        } else {
-            p.power().len()
-        };
-        let freqs = &p.freqs()[..m];
-        let power = &p.power()[..m];
-        if power.iter().all(|&x| x == 0.0) {
-            return Err(StatsError::DegenerateInput {
-                what: "all-zero periodogram",
-            });
-        }
-        let rows = freqs
-            .iter()
-            .zip(power)
-            .map(|(&lambda, &i_l)| (AliasLogs::new(lambda), i_l / two_one_minus_cos(lambda)))
-            .collect();
-        Ok(WhittleTable { rows })
+        let (freqs, power) = fit_ordinates(p)?;
+        Ok(WhittleTable {
+            t: freqs.iter().map(|&l| series_arg(l)).collect(),
+            ln_lambda: freqs.iter().map(|l| l.ln()).collect(),
+            w: freqs
+                .iter()
+                .zip(power)
+                .map(|(&l, &i_l)| i_l / two_one_minus_cos(l))
+                .collect(),
+            nodes: SeriesNodes::new(),
+        })
     }
 
     /// The profiled Whittle likelihood
     /// `Q(H) = log( (1/m) Σ_j I(λ_j)/f(λ_j;H) ) + (1/m) Σ_j log f(λ_j;H)`
     /// less its H-independent part `(1/m) Σ_j log 2(1 − cos λ_j)`: one
-    /// `ln` and `2·ALIAS_TERMS + 3` `exp` per frequency.
+    /// [`AliasSeries`], then per frequency one `exp`, one `ln` and a
+    /// Clenshaw step per series term.
     fn objective(&self, h: f64) -> f64 {
+        let series = self.nodes.series(h);
+        let mut s = [0.0; BLOCK];
         let mut ratio_sum = 0.0;
         let mut log_sum = 0.0;
-        for (logs, w) in &self.rows {
-            let b = logs.sum(h);
-            ratio_sum += w / b;
-            log_sum += b.ln();
+        for ((t, ln_lambda), w) in self
+            .t
+            .chunks(BLOCK)
+            .zip(self.ln_lambda.chunks(BLOCK))
+            .zip(self.w.chunks(BLOCK))
+        {
+            let s = &mut s[..t.len()];
+            series.eval_block(t, s);
+            for ((&s, &ln_lambda), &w) in s.iter().zip(ln_lambda).zip(w) {
+                let b = (series.e * ln_lambda).exp() + s;
+                ratio_sum += w / b;
+                log_sum += b.ln();
+            }
         }
-        let m = self.rows.len() as f64;
+        let m = self.w.len() as f64;
         (ratio_sum / m).ln() + log_sum / m
     }
 }
@@ -217,42 +337,41 @@ pub fn whittle_from_periodogram(p: &Periodogram) -> Result<HurstEstimate> {
             what: "Whittle likelihood evaluation",
         });
     }
-    Ok(with_asymptotic_ci(
-        min.x,
-        p.series_len(),
-        fgn_spectral_density,
-    ))
+    // 2(1 − cos λ) does not depend on H, so it cancels in D.
+    let lo = table.nodes.series(min.x - CI_DH);
+    let hi = table.nodes.series(min.x + CI_DH);
+    Ok(with_asymptotic_ci(min.x, p.series_len(), |lambda| {
+        let (ln_lambda, t) = (lambda.ln(), series_arg(lambda));
+        (hi.total(ln_lambda, t) / lo.total(ln_lambda, t)).ln() / (2.0 * CI_DH)
+    }))
 }
 
 // Asymptotic variance of the profiled Whittle estimate:
 // Var(Ĥ) = 1 / (n · I_eff),
 // I_eff = (1/4π)∫_{−π}^{π} D² dλ − (1/8π²)(∫_{−π}^{π} D dλ)²,
-// with D(λ) = ∂ log f(λ;H)/∂H, evaluated at Ĥ (numeric derivative,
-// symmetric integrals computed on (0, π)).
-fn with_asymptotic_ci(h_hat: f64, n: usize, density: fn(f64, f64) -> f64) -> HurstEstimate {
-    let var = whittle_asymptotic_variance(h_hat, n, density);
+// with D(λ) = ∂ log f(λ;H)/∂H at Ĥ, which `d` computes (a symmetric
+// difference of step CI_DH); the symmetric integrals are computed on (0, π).
+fn with_asymptotic_ci(h_hat: f64, n: usize, d: impl Fn(f64) -> f64) -> HurstEstimate {
+    let var = whittle_asymptotic_variance(n, d);
     let half = 1.96 * var.sqrt();
     HurstEstimate::with_ci(EstimatorKind::Whittle, h_hat, h_hat - half, h_hat + half)
 }
 
-fn whittle_asymptotic_variance(h: f64, n: usize, density: fn(f64, f64) -> f64) -> f64 {
-    let pi = std::f64::consts::PI;
+fn whittle_asymptotic_variance(n: usize, d: impl Fn(f64) -> f64) -> f64 {
     let grid = 512usize;
-    let dh = 1e-5;
     let mut int_d = 0.0;
     let mut int_d2 = 0.0;
     // Midpoint rule on (0, π); integrand is symmetric so the full-range
     // integrals are twice these.
     for i in 0..grid {
-        let lambda = (i as f64 + 0.5) * pi / grid as f64;
-        let d = (density(lambda, h + dh).ln() - density(lambda, h - dh).ln()) / (2.0 * dh);
+        let d = d((i as f64 + 0.5) * PI / grid as f64);
         int_d += d;
         int_d2 += d * d;
     }
-    let w = pi / grid as f64;
+    let w = PI / grid as f64;
     let full_d = 2.0 * int_d * w;
     let full_d2 = 2.0 * int_d2 * w;
-    let i_eff = full_d2 / (4.0 * pi) - full_d * full_d / (8.0 * pi * pi);
+    let i_eff = full_d2 / (4.0 * PI) - full_d * full_d / (8.0 * PI * PI);
     if i_eff <= 0.0 {
         // Should not happen for fGn; return a conservative wide variance.
         return 1.0 / n as f64;
@@ -353,9 +472,11 @@ fn brent_min<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> Resul
 
 #[cfg(test)]
 mod oracle {
-    //! The estimator as it was before per-call tables: 30 alias terms with
-    //! the plain integral tail, and golden-section search to 1e-6. The
-    //! tests hold [`whittle`](super::whittle) to it.
+    //! Two earlier estimators that the tests hold [`whittle`](super::whittle)
+    //! to: the one before per-call tables (30 alias terms with the plain
+    //! integral tail, golden-section search to 1e-6), and the one before the
+    //! alias series (`λ^e` and [`AliasLogs::sum`] at every frequency, the CI
+    //! from [`fgn_spectral_density`]).
 
     use super::*;
     use webpuzzle_timeseries::periodogram;
@@ -423,7 +544,58 @@ mod oracle {
             (ratio_sum / m as f64).ln() + log_sum / m as f64
         };
         let h_hat = golden_section(objective, 0.01, 0.99, 1e-6);
-        with_asymptotic_ci(h_hat, data.len(), density)
+        with_asymptotic_ci(h_hat, data.len(), log_density_slope(density, h_hat))
+    }
+
+    /// `D(λ) = ∂ log f(λ;H)/∂H` at `h` by symmetric difference of `density`.
+    fn log_density_slope(density: fn(f64, f64) -> f64, h: f64) -> impl Fn(f64) -> f64 {
+        move |lambda| {
+            (density(lambda, h + CI_DH).ln() - density(lambda, h - CI_DH).ln()) / (2.0 * CI_DH)
+        }
+    }
+
+    /// The objective's tables before the alias series: `ln λ`, the
+    /// [`AliasLogs`] and `w` per frequency, so 11 `exp` and one `ln` per
+    /// frequency and evaluation.
+    pub(super) struct PerFrequencyTable {
+        rows: Vec<(f64, AliasLogs, f64)>,
+    }
+
+    impl PerFrequencyTable {
+        pub(super) fn new(p: &Periodogram) -> Self {
+            let (freqs, power) = fit_ordinates(p).unwrap();
+            let rows = freqs
+                .iter()
+                .zip(power)
+                .map(|(&l, &i_l)| (l.ln(), AliasLogs::new(l), i_l / two_one_minus_cos(l)))
+                .collect();
+            PerFrequencyTable { rows }
+        }
+
+        pub(super) fn objective(&self, h: f64) -> f64 {
+            let e = -(2.0 * h + 1.0);
+            let mut ratio_sum = 0.0;
+            let mut log_sum = 0.0;
+            for (ln_lambda, logs, w) in &self.rows {
+                let b = (e * ln_lambda).exp() + logs.sum(h);
+                ratio_sum += w / b;
+                log_sum += b.ln();
+            }
+            let m = self.rows.len() as f64;
+            (ratio_sum / m).ln() + log_sum / m
+        }
+    }
+
+    /// Ĥ by Brent over [`PerFrequencyTable::objective`], and the CI from
+    /// [`fgn_spectral_density`].
+    pub(super) fn whittle_per_frequency(p: &Periodogram) -> HurstEstimate {
+        let table = PerFrequencyTable::new(p);
+        let min = brent_min(|h| table.objective(h), 0.01, 0.99, SEARCH_TOL).unwrap();
+        with_asymptotic_ci(
+            min.x,
+            p.series_len(),
+            log_density_slope(fgn_spectral_density, min.x),
+        )
     }
 
     /// Golden-section minimization of a unimodal function on `[a, b]`.
@@ -454,7 +626,9 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::{direct_alias_sum, golden_section, whittle_oracle};
+    use super::oracle::{
+        direct_alias_sum, golden_section, whittle_oracle, whittle_per_frequency, PerFrequencyTable,
+    };
     use super::*;
     use crate::fgn::FgnGenerator;
     use webpuzzle_timeseries::periodogram;
@@ -631,7 +805,8 @@ mod tests {
         for &h in &[0.01, 0.2, 0.5, 0.75, 0.9, 0.99] {
             for &lambda in &[1e-6, 2.0 * pi / 604_800.0, 1e-3, 0.1, 1.0, 2.5, pi] {
                 let ln_v = two_one_minus_cos(lambda).ln();
-                let tabled = ln_v + AliasLogs::new(lambda).sum(h).ln();
+                let origin = lambda.powf(-(2.0 * h + 1.0));
+                let tabled = ln_v + (origin + AliasLogs::new(lambda).sum(h)).ln();
                 let direct = ln_v + direct_alias_sum(lambda, h, ALIAS_TERMS, true).ln();
                 let public = fgn_spectral_density(lambda, h).ln();
                 for (what, want) in [("direct", direct), ("public", public)] {
@@ -673,5 +848,91 @@ mod tests {
         let median = counts[counts.len() / 2];
         let max = *counts.last().unwrap();
         assert!(median <= 14 && max <= 34, "evaluations: {counts:?}");
+    }
+
+    #[test]
+    fn series_matches_alias_logs() {
+        let mut lambdas = vec![
+            TWO_PI / 604_800.0,
+            TWO_PI / 10_080.0,
+            1e-3,
+            0.1,
+            1.0,
+            2.5,
+            std::f64::consts::PI,
+        ];
+        lambdas.extend((1..=500).map(|i| f64::from(i) * std::f64::consts::PI / 500.0));
+        lambdas.extend((0..60).map(|i| 1e-6 * 10f64.powf(f64::from(i) / 10.0)));
+        // H from 0.01 to 0.99 by 0.01, and the CI's steps past either end.
+        let mut hs: Vec<f64> = (1..=99).map(|i| f64::from(i) / 100.0).collect();
+        hs.extend([0.01 - CI_DH, 0.99 + CI_DH]);
+        let nodes = SeriesNodes::new();
+        let mut worst = 0.0f64;
+        for h in hs {
+            let series = nodes.series(h);
+            let t: Vec<f64> = lambdas.iter().map(|&l| series_arg(l)).collect();
+            for (lambdas, t) in lambdas.chunks(BLOCK).zip(t.chunks(BLOCK)) {
+                let mut s = vec![0.0; t.len()];
+                series.eval_block(t, &mut s);
+                for (&lambda, &s) in lambdas.iter().zip(&s) {
+                    let want = AliasLogs::new(lambda).sum(h);
+                    let rel = (s / want - 1.0).abs();
+                    assert!(
+                        rel <= 1e-14,
+                        "λ = {lambda}, H = {h}: series {s} against {want} (rel {rel:e})"
+                    );
+                    worst = worst.max(rel);
+                }
+            }
+        }
+        eprintln!("series against AliasLogs: worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn series_objective_and_fit_match_per_frequency_path() {
+        let (mut worst_q, mut worst_h) = (0.0f64, 0.0f64);
+        for (h, n, x) in oracle_grid() {
+            let p = periodogram(&x).unwrap();
+            let table = WhittleTable::new(&p).unwrap();
+            let old = PerFrequencyTable::new(&p);
+            // Every H either search visits.
+            let visits = std::cell::RefCell::new(Vec::new());
+            let visit = |q: &dyn Fn(f64) -> f64| {
+                brent_min(
+                    |h| {
+                        visits.borrow_mut().push(h);
+                        q(h)
+                    },
+                    0.01,
+                    0.99,
+                    SEARCH_TOL,
+                )
+                .unwrap()
+            };
+            visit(&|h| table.objective(h));
+            visit(&|h| old.objective(h));
+            for &v in visits.borrow().iter() {
+                let (q, q_old) = (table.objective(v), old.objective(v));
+                let rel = ((q - q_old) / q_old).abs();
+                assert!(
+                    rel <= 1e-13,
+                    "H = {h}, n = {n}, at {v}: Q = {q} against {q_old} (rel {rel:e})"
+                );
+                worst_q = worst_q.max(rel);
+            }
+            let fit = whittle_from_periodogram(&p).unwrap();
+            let before = whittle_per_frequency(&p);
+            let (lo, hi) = fit.ci95.unwrap();
+            let (blo, bhi) = before.ci95.unwrap();
+            for (name, a, b) in [("H", fit.h, before.h), ("lo", lo, blo), ("hi", hi, bhi)] {
+                assert!(
+                    (a - b).abs() <= 3e-7,
+                    "H = {h}, n = {n}: {name} = {a} against {b} (Δ {:e})",
+                    a - b
+                );
+                worst_h = worst_h.max((a - b).abs());
+            }
+        }
+        eprintln!("objective: worst relative {worst_q:e}; Ĥ and CI: worst {worst_h:e}");
     }
 }

@@ -402,12 +402,15 @@ source = "Table 2 Week row"
     #[test]
     fn in_tolerance_run_passes() {
         let targets = PaperTargets::parse(SAMPLE).unwrap();
+        // A gauge without a target, such as a detected period, is not checked.
         let report = report_with(&[
             ("fidelity/h/WVU/whittle", 0.93),
             ("fidelity/alpha/WVU/duration/llcd", 1.60),
+            ("fidelity/period/WVU/request", 86_400.0),
         ]);
         let result = check(&report, &targets);
         assert!(result.passed(), "{}", result.render());
+        assert_eq!(result.checks.len(), 2);
     }
 
     #[test]
