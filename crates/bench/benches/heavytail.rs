@@ -39,6 +39,14 @@ fn bench_curvature(c: &mut Criterion) {
     group.bench_function("lognormal/10000x29", |b| {
         b.iter(|| curvature_test(black_box(&data), CurvatureModel::LogNormal, 0.14, 29, 5).unwrap())
     });
+    // Integer-valued with heavy ties, like requests per session: the
+    // threshold falls inside a run of equal values.
+    let counts: Vec<f64> = data.iter().map(|x| x.ceil()).collect();
+    group.bench_function("lognormal_ties/10000x29", |b| {
+        b.iter(|| {
+            curvature_test(black_box(&counts), CurvatureModel::LogNormal, 0.14, 29, 5).unwrap()
+        })
+    });
     group.finish();
 }
 

@@ -4,17 +4,25 @@
 //!
 //! The test statistic is the quadratic coefficient of a degree-2 polynomial
 //! fitted to the tail of the LLCD plot. Its null distribution is obtained by
-//! Monte Carlo: draw replicate samples of the same size from the fitted
-//! model, compute their curvatures, and read off a two-sided rank p-value.
-//! A small p-value means the observed curvature is not something the model
-//! produces — reject the model.
+//! Monte Carlo: draw replicate samples from the fitted model, compute their
+//! curvatures, and read off a two-sided rank p-value. A small p-value means
+//! the observed curvature is not something the model produces — reject the
+//! model.
+//!
+//! The replicates differ by model. A lognormal replicate has the data's
+//! size and is measured over the same upper fraction. A Pareto replicate
+//! has `n_tail` points, as many as the data has at or above its threshold,
+//! and is measured over its upper 0.999, which is all of it below 1 000
+//! points. A replicate whose curvature cannot be computed (an overflowed
+//! draw, or too few tail points) is dropped, and
+//! [`CurvatureTest::replicates`] counts only the ones kept.
 //!
 //! The paper notes (§5.2.1) that the test is sensitive to the estimated α
 //! and the particular random replicates; [`curvature_test`] therefore takes
 //! both the tail fraction and the RNG seed explicitly so the sensitivity is
 //! reproducible.
 
-use crate::ccdf::EmpiricalCcdf;
+use crate::ccdf::{llcd_tail, Threshold};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,54 +109,24 @@ pub fn curvature_test(
             constraint: "must be >= 19 for a 5% rank p-value",
         });
     }
-    let observed = tail_curvature(data, tail_fraction)?;
+    let (observed, threshold) = tail_curvature(&mut data.to_vec(), tail_fraction)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = data.len();
-
-    type ReplicateSampler = Box<dyn FnMut(&mut StdRng) -> Vec<f64>>;
-    let (fitted_param, sample_fn): (f64, ReplicateSampler) = match model {
+    let (fitted_param, null) = match model {
         CurvatureModel::Pareto => {
-            let ccdf = EmpiricalCcdf::new(data)?;
-            let threshold = ccdf.quantile(1.0 - tail_fraction);
             let pareto = fit_pareto_tail(data, threshold)?;
             let n_tail = data.iter().filter(|&&x| x >= threshold).count();
-            // Replicate only the tail: draw n_tail points from the
-            // fitted Pareto, whose curvature is then compared over the
-            // full replicate (it IS a tail sample).
-            (
-                pareto.alpha(),
-                Box::new(move |rng| pareto.sample_n(rng, n_tail)),
-            )
+            let null = null_curvatures(&pareto, n_tail, 0.999, replicates, &mut rng);
+            (pareto.alpha(), null)
         }
         CurvatureModel::LogNormal => {
             let ln = fit_lognormal(data)?;
-            (ln.sigma(), Box::new(move |rng| ln.sample_n(rng, n)))
+            let null = null_curvatures(&ln, data.len(), tail_fraction, replicates, &mut rng);
+            (ln.sigma(), null)
         }
     };
-
-    let mut sample_fn = sample_fn;
-    let mut more_extreme_low = 0usize;
-    let mut more_extreme_high = 0usize;
-    let mut used = 0usize;
-    for _ in 0..replicates {
-        let replicate = sample_fn(&mut rng);
-        // For the Pareto case the replicate is already a pure tail, so its
-        // curvature is measured over the whole replicate; for the lognormal
-        // case we take the same upper fraction as in the observed data.
-        let frac = match model {
-            CurvatureModel::Pareto => 0.999,
-            CurvatureModel::LogNormal => tail_fraction,
-        };
-        if let Ok(c) = tail_curvature(&replicate, frac) {
-            if c <= observed {
-                more_extreme_low += 1;
-            }
-            if c >= observed {
-                more_extreme_high += 1;
-            }
-            used += 1;
-        }
-    }
+    let used = null.len();
+    let more_extreme_low = null.iter().filter(|&&c| c <= observed).count();
+    let more_extreme_high = null.iter().filter(|&&c| c >= observed).count();
     webpuzzle_obs::metrics::sharded_counter("heavytail/curvature_replicates").add(used as u64);
     if used < 19 {
         return Err(StatsError::NoConvergence {
@@ -169,29 +147,38 @@ pub fn curvature_test(
     })
 }
 
+/// Curvatures of `replicates` samples of `size` draws from `model`, each
+/// drawn into one reused buffer and measured over its upper
+/// `tail_fraction`; degenerate replicates are left out.
+fn null_curvatures<S: Sampler>(
+    model: &S,
+    size: usize,
+    tail_fraction: f64,
+    replicates: usize,
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    let mut sample = Vec::with_capacity(size);
+    (0..replicates)
+        .filter_map(|_| {
+            sample.clear();
+            sample.extend((0..size).map(|_| model.sample(rng)));
+            let (curvature, _) = tail_curvature(&mut sample, tail_fraction).ok()?;
+            Some(curvature)
+        })
+        .collect()
+}
+
 /// Curvature (quadratic coefficient) of the LLCD plot over the upper
-/// `tail_fraction` of the sample.
+/// `tail_fraction` of the sample, which it reorders, and the threshold θ
+/// where that tail starts.
 ///
 /// # Errors
 ///
 /// Returns [`StatsError::InsufficientData`] when fewer than 10 tail points
-/// remain, plus CCDF construction failures.
-pub(crate) fn tail_curvature(data: &[f64], tail_fraction: f64) -> Result<f64> {
-    let ccdf = EmpiricalCcdf::new(data)?;
-    let threshold = ccdf.quantile((1.0 - tail_fraction).max(0.0));
-    let log_thresh = threshold.log10();
-    let pts: Vec<(f64, f64)> = ccdf
-        .llcd_points()
-        .into_iter()
-        .filter(|(lx, _)| *lx >= log_thresh)
-        .collect();
-    if pts.len() < 10 {
-        return Err(StatsError::InsufficientData {
-            needed: 10,
-            got: pts.len(),
-        });
-    }
-    quadratic_coefficient(&pts)
+/// remain, plus CCDF validation failures.
+fn tail_curvature(sample: &mut [f64], tail_fraction: f64) -> Result<(f64, f64)> {
+    let (theta, pts) = llcd_tail(sample, Threshold::Quantile(1.0 - tail_fraction))?;
+    Ok((quadratic_coefficient(&pts)?, theta))
 }
 
 // Least-squares quadratic coefficient of y ≈ a + b·x + c·x² via the 3×3
@@ -269,15 +256,15 @@ mod tests {
 
     #[test]
     fn pareto_tail_has_near_zero_curvature() {
-        let sample = pareto_sample(1.5, 20_000, 31);
-        let c = tail_curvature(&sample, 0.2).unwrap();
+        let mut sample = pareto_sample(1.5, 20_000, 31);
+        let c = tail_curvature(&mut sample, 0.2).unwrap().0;
         assert!(c.abs() < 0.5, "curvature = {c}");
     }
 
     #[test]
     fn lognormal_tail_curves_down() {
-        let sample = lognormal_sample(1.5, 20_000, 32);
-        let c = tail_curvature(&sample, 0.2).unwrap();
+        let mut sample = lognormal_sample(1.5, 20_000, 32);
+        let c = tail_curvature(&mut sample, 0.2).unwrap().0;
         assert!(c < -0.2, "curvature = {c}");
     }
 

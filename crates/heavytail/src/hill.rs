@@ -1,6 +1,7 @@
 //! Hill estimator of the tail index, with plateau (stabilization)
 //! detection.
 
+use crate::ccdf::upper_order_statistics;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_stats::StatsError;
@@ -75,8 +76,6 @@ pub fn hill_plot(data: &[f64], tail_fraction: f64) -> Result<Vec<(usize, f64)>> 
             what: "Hill estimation requires strictly positive data",
         });
     }
-    let mut desc = data.to_vec();
-    desc.sort_by(|a, b| b.partial_cmp(a).expect("finite values"));
     // k must leave X_(k+1) available.
     let k_max = (((n as f64) * tail_fraction) as usize).min(n - 1);
     let k_min = 5usize;
@@ -86,7 +85,10 @@ pub fn hill_plot(data: &[f64], tail_fraction: f64) -> Result<Vec<(usize, f64)>> 
             got: k_max,
         });
     }
-    let logs: Vec<f64> = desc.iter().map(|&x| x.ln()).collect();
+    let logs: Vec<f64> = upper_order_statistics(data, k_max)
+        .iter()
+        .map(|&x| x.ln())
+        .collect();
     let mut prefix = 0.0;
     let mut out = Vec::with_capacity(k_max - k_min + 1);
     for k in 1..=k_max {

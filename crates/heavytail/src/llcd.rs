@@ -1,6 +1,6 @@
 //! LLCD (log-log complementary distribution) tail-index estimation.
 
-use crate::ccdf::EmpiricalCcdf;
+use crate::ccdf::{llcd_tail, Threshold};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_stats::regression::ols;
@@ -57,9 +57,7 @@ pub fn llcd_fit(data: &[f64], tail_fraction: f64) -> Result<LlcdFit> {
             constraint: "must be in (0, 1]",
         });
     }
-    let ccdf = EmpiricalCcdf::new(data)?;
-    let threshold = ccdf.quantile(1.0 - tail_fraction);
-    llcd_fit_with_ccdf(&ccdf, threshold)
+    fit_tail(data, Threshold::Quantile(1.0 - tail_fraction))
 }
 
 /// Fit the LLCD slope above an explicit threshold θ (the paper's Figure 11
@@ -78,23 +76,11 @@ pub fn llcd_fit_above(data: &[f64], threshold: f64) -> Result<LlcdFit> {
             constraint: "must be finite and > 0",
         });
     }
-    let ccdf = EmpiricalCcdf::new(data)?;
-    llcd_fit_with_ccdf(&ccdf, threshold)
+    fit_tail(data, Threshold::Value(threshold))
 }
 
-fn llcd_fit_with_ccdf(ccdf: &EmpiricalCcdf, threshold: f64) -> Result<LlcdFit> {
-    let log_thresh = threshold.log10();
-    let pts: Vec<(f64, f64)> = ccdf
-        .llcd_points()
-        .into_iter()
-        .filter(|(lx, _)| *lx >= log_thresh)
-        .collect();
-    if pts.len() < 10 {
-        return Err(StatsError::InsufficientData {
-            needed: 10,
-            got: pts.len(),
-        });
-    }
+fn fit_tail(data: &[f64], threshold: Threshold) -> Result<LlcdFit> {
+    let (threshold, pts) = llcd_tail(&mut data.to_vec(), threshold)?;
     let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
     let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
     let fit = ols(&xs, &ys)?;

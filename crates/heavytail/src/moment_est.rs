@@ -13,6 +13,7 @@
 //! NS cells (where Hill climbs forever) resolve to "γ ≈ 0, light tail"
 //! instead of an unexplained blank.
 
+use crate::ccdf::upper_order_statistics;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_stats::StatsError;
@@ -80,9 +81,8 @@ pub fn moment_estimator(data: &[f64], tail_fraction: f64) -> Result<MomentEstima
             what: "moment estimator requires strictly positive data",
         });
     }
-    let mut desc = data.to_vec();
-    desc.sort_by(|a, b| b.partial_cmp(a).expect("finite values"));
     let k = (((n as f64) * tail_fraction) as usize).min(n - 1).max(10);
+    let desc = upper_order_statistics(data, k);
     let ln_xk = desc[k].ln();
     let mut m1 = 0.0;
     let mut m2 = 0.0;
