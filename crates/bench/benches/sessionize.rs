@@ -53,6 +53,27 @@ fn bench_clf(c: &mut Criterion) {
                 .len()
         })
     });
+    // The same lines in the shape of a 1995 server's log: a textual URI,
+    // a -0400 offset and `-` bytes. The `-` sends every line past the
+    // canonical reader to the general grammar: the cost of the fallback.
+    let general: String = text
+        .lines()
+        .map(|line| {
+            let line = line
+                .replace(" +0000]", " -0400]")
+                .replace(" /r/", " /images/r")
+                .replace(" HTTP/1.0\"", ".gif HTTP/1.0\"");
+            let (head, _bytes) = line.rsplit_once(' ').expect("a byte count");
+            format!("{head} -\n")
+        })
+        .collect();
+    group.bench_function(format!("parse_general/{}", recs.len()), |b| {
+        b.iter(|| {
+            parse_log(black_box(&general), DEFAULT_BASE_EPOCH)
+                .unwrap()
+                .len()
+        })
+    });
     group.finish();
 }
 

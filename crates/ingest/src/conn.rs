@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use webpuzzle_obs::http::{self, HttpError, HttpLimits};
 use webpuzzle_obs::metrics;
-use webpuzzle_weblog::clf::parse_raw_line;
+use webpuzzle_weblog::clf::{parse_raw_line, read_line_capped, LineRead, MAX_LINE_BYTES};
 use webpuzzle_weblog::{LogRecord, MalformedKind, WeblogError};
 
 use crate::hub::{IngestHub, Priority, SourceHandle};
@@ -72,93 +72,10 @@ impl Default for ConnConfig {
         ConnConfig {
             base_epoch: 0,
             lenient: true,
-            max_line_bytes: 16 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
             batch_records: 256,
             read_timeout: None,
             http_limits: HttpLimits::default(),
-        }
-    }
-}
-
-/// One capped line read.
-enum LineRead {
-    /// A complete, newline-terminated line of this many wire bytes.
-    Line(usize),
-    /// EOF with leftover bytes and no final newline.
-    Partial(usize),
-    /// Line exceeded the cap; this many bytes were discarded.
-    Oversized(usize),
-    /// Clean EOF.
-    Eof,
-}
-
-/// `read_until(b'\n')` with a hard length cap: an over-long line is
-/// discarded (streaming, bounded memory) up to its terminating newline
-/// instead of being buffered.
-fn read_line_capped<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<LineRead> {
-    buf.clear();
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Partial(buf.len())
-            });
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                let take = i + 1;
-                if buf.len() + take > cap {
-                    let dropped = buf.len() + take;
-                    reader.consume(take);
-                    return Ok(LineRead::Oversized(dropped));
-                }
-                buf.extend_from_slice(&available[..take]);
-                reader.consume(take);
-                return Ok(LineRead::Line(buf.len()));
-            }
-            None => {
-                let take = available.len();
-                if buf.len() + take > cap {
-                    // Discard the rest of this line without buffering it.
-                    let mut dropped = buf.len() + take;
-                    reader.consume(take);
-                    buf.clear();
-                    loop {
-                        let chunk = match reader.fill_buf() {
-                            Ok(b) => b,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(e) => return Err(e),
-                        };
-                        if chunk.is_empty() {
-                            return Ok(LineRead::Oversized(dropped));
-                        }
-                        match chunk.iter().position(|&b| b == b'\n') {
-                            Some(i) => {
-                                dropped += i + 1;
-                                reader.consume(i + 1);
-                                return Ok(LineRead::Oversized(dropped));
-                            }
-                            None => {
-                                dropped += chunk.len();
-                                let n = chunk.len();
-                                reader.consume(n);
-                            }
-                        }
-                    }
-                }
-                buf.extend_from_slice(available);
-                reader.consume(take);
-            }
         }
     }
 }
@@ -468,65 +385,4 @@ fn push_body_lines(handle: &SourceHandle, body: &[u8], cfg: &ConnConfig) -> (u64
     }
     handle.note_consumed(bytes, lines);
     (accepted, skipped)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn capped_reader_passes_normal_lines() {
-        let data = b"one\ntwo\nthree";
-        let mut r = io::Cursor::new(&data[..]);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line(4)
-        ));
-        assert_eq!(buf, b"one\n");
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line(4)
-        ));
-        // Final line without newline: partial.
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Partial(5)
-        ));
-        assert_eq!(buf, b"three");
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Eof
-        ));
-    }
-
-    #[test]
-    fn capped_reader_discards_oversized_lines_without_buffering() {
-        let mut data = vec![b'x'; 1000];
-        data.push(b'\n');
-        data.extend_from_slice(b"ok\n");
-        let mut r = io::Cursor::new(data);
-        let mut buf = Vec::new();
-        match read_line_capped(&mut r, &mut buf, 64).unwrap() {
-            LineRead::Oversized(n) => assert_eq!(n, 1001),
-            _ => panic!("expected oversized"),
-        }
-        assert!(buf.len() <= 64, "oversized line must not be buffered");
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line(3)
-        ));
-        assert_eq!(buf, b"ok\n");
-    }
-
-    #[test]
-    fn capped_reader_handles_oversized_at_eof() {
-        let data = vec![b'y'; 500];
-        let mut r = io::Cursor::new(data);
-        let mut buf = Vec::new();
-        match read_line_capped(&mut r, &mut buf, 64).unwrap() {
-            LineRead::Oversized(n) => assert_eq!(n, 500),
-            _ => panic!("expected oversized"),
-        }
-    }
 }

@@ -1,13 +1,15 @@
 //! Chunked Common Log Format reading.
 //!
 //! [`ClfSource`] pulls lines from any [`BufRead`] — a file, stdin, a
-//! socket — through a reusable byte buffer, so memory is one line at a
-//! time no matter how long the log is. Each line's bytes go straight to
+//! socket — through a reusable byte buffer and [`read_line_capped`], so
+//! memory is one line of at most [`MAX_LINE_BYTES`] no matter how long
+//! the log or any line in it is. Each line's bytes go straight to
 //! [`parse_raw_line`], with no UTF-8 decoding; invalid UTF-8 parses as
-//! its `String::from_utf8_lossy` decoding would. Malformed lines either abort
-//! (strict mode, mirroring [`webpuzzle_weblog::clf::parse_log`]) or are
-//! skipped and counted (lenient mode, mirroring
-//! [`webpuzzle_weblog::clf::parse_log_lenient`]).
+//! its `String::from_utf8_lossy` decoding would. Malformed lines, and
+//! lines over the cap, either abort (strict mode, mirroring
+//! [`webpuzzle_weblog::clf::parse_log`]) or are skipped and counted
+//! (lenient mode, mirroring [`webpuzzle_weblog::clf::parse_log_lenient`];
+//! an over-long line counts as [`MalformedKind::Other`]).
 
 use crate::checkpoint::SourcePosition;
 use crate::pipeline::Source;
@@ -17,7 +19,9 @@ use std::io::BufRead;
 use std::sync::Arc;
 use webpuzzle_obs::metrics;
 use webpuzzle_obs::profile::{self, Profiler};
-use webpuzzle_weblog::clf::{parse_raw_line, MALFORMED_SKIPPED_COUNTER};
+use webpuzzle_weblog::clf::{
+    parse_raw_line, read_line_capped, LineRead, MALFORMED_SKIPPED_COUNTER, MAX_LINE_BYTES,
+};
 use webpuzzle_weblog::{LogRecord, MalformedBreakdown, MalformedKind, WeblogError};
 
 /// Registry counters for the per-cause malformed-line breakdown, in
@@ -158,6 +162,14 @@ impl<R: BufRead> ClfSource<R> {
         self.malformed = position.malformed;
         self
     }
+
+    /// Count one skipped malformed line (lenient mode).
+    fn skip(&mut self, kind: MalformedKind) {
+        self.skipped += 1;
+        self.malformed.record(kind);
+        self.skip_counter.incr();
+        kind_counter(&self.kind_counters, kind).incr();
+    }
 }
 
 impl<R: BufRead> RecoverableSource for ClfSource<R> {
@@ -188,18 +200,31 @@ impl<R: BufRead> Source for ClfSource<R> {
         let mut read_ns = 0u64;
         let mut parse_ns = 0u64;
         loop {
-            self.buf.clear();
             let t_read = sample.then(std::time::Instant::now);
-            let read = self.reader.read_until(b'\n', &mut self.buf);
+            let read = read_line_capped(&mut self.reader, &mut self.buf, MAX_LINE_BYTES);
             if let Some(t0) = t_read {
                 read_ns += t0.elapsed().as_nanos() as u64;
             }
             match read {
-                Ok(0) => {
+                Ok(LineRead::Eof) => {
                     self.done = true;
                     return None;
                 }
-                Ok(n) => self.byte_offset += n as u64,
+                Ok(LineRead::Line(n) | LineRead::Partial(n)) => self.byte_offset += n as u64,
+                Ok(LineRead::Oversized(n)) => {
+                    self.byte_offset += n as u64;
+                    self.line_no += 1;
+                    if self.lenient {
+                        self.skip(MalformedKind::Other);
+                        continue;
+                    }
+                    self.done = true;
+                    return Some(Err(WeblogError::ParseLine {
+                        line: self.line_no,
+                        reason: format!("line of {n} bytes exceeds the {MAX_LINE_BYTES}-byte cap"),
+                    }
+                    .into()));
+                }
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e.into()));
@@ -226,11 +251,7 @@ impl<R: BufRead> Source for ClfSource<R> {
                     return Some(Ok(rec));
                 }
                 Err(WeblogError::ParseLine { reason, .. }) if self.lenient => {
-                    self.skipped += 1;
-                    let kind = MalformedKind::classify(&reason);
-                    self.malformed.record(kind);
-                    self.skip_counter.incr();
-                    kind_counter(&self.kind_counters, kind).incr();
+                    self.skip(MalformedKind::classify(&reason));
                 }
                 Err(WeblogError::ParseLine { reason, .. }) => {
                     self.done = true;
@@ -375,6 +396,87 @@ mod tests {
         assert_eq!(pos.parsed, 6);
         assert_eq!(pos.line_no, 6);
         assert_eq!(pos.skipped, 0);
+    }
+
+    /// Two records, one line of 20 000 bytes (newline included), three
+    /// records; the long line is well formed apart from its length.
+    fn text_with_long_line() -> Vec<u8> {
+        let mut bytes = log_text(2).into_bytes();
+        let mut long = log_text(1).into_bytes();
+        long.pop();
+        let pad = 20_000 - long.len() - 1;
+        long.splice(
+            long.len() - 2..long.len() - 2,
+            std::iter::repeat_n(b'0', pad),
+        );
+        long.push(b'\n');
+        assert_eq!(long.len(), 20_000);
+        bytes.extend_from_slice(&long);
+        bytes.extend_from_slice(log_text(3).as_bytes());
+        bytes
+    }
+
+    #[test]
+    fn over_long_line_ends_a_strict_run_naming_line_and_length() {
+        let bytes = text_with_long_line();
+        let mut src = ClfSource::new(&bytes[..], WVU_BASE_EPOCH);
+        assert!(src.next_item().unwrap().is_ok());
+        assert!(src.next_item().unwrap().is_ok());
+        match src.next_item().unwrap() {
+            Err(crate::StreamError::Weblog(e @ WeblogError::ParseLine { line: 3, .. })) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("line 3") && msg.contains("20000 bytes"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected an over-long line error, got {other:?}"),
+        }
+        assert!(src.next_item().is_none());
+    }
+
+    #[test]
+    fn over_long_line_is_counted_and_skipped_when_lenient() {
+        let bytes = text_with_long_line();
+        let (records, src) = drain(ClfSource::new(&bytes[..], WVU_BASE_EPOCH).lenient(true));
+        assert_eq!(records.len(), 5);
+        assert_eq!(src.skipped(), 1);
+        assert_eq!(src.malformed().other, 1);
+        assert_eq!(src.malformed().total(), 1);
+        assert_eq!(src.byte_offset(), bytes.len() as u64);
+        assert_eq!(src.position().line_no, 6);
+    }
+
+    #[test]
+    fn resume_just_after_an_over_long_line_is_exact() {
+        use std::io::{Cursor, Seek, SeekFrom};
+
+        let bytes = text_with_long_line();
+        let (whole, whole_src) =
+            drain(ClfSource::new(Cursor::new(bytes.clone()), WVU_BASE_EPOCH).lenient(true));
+        // The third record is the first after the long line; the
+        // position after it is a resume point past the discarded bytes.
+        let mut head = ClfSource::new(Cursor::new(bytes.clone()), WVU_BASE_EPOCH).lenient(true);
+        for _ in 0..3 {
+            head.next_item().unwrap().unwrap();
+        }
+        let pos = head.position();
+        let first_three: usize = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .take(4)
+            .map(<[u8]>::len)
+            .sum();
+        assert_eq!(pos.byte_offset, first_three as u64);
+        assert_eq!(pos.malformed.other, 1);
+        let mut reader = Cursor::new(bytes);
+        reader.seek(SeekFrom::Start(pos.byte_offset)).unwrap();
+        let (tail, tail_src) = drain(
+            ClfSource::new(reader, WVU_BASE_EPOCH)
+                .lenient(true)
+                .with_position(&pos),
+        );
+        assert_eq!(tail[..], whole[3..]);
+        assert_eq!(tail_src.position(), whole_src.position());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 
 use crate::record::{LogRecord, Method};
 use crate::{Result, WeblogError};
+use canonical::canonical;
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Read as _};
 
 /// Unix seconds of 12-Jan-2004 00:00:00 UTC, where the paper's WVU log
 /// starts: the default `base_epoch` of every binary and fixture here.
@@ -100,14 +102,21 @@ pub fn parse_line(line: &str, base_epoch: i64) -> Result<LogRecord> {
 /// encodings of exactly the `char::is_whitespace` characters, and every
 /// other delimiter is ASCII, which lossy decoding never touches.
 ///
+/// A line in the canonical layout ([`format_line`]'s, and the common
+/// format Apache and NCSA servers log) is read in one forward pass; any
+/// other line goes to the general grammar, which gives the same record
+/// on every line the canonical pass reads.
+///
 /// # Errors
 ///
 /// Returns [`WeblogError::ParseLine`] (line number 0) with the same
 /// reason [`parse_line`] gives.
 pub fn parse_line_bytes(line: &[u8], base_epoch: i64) -> Result<LogRecord> {
-    fields(line, base_epoch).map_err(|reason| WeblogError::ParseLine {
-        line: 0,
-        reason: reason.to_string(),
+    canonical(line, base_epoch).or_else(|_| {
+        fields(line, base_epoch).map_err(|reason| WeblogError::ParseLine {
+            line: 0,
+            reason: reason.to_string(),
+        })
     })
 }
 
@@ -138,6 +147,71 @@ pub fn parse_raw_line(raw: &[u8], base_epoch: i64) -> Option<Result<LogRecord>> 
     }
 }
 
+/// Longest line, terminator included, that [`read_line_capped`] keeps:
+/// the ingest default and `ClfSource`'s bound. Apache's default
+/// `LimitRequestLine` (8 190 bytes) keeps real log lines far below it.
+pub const MAX_LINE_BYTES: usize = 16 * 1024;
+
+/// The outcome of one [`read_line_capped`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineRead {
+    /// A complete, newline-terminated line of this many bytes.
+    Line(usize),
+    /// End of input after this many bytes with no final newline.
+    Partial(usize),
+    /// A line longer than the cap; this many bytes were discarded, its
+    /// newline included.
+    Oversized(usize),
+    /// End of input at a line boundary.
+    Eof,
+}
+
+/// `read_until(b'\n')` with a hard length cap: `buf` holds the line,
+/// terminator included, when it is at most `cap` bytes. A longer line is
+/// discarded up to and including its newline without being buffered
+/// (`buf` is left empty), so memory stays within `cap + 1` bytes.
+///
+/// # Errors
+///
+/// Any error of the underlying reader other than `Interrupted`.
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_weblog::clf::{read_line_capped, LineRead};
+///
+/// let mut input = &b"short\nmuch too long\ntail"[..];
+/// let mut buf = Vec::new();
+/// assert_eq!(read_line_capped(&mut input, &mut buf, 8).unwrap(), LineRead::Line(6));
+/// assert_eq!(read_line_capped(&mut input, &mut buf, 8).unwrap(), LineRead::Oversized(14));
+/// assert_eq!(read_line_capped(&mut input, &mut buf, 8).unwrap(), LineRead::Partial(4));
+/// assert_eq!(buf, b"tail");
+/// assert_eq!(read_line_capped(&mut input, &mut buf, 8).unwrap(), LineRead::Eof);
+/// ```
+pub fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<LineRead> {
+    buf.clear();
+    let n = reader.take(cap as u64 + 1).read_until(b'\n', buf)?;
+    let newline = buf.last() == Some(&b'\n');
+    if n <= cap {
+        return Ok(match (n, newline) {
+            (0, _) => LineRead::Eof,
+            (_, true) => LineRead::Line(n),
+            (_, false) => LineRead::Partial(n),
+        });
+    }
+    buf.clear();
+    let rest = if newline {
+        0
+    } else {
+        reader.skip_until(b'\n')?
+    };
+    Ok(LineRead::Oversized(n + rest))
+}
+
 // host ident user [date tz] "request" status bytes
 fn fields(line: &[u8], base_epoch: i64) -> std::result::Result<LogRecord, &'static str> {
     let sp = find(line, b' ').ok_or("missing host")?;
@@ -157,14 +231,7 @@ fn fields(line: &[u8], base_epoch: i64) -> std::result::Result<LogRecord, &'stat
         .ok_or("unterminated request")?;
     let mut request = Words(&after_date[q1 + 1..q2]);
     let method = Method::parse_bytes(request.next().ok_or("empty request")?);
-    let uri = request.next().ok_or("request missing URI")?;
-    let last_segment = match uri.iter().rposition(|&b| b == b'/') {
-        Some(i) => &uri[i + 1..],
-        None => uri,
-    };
-    let resource = parse_u64(last_segment)
-        .and_then(|v| u32::try_from(v).ok())
-        .unwrap_or_else(|| fnv1a(String::from_utf8_lossy(uri).as_bytes()));
+    let resource = resource_id(request.next().ok_or("request missing URI")?);
 
     let mut tail = Words(&after_date[q2 + 1..]);
     let status = parse_u64(tail.next().ok_or("missing status")?)
@@ -392,7 +459,6 @@ fn parse_ipv4(s: &[u8]) -> Option<u32> {
 }
 
 // [dd/Mon/yyyy:HH:MM:SS +ZZZZ] body (without brackets) → Unix seconds.
-// The arithmetic wraps on absurd years and offsets rather than panicking.
 fn parse_clf_date(s: &[u8]) -> Option<i64> {
     let (datetime, tz) = match split_once(s, b' ') {
         Some((d, t)) => (d, Some(t)),
@@ -405,33 +471,58 @@ fn parse_clf_date(s: &[u8]) -> Option<i64> {
     let (mm, ss) = split_once(rest, b':')?;
     let day = parse_i64(day)?;
     let month = MONTHS.iter().position(|m| m.as_bytes() == mon_name)? as i64 + 1;
-    let year = parse_i64(year)?;
-    let hh = parse_i64(hh)?;
-    let mm = parse_i64(mm)?;
-    let ss = parse_i64(ss)?;
+    let hms = [parse_i64(hh)?, parse_i64(mm)?, parse_i64(ss)?];
+    let tz = match tz {
+        Some(tz) => Some((*tz.first()?, parse_i64(&tz[1..])?)),
+        None => None,
+    };
+    clf_epoch(parse_i64(year)?, month, day, hms, tz)
+}
+
+// A logged local date and time, less its `(sign byte, hhmm)` offset, →
+// Unix seconds, or `None` for a day, hour, minute or second out of range
+// or a sign other than `+` or `-`. The arithmetic wraps on absurd years
+// and offsets rather than panicking.
+fn clf_epoch(
+    year: i64,
+    month: i64,
+    day: i64,
+    [hh, mm, ss]: [i64; 3],
+    tz: Option<(u8, i64)>,
+) -> Option<i64> {
     if !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
         return None;
     }
-    let days = days_from_civil(year, month, day);
-    let mut epoch = days
+    let mut epoch = days_from_civil(year, month, day)
         .wrapping_mul(86_400)
         .wrapping_add(hh.wrapping_mul(3_600))
         .wrapping_add(mm.wrapping_mul(60))
         .wrapping_add(ss);
-    if let Some(tz) = tz {
-        // ±HHMM offset: logged local time minus offset = UTC.
-        let sign: i64 = match tz.first()? {
+    if let Some((sign, hhmm)) = tz {
+        let sign: i64 = match sign {
             b'+' => 1,
             b'-' => -1,
             _ => return None,
         };
-        let hhmm = parse_i64(&tz[1..])?;
+        // ±HHMM offset: logged local time minus offset = UTC.
         let offset = (hhmm / 100)
             .wrapping_mul(3_600)
             .wrapping_add((hhmm % 100) * 60);
         epoch = epoch.wrapping_sub(sign.wrapping_mul(offset));
     }
     Some(epoch)
+}
+
+// The resource id of a request URI: its last `/` segment as a `u32`, or
+// the FNV-1a hash of the URI's lossy decoding.
+fn resource_id(uri: &[u8]) -> u32 {
+    let last_segment = match uri.iter().rposition(|&b| b == b'/') {
+        Some(i) => &uri[i + 1..],
+        None => uri,
+    };
+    parse_u64(last_segment)
+        .and_then(|v| u32::try_from(v).ok())
+        .unwrap_or_else(|| fnv1a(String::from_utf8_lossy(uri).as_bytes()))
 }
 
 /// Byte length of the `char::is_whitespace` character whose UTF-8
@@ -586,6 +677,8 @@ fn fnv1a(s: &[u8]) -> u32 {
     h
 }
 
+mod canonical;
+
 #[cfg(test)]
 mod oracle;
 
@@ -732,6 +825,86 @@ mod tests {
         assert_eq!(merged.total(), 8);
         for kind in MalformedKind::ALL {
             assert_eq!(merged.count(kind), 2, "{}", kind.as_str());
+        }
+    }
+
+    #[test]
+    fn capped_reader_passes_normal_lines() {
+        let mut r = &b"one\ntwo\nthree"[..];
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Line(4)
+        );
+        assert_eq!(buf, b"one\n");
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Line(4)
+        );
+        // Final line without newline: partial.
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Partial(5)
+        );
+        assert_eq!(buf, b"three");
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Eof
+        );
+    }
+
+    #[test]
+    fn capped_reader_discards_oversized_lines_without_buffering() {
+        let mut data = vec![b'x'; 1000];
+        data.push(b'\n');
+        data.extend_from_slice(b"ok\n");
+        let mut r = io::Cursor::new(data);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Oversized(1001)
+        );
+        assert!(buf.len() <= 64, "oversized line must not be buffered");
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Line(3)
+        );
+        assert_eq!(buf, b"ok\n");
+    }
+
+    #[test]
+    fn capped_reader_handles_oversized_at_eof() {
+        let mut r = io::Cursor::new(vec![b'y'; 500]);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_line_capped(&mut r, &mut buf, 64).unwrap(),
+            LineRead::Oversized(500)
+        );
+    }
+
+    #[test]
+    fn capped_reader_cap_counts_the_newline() {
+        // A line of exactly `cap` bytes, newline included, is kept; one
+        // byte more is discarded whether or not the newline fits the read.
+        for (line, want) in [
+            (&b"1234567\n"[..], LineRead::Line(8)),
+            (b"12345678\n", LineRead::Oversized(9)),
+            (b"12345678", LineRead::Partial(8)),
+            (b"123456789", LineRead::Oversized(9)),
+        ] {
+            let mut input = [line, b"next\n"].concat();
+            if !line.ends_with(b"\n") {
+                input.truncate(line.len());
+            }
+            let mut r = &input[..];
+            let mut buf = Vec::new();
+            assert_eq!(read_line_capped(&mut r, &mut buf, 8).unwrap(), want);
+            let next = if line.ends_with(b"\n") {
+                LineRead::Line(5)
+            } else {
+                LineRead::Eof
+            };
+            assert_eq!(read_line_capped(&mut r, &mut buf, 8).unwrap(), next);
         }
     }
 

@@ -4,6 +4,7 @@
 //! parser's result. The oracle's date arithmetic wraps, as the old
 //! parser's did in release builds.
 
+use super::canonical::{canonical, Bail};
 use super::{
     format_line, parse_log_lenient, MalformedBreakdown, MalformedKind, MONTHS, WVU_BASE_EPOCH,
 };
@@ -641,6 +642,109 @@ fn generator_reaches_every_outcome() {
         "bad byte count",
     ] {
         assert!(seen.contains(want), "never generated: {want}; saw {seen:?}");
+    }
+}
+
+/// The generator reaches the canonical reader's every outcome: lines it
+/// reads, and a give-up at each of its bail-out points. Wherever it reads
+/// a line, the general grammar reads the same record.
+#[test]
+fn generator_reaches_every_canonical_outcome() {
+    let mut rng = TestRng::deterministic("generator_reaches_every_canonical_outcome");
+    let mut seen = std::collections::BTreeMap::new();
+    for _ in 0..256 {
+        for raw in RawLines.gen_value(&mut rng) {
+            let mut line = &raw[..];
+            while let [rest @ .., b'\n' | b'\r'] = line {
+                line = rest;
+            }
+            let outcome = canonical(line, WVU_BASE_EPOCH);
+            if let Ok(rec) = &outcome {
+                let general = super::fields(line, WVU_BASE_EPOCH);
+                assert!(
+                    general.as_ref().is_ok_and(|g| same_record(g, rec)),
+                    "{}: canonical {rec:?}, general {general:?}",
+                    line.escape_ascii()
+                );
+            }
+            *seen.entry(outcome.err()).or_insert(0u32) += 1;
+        }
+    }
+    for want in [
+        None,
+        Some(Bail::Host),
+        Some(Bail::Date),
+        Some(Bail::Method),
+        Some(Bail::Uri),
+        Some(Bail::Request),
+        Some(Bail::Status),
+        Some(Bail::Bytes),
+    ] {
+        assert!(
+            seen.contains_key(&want),
+            "never generated: {want:?}; saw {seen:?}"
+        );
+    }
+}
+
+/// Common-format lines as real servers log them (textual URIs, local
+/// offsets either side of UTC, methods beyond the three named ones, a
+/// leap second, the widest byte count) take the canonical path to the
+/// record the `&str` oracle reads.
+#[test]
+fn canonical_reader_reads_real_world_shapes() {
+    for line in [
+        r#"199.72.81.55 - - [28/Aug/1995:00:00:01 -0400] "GET /images/ksclogo.gif HTTP/1.0" 304 0"#,
+        r#"127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] "GET /apache_pb.gif HTTP/1.0" 200 2326"#,
+        r#"1.2.3.4 - - [31/Dec/1999:23:59:60 +0530] "POST /cgi-bin/q?a=1&b=/2 HTTP/1.1" 500 12"#,
+        r#"0.0.0.0 - - [01/Jan/1970:00:00:00 -0000] "HEAD / HTTP/1.0" 200 0"#,
+        r#"255.255.255.255 - - [29/Feb/2004:12:00:00 +1400] "PROPFIND /dav/ HTTP/1.1" 207 18446744073709551615"#,
+        r#"10.1.2.3 - - [12/Jan/2004:00:00:07 -1230] "GET /r/42 HTTP/1.0" 200 2326"#,
+    ] {
+        let oracle = parse_line(line, WVU_BASE_EPOCH).unwrap();
+        let back = canonical(line.as_bytes(), WVU_BASE_EPOCH);
+        assert!(
+            back.as_ref().is_ok_and(|b| same_record(b, &oracle)),
+            "{line}: {back:?}, oracle {oracle:?}"
+        );
+    }
+}
+
+/// Every line `format_line` writes for a date in years 1000–9999 takes
+/// the canonical path to the record it was written from, so a change that
+/// silently sends such lines to the general grammar fails here instead of
+/// only slowing the drain down.
+#[test]
+fn every_formatted_line_is_canonical() {
+    // 01-Jan-1000 and 31-Dec-9999 23:59:59 UTC.
+    const SPAN: (i64, i64) = (-30_610_224_000, 253_402_300_799);
+    let mut rng = TestRng::deterministic("every_formatted_line_is_canonical");
+    let methods = [Method::Get, Method::Post, Method::Head, Method::Other];
+    for case in 0..4096u64 {
+        let seconds = match case {
+            0 => SPAN.0,
+            1 => SPAN.1,
+            _ => SPAN.0 + rng.below((SPAN.1 - SPAN.0) as u64 + 1) as i64,
+        };
+        let base_epoch = rng.below(2_000_000_000) as i64;
+        let rec = LogRecord::new(
+            (seconds - base_epoch) as f64 + rng.next_f64() * 0.999,
+            rng.next_u64() as u32,
+            *pick(&mut rng, &methods),
+            rng.next_u64() as u32,
+            rng.next_u64() as u16,
+            rng.next_u64() >> rng.below(64),
+        );
+        let line = format_line(&rec, base_epoch);
+        let back = canonical(line.as_bytes(), base_epoch);
+        let want = LogRecord {
+            timestamp: rec.timestamp.floor(),
+            ..rec
+        };
+        assert!(
+            back.as_ref().is_ok_and(|b| same_record(b, &want)),
+            "{line}: {back:?}, want {want:?}"
+        );
     }
 }
 
