@@ -26,7 +26,8 @@
 //! 3. [`Frontend::serve_telemetry`] once the binary can describe its
 //!    config.
 //! 4. [`Run::load_resume`]: engine-config validation (exit 2) and the
-//!    `--resume` checkpoint (exit 1 when it is refused).
+//!    `--resume` checkpoint, or its previous generation `<path>.1`
+//!    (exit 1 when both are refused).
 //! 5. [`Run::supervisor`], [`Run::record_beat`] and [`Run::execute`].
 //! 6. The binary's summary, then [`Run::print_recovery`].
 //! 7. [`Frontend::finish`]: the final history tick and deep-health
@@ -596,23 +597,37 @@ impl Run {
 
     /// Validate the engine configuration (bad tuning is a usage error,
     /// exit 2, not a mid-run failure) and load the `--resume`
-    /// checkpoint. A corrupted, truncated or version-skewed snapshot is
-    /// refused with exit 1: resuming from bad state would silently
-    /// poison every estimate downstream.
+    /// checkpoint. A missing, corrupted, truncated or version-skewed
+    /// file falls back to the previous generation `<path>.1` that
+    /// [`Checkpoint::save`] keeps, with one stderr line naming both;
+    /// when that fails too, the run is refused with exit 1: resuming
+    /// from bad state would silently poison every estimate downstream.
     pub fn load_resume(&mut self, engine_cfg: &StreamConfig) -> Option<Checkpoint> {
         if let Err(e) = StreamAnalyzer::new(engine_cfg.clone()) {
             eprintln!("{}: {e}", self.front.tool);
             std::process::exit(2);
         }
+        let tool = self.front.tool;
         let checkpoint = self.args.resume.as_ref().map(|path| {
-            Checkpoint::load(path).unwrap_or_else(|e| {
-                eprintln!(
-                    "{}: cannot resume from {}: {e}",
-                    self.front.tool,
-                    path.display()
-                );
-                std::process::exit(1);
-            })
+            match Checkpoint::load_with_fallback(path) {
+                Ok((ck, false)) => ck,
+                Ok((ck, true)) => {
+                    // Only the fallback path reads the latest file twice,
+                    // to name why it was passed over.
+                    let why = Checkpoint::load(path).err().map(|e| e.to_string());
+                    eprintln!(
+                        "{tool}: cannot resume from {}: {}; resuming from {}, the previous checkpoint",
+                        path.display(),
+                        why.unwrap_or_default(),
+                        Checkpoint::previous_path(path).display()
+                    );
+                    ck
+                }
+                Err(e) => {
+                    eprintln!("{tool}: cannot resume from {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+            }
         });
         self.resumed = checkpoint.is_some();
         checkpoint

@@ -369,3 +369,96 @@ fn wire_run_matches_file_run() {
     assert_eq!(admitted.and_then(Value::as_u64), Some(lines as u64));
     assert_eq!(wire.get("partial"), Some(&Value::Bool(false)));
 }
+
+#[test]
+fn resume_falls_back_to_the_previous_checkpoint() {
+    let scratch = Scratch::new("resume");
+    let (log, lines) = write_fixture(&scratch);
+    let log = log.to_str().unwrap();
+    let whole = scratch.path("whole.json");
+    let out = run(
+        ANALYZE,
+        &[
+            log,
+            "--quiet",
+            "--json",
+            "--report",
+            whole.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0));
+
+    // Checkpoints at a quarter and at half of the log, then a crash:
+    // `ck.bin` holds the second, `ck.bin.1` the first.
+    let ck = scratch.path("ck.bin");
+    let every = (lines / 4).to_string();
+    let crash = format!("crash={}", lines * 5 / 8);
+    let out = run(
+        ANALYZE,
+        &[
+            log,
+            "--quiet",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            "--checkpoint-every",
+            &every,
+            "--inject-faults",
+            &crash,
+            "--max-restores",
+            "0",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let latest = std::fs::read(&ck).expect("latest checkpoint");
+    let previous = std::fs::read(scratch.path("ck.bin.1")).expect("previous checkpoint");
+    let (torn, garbage): (&[u8], &[u8]) = (&latest[..latest.len() / 2], b"garbage");
+
+    // (file, its bytes if any, bytes of its `.1`, resumes)
+    let cases = [
+        ("torn.bin", Some(torn), &previous[..], true),
+        ("missing.bin", None, &previous[..], true),
+        ("both-bad.bin", Some(torn), garbage, false),
+    ];
+    for (name, bytes, previous, resumes) in cases {
+        let path = scratch.path(name);
+        if let Some(bytes) = bytes {
+            std::fs::write(&path, bytes).expect("write latest");
+        }
+        let prev = scratch.path(&format!("{name}.1"));
+        std::fs::write(&prev, previous).expect("write previous");
+        let report = scratch.path(&format!("{name}.json"));
+        let out = run(
+            ANALYZE,
+            &[
+                log,
+                "--quiet",
+                "--json",
+                "--report",
+                report.to_str().unwrap(),
+                "--resume",
+                path.to_str().unwrap(),
+            ],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refused = format!("stream-analyze: cannot resume from {}: ", path.display());
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(stderr.starts_with(&refused), "{name}: {stderr}");
+        if !resumes {
+            assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+            assert!(stderr.contains("truncated"), "{name}: {stderr}");
+            assert!(!stderr.contains("resuming from"), "{name}: {stderr}");
+            continue;
+        }
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        let fallback = format!(
+            "; resuming from {}, the previous checkpoint",
+            prev.display()
+        );
+        assert!(stderr.trim_end().ends_with(&fallback), "{name}: {stderr}");
+        assert_close(
+            config(&whole).get("summary").expect("whole summary"),
+            config(&report).get("summary").expect("resumed summary"),
+            "summary",
+        );
+    }
+}

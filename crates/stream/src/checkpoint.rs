@@ -22,11 +22,26 @@
 //! payload len bytes
 //! ```
 //!
-//! [`Checkpoint::save`] writes atomically: temp file in the target directory,
-//! `sync_all`, rename over the target, best-effort directory fsync. A
-//! crash mid-write leaves the previous checkpoint intact; a torn read
-//! is caught by the length or checksum and refused with a clear error
-//! rather than resumed from silently.
+//! The payload is the [`Checkpoint`]'s fields in order, each written
+//! by its type's wire layout: integers little-endian, `usize` as a
+//! u64, `f64` as its bits, `bool` and `Option` as a 0/1 tag (then the
+//! value), `String` and `Vec` as a u64 length and then the elements.
+//! Each checkpointed struct's layout is its one declaration in this
+//! module, a list of its field names in payload order, from which both
+//! the encoder and the decoder are generated; each enum's is its table
+//! of one-byte tags. To add a field to a checkpointed struct: add its
+//! name to that struct's declaration (a field left out does not
+//! build), bump [`VERSION`], and regenerate the golden fixture
+//! `tests/data/checkpoint_v<VERSION>.bin` that the tests decode.
+//!
+//! [`Checkpoint::save`] writes atomically: temp file in the target
+//! directory, `sync_all`, the current file renamed to
+//! [`Checkpoint::previous_path`] (`<path>.1`), the temp file renamed
+//! over the target, best-effort directory fsync. A crash mid-write
+//! leaves a loadable generation; a torn read is caught by the length
+//! or checksum and refused with a clear error rather than resumed from
+//! silently. [`Checkpoint::load_with_fallback`], which `--resume`
+//! uses, then falls back to `<path>.1`.
 //!
 //! Versioning policy: there is no cross-version migration. A
 //! checkpoint is a *restart artifact*, not an archive — an unknown
@@ -197,75 +212,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Encoder / decoder primitives
+// Wire layout
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        // Bit-exact: NaN payloads, -0.0, and the engine's -inf
-        // sentinels all survive the round trip.
-        self.u64(v.to_bits());
-    }
-
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn f64_slice(&mut self, xs: &[f64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.f64(x);
-        }
-    }
+/// A type's payload encoding. Both directions of every checkpointed
+/// struct come from one field list (`wire_struct!`), so the encoder
+/// and the decoder cannot drift apart.
+trait Wire: Sized {
+    /// Length of the smallest encoding: every `Option` absent, every
+    /// `Vec` and `String` empty. A decoded element count is capped by
+    /// it, so a corrupt length cannot allocate past the payload.
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec) -> DecResult<Self>;
 }
 
 struct Dec<'a> {
@@ -276,10 +235,6 @@ struct Dec<'a> {
 type DecResult<T> = Result<T, CheckpointError>;
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, at: 0 }
-    }
-
     fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
         let end = self.at.checked_add(n).ok_or(CheckpointError::Truncated)?;
         if end > self.buf.len() {
@@ -290,604 +245,241 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> DecResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("bool tag")),
-        }
-    }
-
-    fn u32(&mut self) -> DecResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> DecResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn usize(&mut self) -> DecResult<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CheckpointError::Malformed("length exceeds usize"))
-    }
-
     /// A length that will be used to allocate: sanity-capped against
     /// the bytes actually remaining so a corrupt length field cannot
     /// trigger a huge allocation before the checksum would catch it.
     fn len(&mut self, min_elem_bytes: usize) -> DecResult<usize> {
-        let n = self.usize()?;
+        let n = usize::get(self)?;
         let remaining = self.buf.len() - self.at;
         if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
             return Err(CheckpointError::Truncated);
         }
         Ok(n)
     }
+}
 
-    fn f64(&mut self) -> DecResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                let b = d.take(Self::MIN_BYTES)?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("take returns the length asked for")))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u32, u64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
     }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        usize::try_from(u64::get(d)?)
+            .map_err(|_| CheckpointError::Malformed("length exceeds usize"))
+    }
+}
 
-    fn opt_f64(&mut self) -> DecResult<Option<f64>> {
-        match self.u8()? {
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        match u8::get(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CheckpointError::Malformed("bool tag")),
+        }
+    }
+}
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        // Bit-exact: NaN payloads, -0.0, and the engine's -inf
+        // sentinels all survive the round trip.
+        self.to_bits().put(out);
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        Ok(f64::from_bits(u64::get(d)?))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+            None => out.push(0),
+        }
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        match u8::get(d)? {
             0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
+            1 => Ok(Some(T::get(d)?)),
             _ => Err(CheckpointError::Malformed("option tag")),
         }
     }
+}
 
-    fn opt_u64(&mut self) -> DecResult<Option<u64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(CheckpointError::Malformed("option tag")),
-        }
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
     }
-
-    fn str(&mut self) -> DecResult<String> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        let n = d.len(1)?;
+        String::from_utf8(d.take(n)?.to_vec())
             .map_err(|_| CheckpointError::Malformed("non-UTF-8 string"))
     }
+}
 
-    fn f64_vec(&mut self) -> DecResult<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn done(&self) -> DecResult<()> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Malformed("trailing bytes after payload"))
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-type encoding
-// ---------------------------------------------------------------------
-
-fn enc_window_config(e: &mut Enc, c: &WindowConfig) {
-    e.f64(c.window_len);
-    e.f64(c.bin_width);
-    e.opt_f64(c.fine_bin_width);
-    e.usize(c.min_poisson_arrivals);
-    e.u64(c.seed);
-}
-
-fn dec_window_config(d: &mut Dec) -> DecResult<WindowConfig> {
-    Ok(WindowConfig {
-        window_len: d.f64()?,
-        bin_width: d.f64()?,
-        fine_bin_width: d.opt_f64()?,
-        min_poisson_arrivals: d.usize()?,
-        seed: d.u64()?,
-    })
-}
-
-fn enc_observatory_config(e: &mut Enc, c: &ObservatoryConfig) {
-    e.u64(c.warmup_windows);
-    e.f64(c.cusum_k);
-    e.f64(c.cusum_h);
-    e.f64(c.ph_delta);
-    e.f64(c.ph_lambda);
-    e.f64(c.ewma_lambda);
-    e.f64(c.ewma_l);
-    e.opt_u64(c.seasonal_period);
-    e.f64(c.min_baseline_std);
-}
-
-fn dec_observatory_config(d: &mut Dec) -> DecResult<ObservatoryConfig> {
-    Ok(ObservatoryConfig {
-        warmup_windows: d.u64()?,
-        cusum_k: d.f64()?,
-        cusum_h: d.f64()?,
-        ph_delta: d.f64()?,
-        ph_lambda: d.f64()?,
-        ewma_lambda: d.f64()?,
-        ewma_l: d.f64()?,
-        seasonal_period: d.opt_u64()?,
-        min_baseline_std: d.f64()?,
-    })
-}
-
-fn enc_stream_config(e: &mut Enc, c: &StreamConfig) {
-    e.f64(c.session_threshold);
-    enc_window_config(e, &c.request_window);
-    enc_window_config(e, &c.session_window);
-    e.usize(c.tail_k);
-    e.f64(c.tail_fraction);
-    enc_observatory_config(e, &c.observatory);
-    e.usize(c.max_open_sessions);
-    e.bool(c.diagnostics);
-}
-
-fn dec_stream_config(d: &mut Dec) -> DecResult<StreamConfig> {
-    Ok(StreamConfig {
-        session_threshold: d.f64()?,
-        request_window: dec_window_config(d)?,
-        session_window: dec_window_config(d)?,
-        tail_k: d.usize()?,
-        tail_fraction: d.f64()?,
-        observatory: dec_observatory_config(d)?,
-        max_open_sessions: d.usize()?,
-        diagnostics: d.bool()?,
-    })
-}
-
-fn enc_session(e: &mut Enc, s: &Session) {
-    e.u32(s.client);
-    e.f64(s.start);
-    e.f64(s.end);
-    e.usize(s.request_count);
-    e.u64(s.bytes);
-}
-
-fn dec_session(d: &mut Dec) -> DecResult<Session> {
-    Ok(Session {
-        client: d.u32()?,
-        start: d.f64()?,
-        end: d.f64()?,
-        request_count: d.usize()?,
-        bytes: d.u64()?,
-    })
-}
-
-fn enc_sessionizer(e: &mut Enc, s: &SessionizerState) {
-    e.f64(s.threshold);
-    e.f64(s.sweep_interval);
-    e.usize(s.open.len());
-    for session in &s.open {
-        enc_session(e, session);
-    }
-    e.f64(s.watermark);
-    e.f64(s.last_sweep);
-    e.u64(s.records_seen);
-    e.u64(s.emitted);
-    e.usize(s.peak_open);
-    e.usize(s.max_open);
-    e.u64(s.shed_sessions);
-    e.u64(s.shed_records);
-    e.f64(s.ttl_scale);
-    e.u64(s.early_evicted);
-}
-
-fn dec_sessionizer(d: &mut Dec) -> DecResult<SessionizerState> {
-    let threshold = d.f64()?;
-    let sweep_interval = d.f64()?;
-    let n = d.len(36)?;
-    let open = (0..n).map(|_| dec_session(d)).collect::<DecResult<_>>()?;
-    Ok(SessionizerState {
-        threshold,
-        sweep_interval,
-        open,
-        watermark: d.f64()?,
-        last_sweep: d.f64()?,
-        records_seen: d.u64()?,
-        emitted: d.u64()?,
-        peak_open: d.usize()?,
-        max_open: d.usize()?,
-        shed_sessions: d.u64()?,
-        shed_records: d.u64()?,
-        ttl_scale: d.f64()?,
-        early_evicted: d.u64()?,
-    })
-}
-
-fn enc_arrivals(e: &mut Enc, a: &ArrivalsState) {
-    e.f64_slice(&a.times);
-    e.u64(a.window_index);
-    e.f64(a.last_time);
-    e.u64(a.total_events);
-}
-
-fn dec_arrivals(d: &mut Dec) -> DecResult<ArrivalsState> {
-    Ok(ArrivalsState {
-        times: d.f64_vec()?,
-        window_index: d.u64()?,
-        last_time: d.f64()?,
-        total_events: d.u64()?,
-    })
-}
-
-fn verdict_code(v: PoissonVerdict) -> u8 {
-    match v {
-        PoissonVerdict::ConsistentWithPoisson => 0,
-        PoissonVerdict::Rejected => 1,
-        PoissonVerdict::NotApplicable => 2,
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        let n = d.len(T::MIN_BYTES)?;
+        (0..n).map(|_| T::get(d)).collect()
     }
 }
 
-fn dec_verdict(d: &mut Dec) -> DecResult<PoissonVerdict> {
-    match d.u8()? {
-        0 => Ok(PoissonVerdict::ConsistentWithPoisson),
-        1 => Ok(PoissonVerdict::Rejected),
-        2 => Ok(PoissonVerdict::NotApplicable),
-        _ => Err(CheckpointError::Malformed("poisson verdict tag")),
+/// The engine's Welford `(n, mean, m2)` and top-k `(k, seen, retained)`
+/// parts.
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        Ok((A::get(d)?, B::get(d)?, C::get(d)?))
     }
 }
 
-fn enc_window_report(e: &mut Enc, w: &WindowReport) {
-    e.u64(w.index);
-    e.f64(w.start);
-    e.u64(w.events);
-    e.opt_f64(w.h_variance_time);
-    e.opt_f64(w.h_ci_half_width);
-    e.opt_f64(w.h_r_squared);
-    e.u64(w.h_points);
-    e.opt_f64(w.h_variance_time_fine);
-    e.u8(verdict_code(w.poisson_hourly));
-    e.u8(verdict_code(w.poisson_ten_min));
+/// `MIN_BYTES` of the field that `field` reads, so a declaration names
+/// its fields without restating their types.
+const fn min_bytes_of<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
 }
 
-fn dec_window_report(d: &mut Dec) -> DecResult<WindowReport> {
-    Ok(WindowReport {
-        index: d.u64()?,
-        start: d.f64()?,
-        events: d.u64()?,
-        h_variance_time: d.opt_f64()?,
-        h_ci_half_width: d.opt_f64()?,
-        h_r_squared: d.opt_f64()?,
-        h_points: d.u64()?,
-        h_variance_time_fine: d.opt_f64()?,
-        poisson_hourly: dec_verdict(d)?,
-        poisson_ten_min: dec_verdict(d)?,
-    })
+/// Declares each struct's wire layout: its fields, in payload order.
+/// `put` destructures without `..`, so a field missing from the list
+/// does not build; `get` builds the struct in the same order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = {
+                let mut n = 0;
+                $(n += min_bytes_of(|s: &$ty| &s.$field);)*
+                n
+            };
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($field.put(out);)*
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                Ok($ty { $($field: Wire::get(d)?),* })
+            }
+        }
+    )*};
 }
 
-fn enc_window_reports(e: &mut Enc, ws: &[WindowReport]) {
-    e.usize(ws.len());
-    for w in ws {
-        enc_window_report(e, w);
+/// Declares each enum's one-byte tags; an unknown tag is refused as
+/// `Malformed($what)`.
+macro_rules! wire_enum {
+    ($($ty:ident($what:literal) { $($variant:ident = $code:literal),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $($ty::$variant => $code,)*
+                });
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                match u8::get(d)? {
+                    $($code => Ok($ty::$variant),)*
+                    _ => Err(CheckpointError::Malformed($what)),
+                }
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    PoissonVerdict("poisson verdict tag") {
+        ConsistentWithPoisson = 0, Rejected = 1, NotApplicable = 2,
+    }
+    AgreementVerdict("agreement verdict tag") {
+        Agree = 0, Disagree = 1, LowConfidence = 2, NotApplicable = 3,
     }
 }
 
-fn dec_window_reports(d: &mut Dec) -> DecResult<Vec<WindowReport>> {
-    let n = d.len(38)?;
-    (0..n).map(|_| dec_window_report(d)).collect()
-}
-
-fn agreement_code(v: AgreementVerdict) -> u8 {
-    match v {
-        AgreementVerdict::Agree => 0,
-        AgreementVerdict::Disagree => 1,
-        AgreementVerdict::LowConfidence => 2,
-        AgreementVerdict::NotApplicable => 3,
+wire_struct! {
+    WindowConfig { window_len, bin_width, fine_bin_width, min_poisson_arrivals, seed }
+    ObservatoryConfig {
+        warmup_windows, cusum_k, cusum_h, ph_delta, ph_lambda, ewma_lambda, ewma_l,
+        seasonal_period, min_baseline_std,
     }
-}
-
-fn dec_agreement(d: &mut Dec) -> DecResult<AgreementVerdict> {
-    match d.u8()? {
-        0 => Ok(AgreementVerdict::Agree),
-        1 => Ok(AgreementVerdict::Disagree),
-        2 => Ok(AgreementVerdict::LowConfidence),
-        3 => Ok(AgreementVerdict::NotApplicable),
-        _ => Err(CheckpointError::Malformed("agreement verdict tag")),
+    StreamConfig {
+        session_threshold, request_window, session_window, tail_k, tail_fraction, observatory,
+        max_open_sessions, diagnostics,
     }
-}
-
-fn enc_window_diag(e: &mut Enc, w: &WindowDiagnostics) {
-    e.u64(w.index);
-    e.f64(w.start);
-    e.opt_f64(w.alpha);
-    e.opt_f64(w.alpha_ci_half_width);
-    e.opt_f64(w.plateau_cv);
-    e.opt_u64(w.plateau_k_lo);
-    e.opt_u64(w.plateau_k_hi);
-    e.opt_f64(w.h);
-    e.opt_f64(w.h_ci_half_width);
-    e.opt_f64(w.h_r_squared);
-    e.u64(w.h_points);
-    e.opt_f64(w.bytes_mean);
-    e.opt_f64(w.bytes_mean_ci_half_width);
-    e.opt_f64(w.interarrival_mean);
-    e.opt_f64(w.interarrival_ci_half_width);
-    e.u8(agreement_code(w.agreement));
-    e.opt_f64(w.agreement_gap);
-    e.opt_f64(w.agreement_band);
-    e.opt_f64(w.agreement_score);
-}
-
-fn dec_window_diag(d: &mut Dec) -> DecResult<WindowDiagnostics> {
-    Ok(WindowDiagnostics {
-        index: d.u64()?,
-        start: d.f64()?,
-        alpha: d.opt_f64()?,
-        alpha_ci_half_width: d.opt_f64()?,
-        plateau_cv: d.opt_f64()?,
-        plateau_k_lo: d.opt_u64()?,
-        plateau_k_hi: d.opt_u64()?,
-        h: d.opt_f64()?,
-        h_ci_half_width: d.opt_f64()?,
-        h_r_squared: d.opt_f64()?,
-        h_points: d.u64()?,
-        bytes_mean: d.opt_f64()?,
-        bytes_mean_ci_half_width: d.opt_f64()?,
-        interarrival_mean: d.opt_f64()?,
-        interarrival_ci_half_width: d.opt_f64()?,
-        agreement: dec_agreement(d)?,
-        agreement_gap: d.opt_f64()?,
-        agreement_band: d.opt_f64()?,
-        agreement_score: d.opt_f64()?,
-    })
-}
-
-fn enc_window_diags(e: &mut Enc, ws: &[WindowDiagnostics]) {
-    e.usize(ws.len());
-    for w in ws {
-        enc_window_diag(e, w);
+    Session { client, start, end, request_count, bytes }
+    SessionizerState {
+        threshold, sweep_interval, open, watermark, last_sweep, records_seen, emitted,
+        peak_open, max_open, shed_sessions, shed_records, ttl_scale, early_evicted,
     }
-}
-
-fn dec_window_diags(d: &mut Dec) -> DecResult<Vec<WindowDiagnostics>> {
-    // Minimum row size: u64 + f64 + 13 absent options + u64 + verdict.
-    let n = d.len(38)?;
-    (0..n).map(|_| dec_window_diag(d)).collect()
-}
-
-fn enc_welford(e: &mut Enc, w: (u64, f64, f64)) {
-    e.u64(w.0);
-    e.f64(w.1);
-    e.f64(w.2);
-}
-
-fn dec_welford(d: &mut Dec) -> DecResult<(u64, f64, f64)> {
-    Ok((d.u64()?, d.f64()?, d.f64()?))
-}
-
-fn enc_topk(e: &mut Enc, t: &(usize, u64, Vec<f64>)) {
-    e.usize(t.0);
-    e.u64(t.1);
-    e.f64_slice(&t.2);
-}
-
-fn dec_topk(d: &mut Dec) -> DecResult<(usize, u64, Vec<f64>)> {
-    Ok((d.usize()?, d.u64()?, d.f64_vec()?))
-}
-
-fn enc_baseline(e: &mut Enc, b: &BaselineState) {
-    e.u64(b.n);
-    e.f64(b.mean);
-    e.f64(b.m2);
-    e.f64(b.mu);
-    e.f64(b.sigma);
-}
-
-fn dec_baseline(d: &mut Dec) -> DecResult<BaselineState> {
-    Ok(BaselineState {
-        n: d.u64()?,
-        mean: d.f64()?,
-        m2: d.f64()?,
-        mu: d.f64()?,
-        sigma: d.f64()?,
-    })
-}
-
-fn enc_cusum(e: &mut Enc, c: &CusumState) {
-    enc_baseline(e, &c.baseline);
-    e.f64(c.s_pos);
-    e.f64(c.s_neg);
-}
-
-fn dec_cusum(d: &mut Dec) -> DecResult<CusumState> {
-    Ok(CusumState {
-        baseline: dec_baseline(d)?,
-        s_pos: d.f64()?,
-        s_neg: d.f64()?,
-    })
-}
-
-fn enc_ph(e: &mut Enc, p: &PageHinkleyState) {
-    enc_baseline(e, &p.baseline);
-    e.f64(p.m_up);
-    e.f64(p.min_up);
-    e.f64(p.m_dn);
-    e.f64(p.max_dn);
-}
-
-fn dec_ph(d: &mut Dec) -> DecResult<PageHinkleyState> {
-    Ok(PageHinkleyState {
-        baseline: dec_baseline(d)?,
-        m_up: d.f64()?,
-        min_up: d.f64()?,
-        m_dn: d.f64()?,
-        max_dn: d.f64()?,
-    })
-}
-
-fn enc_ewma(e: &mut Enc, w: &EwmaState) {
-    enc_baseline(e, &w.baseline);
-    e.f64(w.ewma);
-}
-
-fn dec_ewma(d: &mut Dec) -> DecResult<EwmaState> {
-    Ok(EwmaState {
-        baseline: dec_baseline(d)?,
-        ewma: d.f64()?,
-    })
-}
-
-fn enc_drift_summary(e: &mut Enc, s: &DriftSummary) {
-    e.u64(s.windows);
-    e.u64(s.alarms);
-    e.u64(s.warn);
-    e.u64(s.critical);
-    e.opt_u64(s.first_alarm_window);
-    e.usize(s.by_channel.len());
-    for c in &s.by_channel {
-        e.str(&c.detector);
-        e.str(&c.metric);
-        e.u64(c.alarms);
+    ArrivalsState { times, window_index, last_time, total_events }
+    WindowReport {
+        index, start, events, h_variance_time, h_ci_half_width, h_r_squared, h_points,
+        h_variance_time_fine, poisson_hourly, poisson_ten_min,
     }
-}
-
-fn dec_drift_summary(d: &mut Dec) -> DecResult<DriftSummary> {
-    let windows = d.u64()?;
-    let alarms = d.u64()?;
-    let warn = d.u64()?;
-    let critical = d.u64()?;
-    let first_alarm_window = d.opt_u64()?;
-    let n = d.len(24)?;
-    let by_channel = (0..n)
-        .map(|_| {
-            Ok(ChannelAlarms {
-                detector: d.str()?,
-                metric: d.str()?,
-                alarms: d.u64()?,
-            })
-        })
-        .collect::<DecResult<_>>()?;
-    Ok(DriftSummary {
-        windows,
-        alarms,
-        warn,
-        critical,
-        first_alarm_window,
-        by_channel,
-    })
-}
-
-fn enc_observatory(e: &mut Enc, o: &ObservatoryState) {
-    e.f64_slice(&o.seasonal_history);
-    enc_cusum(e, &o.rate_cusum);
-    enc_ph(e, &o.rate_ph);
-    enc_cusum(e, &o.bytes_cusum);
-    enc_ph(e, &o.bytes_ph);
-    enc_ewma(e, &o.alpha_ewma);
-    enc_ewma(e, &o.hvt_ewma);
-    enc_drift_summary(e, &o.summary);
-}
-
-fn dec_observatory(d: &mut Dec) -> DecResult<ObservatoryState> {
-    Ok(ObservatoryState {
-        seasonal_history: d.f64_vec()?,
-        rate_cusum: dec_cusum(d)?,
-        rate_ph: dec_ph(d)?,
-        bytes_cusum: dec_cusum(d)?,
-        bytes_ph: dec_ph(d)?,
-        alpha_ewma: dec_ewma(d)?,
-        hvt_ewma: dec_ewma(d)?,
-        summary: dec_drift_summary(d)?,
-    })
-}
-
-fn enc_engine(e: &mut Enc, s: &EngineState) {
-    enc_sessionizer(e, &s.sessionizer);
-    enc_arrivals(e, &s.request_arrivals);
-    enc_arrivals(e, &s.session_arrivals);
-    enc_window_reports(e, &s.request_windows);
-    enc_window_reports(e, &s.session_windows);
-    enc_welford(e, s.response_bytes);
-    enc_welford(e, s.session_duration);
-    enc_welford(e, s.session_requests);
-    enc_welford(e, s.session_bytes);
-    enc_topk(e, &s.duration_tail);
-    enc_topk(e, &s.requests_tail);
-    enc_topk(e, &s.bytes_tail);
-    e.u64(s.records);
-    e.u64(s.bytes);
-    enc_observatory(e, &s.observatory);
-    enc_welford(e, s.window_bytes);
-    e.u64(s.last_emitted);
-    e.f64(s.last_evict_time);
-    enc_welford(e, s.window_interarrival);
-    e.f64(s.last_arrival);
-    enc_window_diags(e, &s.diagnostics_windows);
-    e.u8(s.degradation_mode);
-    e.u64(s.sampled_out);
-    e.u64(s.hard_shed_records);
-    e.bool(s.forced_checkpoint_due);
-}
-
-fn dec_engine(d: &mut Dec) -> DecResult<EngineState> {
-    Ok(EngineState {
-        sessionizer: dec_sessionizer(d)?,
-        request_arrivals: dec_arrivals(d)?,
-        session_arrivals: dec_arrivals(d)?,
-        request_windows: dec_window_reports(d)?,
-        session_windows: dec_window_reports(d)?,
-        response_bytes: dec_welford(d)?,
-        session_duration: dec_welford(d)?,
-        session_requests: dec_welford(d)?,
-        session_bytes: dec_welford(d)?,
-        duration_tail: dec_topk(d)?,
-        requests_tail: dec_topk(d)?,
-        bytes_tail: dec_topk(d)?,
-        records: d.u64()?,
-        bytes: d.u64()?,
-        observatory: dec_observatory(d)?,
-        window_bytes: dec_welford(d)?,
-        last_emitted: d.u64()?,
-        last_evict_time: d.f64()?,
-        window_interarrival: dec_welford(d)?,
-        last_arrival: d.f64()?,
-        diagnostics_windows: dec_window_diags(d)?,
-        degradation_mode: d.u8()?,
-        sampled_out: d.u64()?,
-        hard_shed_records: d.u64()?,
-        forced_checkpoint_due: d.bool()?,
-    })
-}
-
-fn enc_breakdown(e: &mut Enc, b: &MalformedBreakdown) {
-    e.u64(b.bad_timestamp);
-    e.u64(b.bad_status);
-    e.u64(b.truncated);
-    e.u64(b.other);
-}
-
-fn dec_breakdown(d: &mut Dec) -> DecResult<MalformedBreakdown> {
-    Ok(MalformedBreakdown {
-        bad_timestamp: d.u64()?,
-        bad_status: d.u64()?,
-        truncated: d.u64()?,
-        other: d.u64()?,
-    })
-}
-
-fn enc_source(e: &mut Enc, s: &SourcePosition) {
-    e.u64(s.byte_offset);
-    e.u64(s.line_no);
-    e.u64(s.parsed);
-    e.u64(s.skipped);
-    enc_breakdown(e, &s.malformed);
-}
-
-fn dec_source(d: &mut Dec) -> DecResult<SourcePosition> {
-    Ok(SourcePosition {
-        byte_offset: d.u64()?,
-        line_no: d.u64()?,
-        parsed: d.u64()?,
-        skipped: d.u64()?,
-        malformed: dec_breakdown(d)?,
-    })
+    WindowDiagnostics {
+        index, start, alpha, alpha_ci_half_width, plateau_cv, plateau_k_lo, plateau_k_hi, h,
+        h_ci_half_width, h_r_squared, h_points, bytes_mean, bytes_mean_ci_half_width,
+        interarrival_mean, interarrival_ci_half_width, agreement, agreement_gap,
+        agreement_band, agreement_score,
+    }
+    BaselineState { n, mean, m2, mu, sigma }
+    CusumState { baseline, s_pos, s_neg }
+    PageHinkleyState { baseline, m_up, min_up, m_dn, max_dn }
+    EwmaState { baseline, ewma }
+    ChannelAlarms { detector, metric, alarms }
+    DriftSummary { windows, alarms, warn, critical, first_alarm_window, by_channel }
+    ObservatoryState {
+        seasonal_history, rate_cusum, rate_ph, bytes_cusum, bytes_ph, alpha_ewma, hvt_ewma,
+        summary,
+    }
+    EngineState {
+        sessionizer, request_arrivals, session_arrivals, request_windows, session_windows,
+        response_bytes, session_duration, session_requests, session_bytes, duration_tail,
+        requests_tail, bytes_tail, records, bytes, observatory, window_bytes, last_emitted,
+        last_evict_time, window_interarrival, last_arrival, diagnostics_windows,
+        degradation_mode, sampled_out, hard_shed_records, forced_checkpoint_due,
+    }
+    MalformedBreakdown { bad_timestamp, bad_status, truncated, other }
+    SourcePosition { byte_offset, line_no, parsed, skipped, malformed }
+    Checkpoint {
+        config, engine, source, events_seq, poison, recoveries, transient_retries,
+        checkpoints_written, governor_state,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -897,24 +489,17 @@ fn dec_source(d: &mut Dec) -> DecResult<SourcePosition> {
 impl Checkpoint {
     /// Serialize to the full on-disk byte layout (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_stream_config(&mut e, &self.config);
-        enc_engine(&mut e, &self.engine);
-        enc_source(&mut e, &self.source);
-        e.u64(self.events_seq);
-        enc_breakdown(&mut e, &self.poison);
-        e.u64(self.recoveries);
-        e.u64(self.transient_retries);
-        e.u64(self.checkpoints_written);
-        e.u8(self.governor_state);
-        let payload = e.buf;
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        // Length and checksum are filled in once the payload is known.
+        out.resize(HEADER_LEN, 0);
+        self.put(&mut out);
+        let payload = &out[HEADER_LEN..];
+        let len = (payload.len() as u64).to_le_bytes();
+        let fnv = fnv1a64(payload).to_le_bytes();
+        out[12..20].copy_from_slice(&len);
+        out[20..28].copy_from_slice(&fnv);
         out
     }
 
@@ -952,19 +537,14 @@ impl Checkpoint {
             return Err(CheckpointError::ChecksumMismatch { expected, found });
         }
 
-        let mut d = Dec::new(payload);
-        let ck = Checkpoint {
-            config: dec_stream_config(&mut d)?,
-            engine: dec_engine(&mut d)?,
-            source: dec_source(&mut d)?,
-            events_seq: d.u64()?,
-            poison: dec_breakdown(&mut d)?,
-            recoveries: d.u64()?,
-            transient_retries: d.u64()?,
-            checkpoints_written: d.u64()?,
-            governor_state: d.u8()?,
+        let mut d = Dec {
+            buf: payload,
+            at: 0,
         };
-        d.done()?;
+        let ck = Checkpoint::get(&mut d)?;
+        if d.at != payload.len() {
+            return Err(CheckpointError::Malformed("trailing bytes after payload"));
+        }
         Ok(ck)
     }
 
@@ -1056,7 +636,16 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::engine::StreamAnalyzer;
+    use proptest::prelude::*;
     use webpuzzle_weblog::{LogRecord, Method};
+
+    /// A version-5 checkpoint of a loaded engine, as the version-5
+    /// build wrote it: `genlog --profile csee --scale 0.02 --seed 7`,
+    /// then `stream-analyze` on that log with `--checkpoint ck.bin
+    /// --checkpoint-every 2000 --inject-faults crash=5000
+    /// --max-restores 0` (the second checkpoint, at record 4 000). A
+    /// layout change bumps [`VERSION`] and regenerates it the same way.
+    const GOLDEN: &[u8] = include_bytes!("../tests/data/checkpoint_v5.bin");
 
     fn sample_checkpoint() -> Checkpoint {
         let cfg = StreamConfig {
@@ -1265,5 +854,178 @@ mod tests {
         let r = LogRecord::new(2_101.0, 7, Method::Get, 7, 200, 512);
         engine.push(&r).unwrap();
         assert_eq!(engine.records(), ck.engine.records + 1);
+    }
+
+    #[test]
+    fn golden_fixture_decodes_re_encodes_and_restores() {
+        let ck = Checkpoint::decode(GOLDEN).unwrap();
+        assert_eq!(ck.encode(), GOLDEN);
+        assert_eq!(ck.engine.records, 4_000);
+        assert_eq!(ck.source.parsed, 4_000);
+        assert_eq!(ck.checkpoints_written, 2);
+        let mut engine = StreamAnalyzer::restore(ck.config.clone(), &ck.engine).unwrap();
+        assert_eq!(engine.export_state(), ck.engine);
+        let t = ck.engine.sessionizer.watermark + 1.0;
+        engine
+            .push(&LogRecord::new(t, 7, Method::Get, 7, 200, 512))
+            .unwrap();
+        assert_eq!(engine.records(), 4_001);
+    }
+
+    /// `payload` under a fresh header, so an edit reaches the decoder
+    /// instead of stopping at the length or checksum check.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut out = GOLDEN[..HEADER_LEN].to_vec();
+        out[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out[20..28].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding is injective and total: an edited payload (bit
+        /// flips, a truncation, bytes inserted or deleted) is refused
+        /// with an error, or decodes to a checkpoint that encodes back
+        /// to exactly those bytes.
+        #[test]
+        fn edited_payloads_are_refused_or_re_encode_exactly(
+            edits in proptest::collection::vec((0u8..4, any::<u32>(), any::<u8>()), 1..4)
+        ) {
+            let mut payload = GOLDEN[HEADER_LEN..].to_vec();
+            for (kind, at, byte) in edits {
+                let at = at as usize % (payload.len() + 1);
+                match kind {
+                    0 if at < payload.len() => payload[at] ^= 1 << (byte % 8),
+                    1 => payload.truncate(at),
+                    2 => payload.insert(at, byte),
+                    3 if at < payload.len() => {
+                        payload.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let bytes = sealed(&payload);
+            if let Ok(ck) = Checkpoint::decode(&bytes) {
+                prop_assert_eq!(ck.encode(), bytes);
+            }
+        }
+    }
+
+    fn assert_smallest_is_min_bytes<T: Wire>(smallest: &T) {
+        let mut out = Vec::new();
+        smallest.put(&mut out);
+        assert_eq!(out.len(), T::MIN_BYTES, "{}", std::any::type_name::<T>());
+    }
+
+    #[test]
+    fn smallest_encoding_of_every_declared_type_is_min_bytes() {
+        let window = WindowConfig {
+            fine_bin_width: None,
+            ..WindowConfig::default()
+        };
+        let config = StreamConfig {
+            request_window: window.clone(),
+            session_window: window,
+            observatory: ObservatoryConfig {
+                seasonal_period: None,
+                ..ObservatoryConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        // A fresh engine holds no sessions, arrivals, windows or alarms.
+        let engine = StreamAnalyzer::new(config.clone()).unwrap().export_state();
+        let ck = Checkpoint {
+            config,
+            engine,
+            source: SourcePosition::default(),
+            events_seq: 0,
+            poison: MalformedBreakdown::default(),
+            recoveries: 0,
+            transient_retries: 0,
+            checkpoints_written: 0,
+            governor_state: 0,
+        };
+        let (e, o) = (&ck.engine, &ck.engine.observatory);
+        assert_smallest_is_min_bytes(&ck);
+        assert_smallest_is_min_bytes(&ck.config);
+        assert_smallest_is_min_bytes(&ck.config.request_window);
+        assert_smallest_is_min_bytes(&ck.config.observatory);
+        assert_smallest_is_min_bytes(&ck.source);
+        assert_smallest_is_min_bytes(&ck.poison);
+        assert_smallest_is_min_bytes(e);
+        assert_smallest_is_min_bytes(&e.sessionizer);
+        assert_smallest_is_min_bytes(&e.request_arrivals);
+        assert_smallest_is_min_bytes(&e.response_bytes);
+        assert_smallest_is_min_bytes(&e.duration_tail);
+        assert_smallest_is_min_bytes(o);
+        assert_smallest_is_min_bytes(&o.rate_cusum);
+        assert_smallest_is_min_bytes(&o.rate_cusum.baseline);
+        assert_smallest_is_min_bytes(&o.rate_ph);
+        assert_smallest_is_min_bytes(&o.alpha_ewma);
+        assert_smallest_is_min_bytes(&o.summary);
+        assert_smallest_is_min_bytes(&Session {
+            client: 0,
+            start: 0.0,
+            end: 0.0,
+            request_count: 0,
+            bytes: 0,
+        });
+        assert_smallest_is_min_bytes(&ChannelAlarms {
+            detector: String::new(),
+            metric: String::new(),
+            alarms: 0,
+        });
+        assert_smallest_is_min_bytes(&WindowReport {
+            index: 0,
+            start: 0.0,
+            events: 0,
+            h_variance_time: None,
+            h_ci_half_width: None,
+            h_r_squared: None,
+            h_points: 0,
+            h_variance_time_fine: None,
+            poisson_hourly: PoissonVerdict::NotApplicable,
+            poisson_ten_min: PoissonVerdict::NotApplicable,
+        });
+        assert_smallest_is_min_bytes(&WindowDiagnostics {
+            index: 0,
+            start: 0.0,
+            alpha: None,
+            alpha_ci_half_width: None,
+            plateau_cv: None,
+            plateau_k_lo: None,
+            plateau_k_hi: None,
+            h: None,
+            h_ci_half_width: None,
+            h_r_squared: None,
+            h_points: 0,
+            bytes_mean: None,
+            bytes_mean_ci_half_width: None,
+            interarrival_mean: None,
+            interarrival_ci_half_width: None,
+            agreement: AgreementVerdict::NotApplicable,
+            agreement_gap: None,
+            agreement_band: None,
+            agreement_score: None,
+        });
+        assert_smallest_is_min_bytes(&PoissonVerdict::Rejected);
+        assert_smallest_is_min_bytes(&AgreementVerdict::Agree);
+        assert_smallest_is_min_bytes(&0u8);
+        assert_smallest_is_min_bytes(&0u32);
+        assert_smallest_is_min_bytes(&0u64);
+        assert_smallest_is_min_bytes(&0usize);
+        assert_smallest_is_min_bytes(&false);
+        assert_smallest_is_min_bytes(&0.0f64);
+        assert_smallest_is_min_bytes(&None::<f64>);
+        assert_smallest_is_min_bytes(&String::new());
+        assert_smallest_is_min_bytes(&Vec::<f64>::new());
+        // The per-element allocation caps of the version-5 decoder.
+        assert_eq!(Session::MIN_BYTES, 36);
+        assert_eq!(WindowReport::MIN_BYTES, 38);
+        assert_eq!(ChannelAlarms::MIN_BYTES, 24);
+        assert_eq!(f64::MIN_BYTES, 8);
+        assert_eq!(WindowDiagnostics::MIN_BYTES, 40);
     }
 }

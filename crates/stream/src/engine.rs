@@ -12,6 +12,7 @@
 //! counters, gauges, and histograms in the `webpuzzle-obs` registry, so
 //! a live `--telemetry-addr` endpoint sees progress mid-stream.
 
+use crate::checkpoint::CheckpointError;
 use crate::diagnostics;
 use crate::observatory::{
     DriftObservatory, DriftSummary, ObservatoryConfig, ObservatoryState, WindowObservation,
@@ -633,8 +634,12 @@ impl StreamAnalyzer {
     /// # Errors
     ///
     /// Rejects a state whose sessionizer threshold is invalid, as
-    /// [`StreamAnalyzer::new`] would.
+    /// [`StreamAnalyzer::new`] would, and one whose degradation mode is
+    /// above 2 (Red), which no run reaches.
     pub fn restore(cfg: StreamConfig, state: &EngineState) -> Result<Self> {
+        if state.degradation_mode > 2 {
+            return Err(CheckpointError::Malformed("degradation mode above 2 (Red)").into());
+        }
         let mut engine = StreamAnalyzer::new(cfg)?;
         engine.sessionizer = StreamSessionizer::from_state(state.sessionizer.clone())?;
         engine.request_arrivals = WindowedArrivals::restore(
@@ -1116,6 +1121,20 @@ mod tests {
         let resumed = second.finish().unwrap();
 
         assert_eq!(resumed, expected);
+    }
+
+    #[test]
+    fn restore_rejects_a_degradation_mode_no_run_reaches() {
+        let mut state = StreamAnalyzer::new(small_config()).unwrap().export_state();
+        state.degradation_mode = 2;
+        assert!(StreamAnalyzer::restore(small_config(), &state).is_ok());
+        state.degradation_mode = 3;
+        assert!(matches!(
+            StreamAnalyzer::restore(small_config(), &state),
+            Err(crate::StreamError::Checkpoint(CheckpointError::Malformed(
+                _
+            )))
+        ));
     }
 
     #[test]
