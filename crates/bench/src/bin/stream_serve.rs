@@ -22,7 +22,7 @@
 //!              [--reorder-window SECS] [--queue-capacity N]
 //!              [--max-connections N] [--max-sources N]
 //!              [--exit-after-sources N] [--stall-grace-ms MS]
-//!              [--max-line-bytes N] [--batch-records N]
+//!              [--max-line-bytes N] [--batch-records MAX]
 //!              [--inject-faults SPEC] [--max-restores N] [--max-retries N]
 //!              [--telemetry-history] [--telemetry-interval-ms MS]
 //!              [--slo] [--slo-file PATH]
@@ -34,6 +34,11 @@
 //! address always prints to stderr, and `--addr-file PATH` additionally
 //! writes it to a file so scripted clients (the CI equivalence gate,
 //! the integration tests) can find the port without parsing logs.
+//!
+//! `--batch-records MAX` (default 256) caps the records a connection
+//! hands the merge in one batch; a batch is handed over sooner whenever
+//! no complete line is buffered, so a slow sender's records are never
+//! held back waiting for the batch to fill.
 //!
 //! Lenient parsing is the *default* on the wire — one peer's bad line
 //! must not kill a shared service; `--strict` flips a connection's
@@ -99,7 +104,7 @@ const USAGE: &str = "usage: stream-serve [--listen HOST:PORT] [--addr-file PATH]
      [--checkpoint-every N] [--checkpoint-every-secs S] [--resume PATH] \
      [--reorder-window SECS] [--queue-capacity N] [--max-connections N] \
      [--max-sources N] [--exit-after-sources N] [--stall-grace-ms MS] \
-     [--max-line-bytes N] [--batch-records N] [--inject-faults SPEC] \
+     [--max-line-bytes N] [--batch-records MAX] [--inject-faults SPEC] \
      [--max-restores N] [--max-retries N] [--telemetry-history] \
      [--telemetry-interval-ms MS] [--slo] [--slo-file PATH] \
      [--governor-sessions N] [--governor-queue-bytes N] \

@@ -599,8 +599,10 @@ impl Run {
     /// exit 2, not a mid-run failure) and load the `--resume`
     /// checkpoint. A missing, corrupted, truncated or version-skewed
     /// file falls back to the previous generation `<path>.1` that
-    /// [`Checkpoint::save`] keeps, with one stderr line naming both;
-    /// when that fails too, the run is refused with exit 1: resuming
+    /// [`Checkpoint::save`] keeps, with one stderr line naming both; a
+    /// refused file that exists is first renamed to `<path>.refused`, so
+    /// the run's first save cannot rotate it over the sound `<path>.1`.
+    /// When `<path>.1` fails too, the run is refused with exit 1: resuming
     /// from bad state would silently poison every estimate downstream.
     pub fn load_resume(&mut self, engine_cfg: &StreamConfig) -> Option<Checkpoint> {
         if let Err(e) = StreamAnalyzer::new(engine_cfg.clone()) {
@@ -614,11 +616,27 @@ impl Run {
                 Ok((ck, true)) => {
                     // Only the fallback path reads the latest file twice,
                     // to name why it was passed over.
-                    let why = Checkpoint::load(path).err().map(|e| e.to_string());
+                    let why = Checkpoint::load(path).err().map(|e| e.to_string()).unwrap_or_default();
+                    // The run's first save would rotate the refused file
+                    // over `<path>.1`, the only sound generation left.
+                    let mut moved = String::new();
+                    if path.exists() {
+                        let mut aside = path.as_os_str().to_os_string();
+                        aside.push(".refused");
+                        let aside = PathBuf::from(aside);
+                        if let Err(e) = std::fs::rename(path, &aside) {
+                            eprintln!(
+                                "{tool}: cannot resume from {}: {why}; cannot move it aside to {}: {e}",
+                                path.display(),
+                                aside.display()
+                            );
+                            std::process::exit(1);
+                        }
+                        moved = format!("; moved it to {}", aside.display());
+                    }
                     eprintln!(
-                        "{tool}: cannot resume from {}: {}; resuming from {}, the previous checkpoint",
+                        "{tool}: cannot resume from {}: {why}{moved}; resuming from {}, the previous checkpoint",
                         path.display(),
-                        why.unwrap_or_default(),
                         Checkpoint::previous_path(path).display()
                     );
                     ck

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use webpuzzle_bench::run::DEFAULT_BASE_EPOCH;
+use webpuzzle_stream::Checkpoint;
 use webpuzzle_weblog::clf::format_line;
 use webpuzzle_workload::{ServerProfile, WorkloadGenerator};
 
@@ -460,5 +461,20 @@ fn resume_falls_back_to_the_previous_checkpoint() {
             config(&report).get("summary").expect("resumed summary"),
             "summary",
         );
+        // The resumed run saved once, at its end. The refused file was
+        // moved aside first, so that save did not rotate it over `.1`:
+        // both generations load.
+        let aside = scratch.path(&format!("{name}.refused"));
+        assert_eq!(std::fs::read(&aside).ok().as_deref(), bytes, "{name}");
+        let moved = format!("; moved it to {};", aside.display());
+        assert_eq!(stderr.contains(&moved), bytes.is_some(), "{name}: {stderr}");
+        for generation in [&path, &prev] {
+            let loaded = Checkpoint::load(generation);
+            assert!(
+                loaded.is_ok(),
+                "{name}: {}: {loaded:?}",
+                generation.display()
+            );
+        }
     }
 }

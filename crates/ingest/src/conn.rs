@@ -7,7 +7,10 @@
 //!   terminated, streamed for the life of the connection. This is the
 //!   high-throughput path — the connection thread parses lines locally
 //!   and hands the hub batches of records, so k connections parse on k
-//!   cores and only the merge is serialized.
+//!   cores and only the merge is serialized. A batch holds at most
+//!   `batch_records` records and is handed over early whenever no
+//!   complete line is left in the bytes already read, so a paced or
+//!   trickling sender's records never wait in a half-full batch.
 //! - **HTTP POST batches**: `POST /ingest` with a CLF-lines body
 //!   (parsed through the same line machinery), answered with a JSON
 //!   accounting of what was accepted. Parsing reuses
@@ -34,7 +37,7 @@
 //! the source at [`Priority::Normal`]; under governor pressure the hub
 //! sheds lowest-priority sources first.
 
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufReader, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +60,9 @@ pub struct ConnConfig {
     /// Hard cap on one line's length; longer lines are discarded to the
     /// next newline and counted.
     pub max_line_bytes: usize,
-    /// Records per hub push (amortizes the merge lock).
+    /// Cap on the records per hub push (amortizes the merge lock). A
+    /// batch is handed over before it is full whenever no complete line
+    /// is buffered, so a quiet connection never holds parsed records.
     pub batch_records: usize,
     /// Socket read timeout for the line protocol. `None` waits forever
     /// (live tailing has quiet stretches); the watermark stall grace is
@@ -141,8 +146,26 @@ pub(crate) fn handle_connection(stream: TcpStream, hub: Arc<IngestHub>, cfg: &Co
     }
 }
 
-/// The streaming line-protocol path.
-fn handle_line_protocol<R: BufRead>(reader: &mut R, hub: &Arc<IngestHub>, cfg: &ConnConfig) {
+/// The line-protocol reader: the sniffed prefix, then the buffered
+/// socket.
+type LineReader<S> = io::Chain<io::Cursor<Vec<u8>>, BufReader<S>>;
+
+/// Whether a complete line is already read off the socket, so that the
+/// next line read returns without waiting on the peer.
+fn line_buffered<S>(reader: &LineReader<S>) -> bool {
+    let (sniff, socket) = reader.get_ref();
+    let unread = sniff.get_ref().get(sniff.position() as usize..);
+    unread.is_some_and(|b| b.contains(&b'\n')) || socket.buffer().contains(&b'\n')
+}
+
+/// The streaming line-protocol path. A batch goes to the hub when it
+/// holds `batch_records` records, or sooner when the next line read
+/// would wait on the socket.
+fn handle_line_protocol<S: Read>(
+    reader: &mut LineReader<S>,
+    hub: &Arc<IngestHub>,
+    cfg: &ConnConfig,
+) {
     let handle = match hub.register_source("tcp") {
         Ok(h) => h,
         Err(e) => {
@@ -155,21 +178,18 @@ fn handle_line_protocol<R: BufRead>(reader: &mut R, hub: &Arc<IngestHub>, cfg: &
     let mut batch: Vec<LogRecord> = Vec::with_capacity(cfg.batch_records);
     let mut bytes_acc = 0u64;
     let mut lines_acc = 0u64;
-    let flush = |handle: &SourceHandle,
-                 batch: &mut Vec<LogRecord>,
-                 bytes_acc: &mut u64,
-                 lines_acc: &mut u64| {
-        if !batch.is_empty() {
-            handle.push_batch(batch);
-            batch.clear();
-        }
-        if *bytes_acc > 0 || *lines_acc > 0 {
-            handle.note_consumed(*bytes_acc, *lines_acc);
-            *bytes_acc = 0;
-            *lines_acc = 0;
-        }
+    let flush = |batch: &mut Vec<LogRecord>, bytes_acc: &mut u64, lines_acc: &mut u64| {
+        handle.push_lines(batch, *bytes_acc, *lines_acc);
+        batch.clear();
+        *bytes_acc = 0;
+        *lines_acc = 0;
     };
     loop {
+        // Only whole lines are ever parsed, so a flush here never splits
+        // one; a line torn across socket writes waits for its rest.
+        if lines_acc > 0 && !line_buffered(reader) {
+            flush(&mut batch, &mut bytes_acc, &mut lines_acc);
+        }
         match read_line_capped(reader, &mut buf, cfg.max_line_bytes) {
             Ok(LineRead::Eof) => break,
             Ok(LineRead::Oversized(n)) => {
@@ -199,7 +219,7 @@ fn handle_line_protocol<R: BufRead>(reader: &mut R, hub: &Arc<IngestHub>, cfg: &
                         Ok(rec) => {
                             batch.push(rec);
                             if batch.len() >= cfg.batch_records {
-                                flush(&handle, &mut batch, &mut bytes_acc, &mut lines_acc);
+                                flush(&mut batch, &mut bytes_acc, &mut lines_acc);
                             }
                         }
                         Err(WeblogError::ParseLine { reason, .. }) => {
@@ -235,7 +255,7 @@ fn handle_line_protocol<R: BufRead>(reader: &mut R, hub: &Arc<IngestHub>, cfg: &
             }
         }
     }
-    flush(&handle, &mut batch, &mut bytes_acc, &mut lines_acc);
+    flush(&mut batch, &mut bytes_acc, &mut lines_acc);
     drop(handle); // closes the source
 }
 
@@ -380,9 +400,6 @@ fn push_body_lines(handle: &SourceHandle, body: &[u8], cfg: &ConnConfig) -> (u64
             Err(_) => break, // Cursor reads cannot fail, but stay total.
         }
     }
-    if !batch.is_empty() {
-        handle.push_batch(&batch);
-    }
-    handle.note_consumed(bytes, lines);
+    handle.push_lines(&batch, bytes, lines);
     (accepted, skipped)
 }

@@ -921,7 +921,19 @@ impl SourceHandle {
     /// push stops the connection read loop, which fills the kernel
     /// buffers, which blocks the sender).
     pub fn push_batch(&self, records: &[LogRecord]) {
+        self.push_lines(records, 0, 0);
+    }
+
+    /// [`SourceHandle::push_batch`] plus the wire consumption the batch
+    /// was read from (`bytes` and `lines`, malformed and oversized lines
+    /// included), accounted under the same hub lock.
+    pub fn push_lines(&self, records: &[LogRecord], bytes: u64, lines: u64) {
         if records.is_empty() {
+            if lines > 0 || bytes > 0 {
+                let mut st = self.hub.state.lock().expect("hub lock");
+                st.bytes_received += bytes;
+                st.lines_received += lines;
+            }
             return;
         }
         // One governor read per batch: admission reacts to pressure at
@@ -994,6 +1006,8 @@ impl SourceHandle {
             }
         }
         st.last_progress = Instant::now();
+        st.bytes_received += bytes;
+        st.lines_received += lines;
         st.pressure_shed += pressure_shed;
         st.breaker_dropped += breaker_dropped;
         st.breaker_trips += trips;
@@ -1033,13 +1047,6 @@ impl SourceHandle {
     pub fn priority(&self) -> Priority {
         let st = self.hub.state.lock().expect("hub lock");
         st.admissions[self.id].priority
-    }
-
-    /// Account wire consumption (bytes and newline-terminated lines).
-    pub fn note_consumed(&self, bytes: u64, lines: u64) {
-        let mut st = self.hub.state.lock().expect("hub lock");
-        st.bytes_received += bytes;
-        st.lines_received += lines;
     }
 
     /// Count one malformed line skipped under lenient parsing, by cause
@@ -1441,8 +1448,7 @@ mod tests {
             malformed: MalformedBreakdown::default(),
         });
         let a = h.register_source("tcp").unwrap();
-        a.push_batch(&[rec(1.0, 1)]);
-        a.note_consumed(80, 1);
+        a.push_lines(&[rec(1.0, 1)], 80, 1);
         drop(a);
         assert!(h.pop_blocking().is_some());
         assert!(h.pop_blocking().is_none());
