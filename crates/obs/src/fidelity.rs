@@ -12,16 +12,16 @@
 //! estimator. The `paper-check` binary turns that into a process exit
 //! code, so CI can enforce paper fidelity on every change.
 //!
-//! The targets file is parsed by a deliberately small TOML-subset reader
-//! (the container has no `toml` crate): comments, `key = value` pairs at
-//! the top level, and `[[target]]` array-of-table sections with string /
-//! float / integer values. That subset is all the format uses.
+//! The targets file is written in the TOML subset that `slo.toml`
+//! shares: comments, `key = value` pairs at the top level, and
+//! `[[target]]` array-of-table sections with string and number values.
 
-use std::fmt;
 use std::path::Path;
 
 use crate::metrics;
 use crate::report::RunReport;
+pub use crate::toml_subset::ParseError;
+use crate::toml_subset::{self, Section, Value};
 
 /// One expected statistic with its tolerance band.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,50 +45,6 @@ pub struct PaperTargets {
     pub targets: Vec<FidelityTarget>,
 }
 
-/// Parse error with a 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Line the error was detected on.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// A TOML-subset scalar.
-enum TomlValue {
-    Str(String),
-    Num(f64),
-}
-
-fn parse_scalar(raw: &str, line: usize) -> Result<TomlValue, ParseError> {
-    let raw = raw.trim();
-    if let Some(stripped) = raw.strip_prefix('"') {
-        let Some(inner) = stripped.strip_suffix('"') else {
-            return Err(ParseError {
-                line,
-                message: format!("unterminated string: {raw}"),
-            });
-        };
-        // The format never needs escapes beyond \" — handle just that.
-        Ok(TomlValue::Str(inner.replace("\\\"", "\"")))
-    } else {
-        raw.parse::<f64>()
-            .map(TomlValue::Num)
-            .map_err(|_| ParseError {
-                line,
-                message: format!("expected number or quoted string, got `{raw}`"),
-            })
-    }
-}
-
 impl PaperTargets {
     /// Parse the TOML subset described in the module docs.
     ///
@@ -98,129 +54,19 @@ impl PaperTargets {
     /// subset doesn't cover, missing required keys, or non-positive
     /// tolerances.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let doc = toml_subset::parse(text, "target")?;
         let mut out = PaperTargets::default();
-        // Pending `[[target]]` fields (opening line number, metric,
-        // value, tol, source); flushed when a new [[target]] opens or at
-        // end of input.
-        type Pending = (usize, Option<String>, Option<f64>, Option<f64>, String);
-        let mut current: Option<Pending> = None;
-
-        fn flush(out: &mut PaperTargets, current: Option<Pending>) -> Result<(), ParseError> {
-            let Some((line, metric, value, tol, source)) = current else {
-                return Ok(());
-            };
-            let metric = metric.ok_or(ParseError {
-                line,
-                message: "[[target]] missing `metric`".to_string(),
-            })?;
-            let value = value.ok_or(ParseError {
-                line,
-                message: format!("[[target]] {metric} missing `value`"),
-            })?;
-            let tol = tol.ok_or(ParseError {
-                line,
-                message: format!("[[target]] {metric} missing `tol`"),
-            })?;
-            // `<=` alone would wave NaN through; a NaN band passes nothing.
-            if tol.is_nan() || tol <= 0.0 {
-                return Err(ParseError {
-                    line,
-                    message: format!("[[target]] {metric}: tol must be > 0, got {tol}"),
-                });
-            }
-            out.targets.push(FidelityTarget {
-                metric,
-                value,
-                tol,
-                source,
-            });
-            Ok(())
-        }
-
-        for (i, raw_line) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = match raw_line.find('#') {
-                // A # inside a quoted string would be cut here; the
-                // format keeps sources free of #.
-                Some(pos) => &raw_line[..pos],
-                None => raw_line,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[target]]" {
-                flush(&mut out, current.take())?;
-                current = Some((lineno, None, None, None, String::new()));
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("unsupported section `{line}` (only [[target]])"),
-                });
-            }
-            let Some((key, raw_value)) = line.split_once('=') else {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = key.trim();
-            let value = parse_scalar(raw_value, lineno)?;
-            match (&mut current, key) {
-                (Some((_, metric, ..)), "metric") => match value {
-                    TomlValue::Str(s) => *metric = Some(s),
-                    TomlValue::Num(_) => {
-                        return Err(ParseError {
-                            line: lineno,
-                            message: "`metric` must be a string".to_string(),
-                        })
-                    }
-                },
-                (Some((_, _, val, ..)), "value") => match value {
-                    TomlValue::Num(n) => *val = Some(n),
-                    TomlValue::Str(_) => {
-                        return Err(ParseError {
-                            line: lineno,
-                            message: "`value` must be a number".to_string(),
-                        })
-                    }
-                },
-                (Some((_, _, _, tol, _)), "tol") => match value {
-                    TomlValue::Num(n) => *tol = Some(n),
-                    TomlValue::Str(_) => {
-                        return Err(ParseError {
-                            line: lineno,
-                            message: "`tol` must be a number".to_string(),
-                        })
-                    }
-                },
-                (Some((.., source)), "source") => match value {
-                    TomlValue::Str(s) => *source = s,
-                    TomlValue::Num(n) => *source = format!("{n}"),
-                },
-                (Some(_), other) => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("unknown [[target]] key `{other}`"),
-                    })
-                }
-                (None, "profile") => {
-                    if let TomlValue::Str(s) = value {
-                        out.profile = s;
-                    }
-                }
-                (None, "schema") => {} // reserved for future format bumps
-                (None, other) => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("unknown top-level key `{other}`"),
-                    })
-                }
+        for entry in doc.top {
+            match (entry.key.as_str(), &entry.value) {
+                ("profile", Value::Str(s)) => out.profile = s.clone(),
+                // `schema` is reserved for future format bumps.
+                ("profile" | "schema", _) => {}
+                _ => return Err(entry.unknown("top-level")),
             }
         }
-        flush(&mut out, current)?;
+        for section in doc.sections {
+            out.targets.push(target(section)?);
+        }
         Ok(out)
     }
 
@@ -234,6 +80,40 @@ impl PaperTargets {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// One `[[target]]` section as a validated target.
+fn target(section: Section) -> Result<FidelityTarget, ParseError> {
+    let (mut metric, mut value, mut tol, mut source) = (None, None, None, String::new());
+    for entry in &section.entries {
+        match (entry.key.as_str(), &entry.value) {
+            ("metric", Value::Str(s)) => metric = Some(s.clone()),
+            ("value", Value::Num(n)) => value = Some(*n),
+            ("tol", Value::Num(n)) => tol = Some(*n),
+            ("source", Value::Str(s)) => source = s.clone(),
+            ("source", Value::Num(n)) => source = format!("{n}"),
+            ("metric" | "source", _) => return Err(entry.type_error("a string")),
+            ("value" | "tol", _) => return Err(entry.type_error("a number")),
+            _ => return Err(entry.unknown("[[target]]")),
+        }
+    }
+    let line = section.line;
+    let err = |message: String| ParseError { line, message };
+    let metric = metric.ok_or_else(|| err("[[target]] missing `metric`".to_string()))?;
+    let value = value.ok_or_else(|| err(format!("[[target]] {metric} missing `value`")))?;
+    let tol = tol.ok_or_else(|| err(format!("[[target]] {metric} missing `tol`")))?;
+    // `<=` alone would wave NaN through; a NaN band passes nothing.
+    if tol.is_nan() || tol <= 0.0 {
+        return Err(err(format!(
+            "[[target]] {metric}: tol must be > 0, got {tol}"
+        )));
+    }
+    Ok(FidelityTarget {
+        metric,
+        value,
+        tol,
+        source,
+    })
 }
 
 /// Outcome for one target.

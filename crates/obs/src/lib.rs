@@ -105,6 +105,7 @@ pub mod sink;
 pub mod slo;
 pub mod spans;
 pub mod telemetry;
+mod toml_subset;
 pub mod tsdb;
 
 pub use progress::ProgressMeter;

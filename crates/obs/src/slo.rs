@@ -1,9 +1,9 @@
 //! SLO engine: burn-rate alerting and the deep-health rollup over the
 //! telemetry history ([`crate::tsdb`]).
 //!
-//! Objectives load from a committed `slo.toml` (same deliberately small
-//! TOML subset as `paper_targets.toml`, extended with single-line
-//! string arrays) and come in three kinds:
+//! Objectives load from a committed `slo.toml` (the small TOML subset
+//! that `paper_targets.toml` is also written in; only this file uses its
+//! single-line string arrays) and come in three kinds:
 //!
 //! - `ratio` — a bad-event fraction over counter deltas:
 //!   `bad / (bad + good)` across the alerting window, guarded by
@@ -36,12 +36,13 @@
 //! budget. The same structure lands in [`crate::report::RunReport`] as
 //! the end-of-run SLO verdict block.
 
-use std::fmt;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::events::{self, Severity};
+pub use crate::toml_subset::ParseError;
+use crate::toml_subset::{self, Section, Value};
 use crate::tsdb::{Tsdb, TsdbStats};
 
 /// Schema stamped into serialized [`DeepHealth`] blocks.
@@ -136,73 +137,6 @@ pub struct Objective {
 pub struct SloConfig {
     /// All objectives, file order.
     pub objectives: Vec<Objective>,
-}
-
-/// Parse error with a 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Offending (or section-opening) line.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-enum TomlVal {
-    Str(String),
-    Num(f64),
-    List(Vec<String>),
-}
-
-fn parse_scalar(raw: &str, line: usize) -> Result<TomlVal, ParseError> {
-    let raw = raw.trim();
-    if let Some(stripped) = raw.strip_prefix('[') {
-        let Some(inner) = stripped.strip_suffix(']') else {
-            return Err(ParseError {
-                line,
-                message: format!("unterminated array: {raw}"),
-            });
-        };
-        let mut items = Vec::new();
-        for piece in inner.split(',') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
-            }
-            match parse_scalar(piece, line)? {
-                TomlVal::Str(s) => items.push(s),
-                _ => {
-                    return Err(ParseError {
-                        line,
-                        message: "arrays may only hold quoted strings".to_string(),
-                    })
-                }
-            }
-        }
-        return Ok(TomlVal::List(items));
-    }
-    if let Some(stripped) = raw.strip_prefix('"') {
-        let Some(inner) = stripped.strip_suffix('"') else {
-            return Err(ParseError {
-                line,
-                message: format!("unterminated string: {raw}"),
-            });
-        };
-        return Ok(TomlVal::Str(inner.replace("\\\"", "\"")));
-    }
-    raw.parse::<f64>()
-        .map(TomlVal::Num)
-        .map_err(|_| ParseError {
-            line,
-            message: format!("expected number, quoted string, or [array], got `{raw}`"),
-        })
 }
 
 #[derive(Debug)]
@@ -337,6 +271,47 @@ impl PendingObjective {
     }
 }
 
+/// One `[[objective]]` section as a validated objective.
+fn objective(section: Section) -> Result<Objective, ParseError> {
+    let mut pending = PendingObjective::new(section.line);
+    for entry in section.entries {
+        let type_err = |what: &str| Err(entry.type_error(what));
+        match (entry.key.as_str(), &entry.value) {
+            ("name", Value::Str(s)) => pending.name = Some(s.clone()),
+            ("subsystem", Value::Str(s)) => pending.subsystem = Some(s.clone()),
+            ("kind", Value::Str(s)) => {
+                pending.kind = Some(ObjectiveKind::parse(s).ok_or_else(|| ParseError {
+                    line: entry.line,
+                    message: format!(
+                        "unknown kind `{s}` (expected ratio, gauge_max, or gauge_min)"
+                    ),
+                })?)
+            }
+            ("bad", Value::List(items)) => pending.bad = items.clone(),
+            ("good", Value::List(items)) => pending.good = items.clone(),
+            ("gauge", Value::Str(s)) => pending.gauge = s.clone(),
+            ("limit", Value::Num(n)) => pending.limit = Some(*n),
+            ("objective", Value::Num(n)) => pending.objective = Some(*n),
+            ("min_events", Value::Num(n)) => pending.min_events = n.max(0.0) as u64,
+            ("fast_short_secs", Value::Num(n)) => pending.fast_short_secs = n.max(0.0) as u64,
+            ("fast_long_secs", Value::Num(n)) => pending.fast_long_secs = n.max(0.0) as u64,
+            ("fast_burn", Value::Num(n)) => pending.fast_burn = *n,
+            ("slow_short_secs", Value::Num(n)) => pending.slow_short_secs = n.max(0.0) as u64,
+            ("slow_long_secs", Value::Num(n)) => pending.slow_long_secs = n.max(0.0) as u64,
+            ("slow_burn", Value::Num(n)) => pending.slow_burn = *n,
+            ("name" | "subsystem" | "kind" | "gauge", _) => return type_err("a string"),
+            ("bad" | "good", _) => return type_err("an array of strings"),
+            (
+                "limit" | "objective" | "min_events" | "fast_short_secs" | "fast_long_secs"
+                | "fast_burn" | "slow_short_secs" | "slow_long_secs" | "slow_burn",
+                _,
+            ) => return type_err("a number"),
+            _ => return Err(entry.unknown("[[objective]]")),
+        }
+    }
+    pending.finish()
+}
+
 impl SloConfig {
     /// Parse the TOML subset described in the module docs.
     ///
@@ -345,100 +320,17 @@ impl SloConfig {
     /// [`ParseError`] naming the offending line for unknown keys or
     /// sections, type mismatches, and invalid objective parameters.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
-        let mut out = SloConfig::default();
-        let mut current: Option<PendingObjective> = None;
-
-        fn flush(out: &mut SloConfig, current: Option<PendingObjective>) -> Result<(), ParseError> {
-            if let Some(pending) = current {
-                out.objectives.push(pending.finish()?);
-            }
-            Ok(())
+        let doc = toml_subset::parse(text, "objective")?;
+        if let Some(entry) = doc.top.iter().find(|e| e.key != "schema") {
+            // `schema` is reserved for format bumps.
+            return Err(entry.unknown("top-level"));
         }
-
-        for (i, raw_line) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = match raw_line.find('#') {
-                Some(pos) => &raw_line[..pos],
-                None => raw_line,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[objective]]" {
-                flush(&mut out, current.take())?;
-                current = Some(PendingObjective::new(lineno));
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("unsupported section `{line}` (only [[objective]])"),
-                });
-            }
-            let Some((key, raw_value)) = line.split_once('=') else {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = key.trim();
-            let value = parse_scalar(raw_value, lineno)?;
-            let type_err = |what: &str| ParseError {
-                line: lineno,
-                message: format!("`{key}` must be {what}"),
-            };
-            let Some(pending) = current.as_mut() else {
-                match key {
-                    "schema" => continue, // reserved for format bumps
-                    other => {
-                        return Err(ParseError {
-                            line: lineno,
-                            message: format!("unknown top-level key `{other}`"),
-                        })
-                    }
-                }
-            };
-            match (key, value) {
-                ("name", TomlVal::Str(s)) => pending.name = Some(s),
-                ("subsystem", TomlVal::Str(s)) => pending.subsystem = Some(s),
-                ("kind", TomlVal::Str(s)) => {
-                    pending.kind = Some(ObjectiveKind::parse(&s).ok_or_else(|| ParseError {
-                        line: lineno,
-                        message: format!(
-                            "unknown kind `{s}` (expected ratio, gauge_max, or gauge_min)"
-                        ),
-                    })?)
-                }
-                ("bad", TomlVal::List(items)) => pending.bad = items,
-                ("good", TomlVal::List(items)) => pending.good = items,
-                ("gauge", TomlVal::Str(s)) => pending.gauge = s,
-                ("limit", TomlVal::Num(n)) => pending.limit = Some(n),
-                ("objective", TomlVal::Num(n)) => pending.objective = Some(n),
-                ("min_events", TomlVal::Num(n)) => pending.min_events = n.max(0.0) as u64,
-                ("fast_short_secs", TomlVal::Num(n)) => pending.fast_short_secs = n.max(0.0) as u64,
-                ("fast_long_secs", TomlVal::Num(n)) => pending.fast_long_secs = n.max(0.0) as u64,
-                ("fast_burn", TomlVal::Num(n)) => pending.fast_burn = n,
-                ("slow_short_secs", TomlVal::Num(n)) => pending.slow_short_secs = n.max(0.0) as u64,
-                ("slow_long_secs", TomlVal::Num(n)) => pending.slow_long_secs = n.max(0.0) as u64,
-                ("slow_burn", TomlVal::Num(n)) => pending.slow_burn = n,
-                ("name" | "subsystem" | "kind" | "gauge", _) => return Err(type_err("a string")),
-                ("bad" | "good", _) => return Err(type_err("an array of strings")),
-                (
-                    "limit" | "objective" | "min_events" | "fast_short_secs" | "fast_long_secs"
-                    | "fast_burn" | "slow_short_secs" | "slow_long_secs" | "slow_burn",
-                    _,
-                ) => return Err(type_err("a number")),
-                (other, _) => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("unknown [[objective]] key `{other}`"),
-                    })
-                }
-            }
-        }
-        flush(&mut out, current)?;
-        Ok(out)
+        let objectives = doc
+            .sections
+            .into_iter()
+            .map(objective)
+            .collect::<Result<_, _>>()?;
+        Ok(SloConfig { objectives })
     }
 
     /// Read and parse an objectives file.

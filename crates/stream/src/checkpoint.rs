@@ -29,10 +29,18 @@
 //! Each checkpointed struct's layout is its one declaration in this
 //! module, a list of its field names in payload order, from which both
 //! the encoder and the decoder are generated; each enum's is its table
-//! of one-byte tags. To add a field to a checkpointed struct: add its
-//! name to that struct's declaration (a field left out does not
-//! build), bump [`VERSION`], and regenerate the golden fixture
-//! `tests/data/checkpoint_v<VERSION>.bin` that the tests decode.
+//! of one-byte tags. The structs are the types the engine runs on
+//! ([`Welford`], the drift detectors' states, ...), not copies of them;
+//! [`TopK`] alone is written by hand, as `k`, `seen` and its values
+//! descending, because its heap is not a field list.
+//!
+//! To add a field to a leaf type or a detector: add it to the struct
+//! and its name to that struct's declaration (a field left out does
+//! not build). To add an [`EngineState`] field: do the same, give
+//! [`crate::StreamAnalyzer`] the field, and add its line to its
+//! `export_state` and `restore`. Either way, bump [`VERSION`] and
+//! regenerate the golden fixture `tests/data/checkpoint_v<VERSION>.bin`
+//! that the tests decode.
 //!
 //! [`Checkpoint::save`] writes atomically: temp file in the target
 //! directory, `sync_all`, the current file renamed to
@@ -59,6 +67,7 @@ use crate::observatory::{
     BaselineState, CusumState, EwmaState, ObservatoryConfig, ObservatoryState, PageHinkleyState,
 };
 use crate::observatory::{ChannelAlarms, DriftSummary};
+use crate::online::{TopK, Welford};
 use crate::sessionizer::SessionizerState;
 use crate::window::{ArrivalsState, WindowConfig, WindowReport};
 use webpuzzle_core::PoissonVerdict;
@@ -359,17 +368,20 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// The engine's Welford `(n, mean, m2)` and top-k `(k, seen, retained)`
-/// parts.
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+/// A top-k tail travels as `k`, `seen` and its retained values,
+/// descending; the decoder refuses a tail that no run could hold (see
+/// [`TopK`]'s rebuild).
+impl Wire for TopK {
+    const MIN_BYTES: usize = usize::MIN_BYTES + u64::MIN_BYTES + Vec::<f64>::MIN_BYTES;
     fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-        self.2.put(out);
+        self.k.put(out);
+        self.seen.put(out);
+        self.descending().put(out);
     }
     fn get(d: &mut Dec) -> DecResult<Self> {
-        Ok((A::get(d)?, B::get(d)?, C::get(d)?))
+        let k = usize::get(d)?;
+        let seen = u64::get(d)?;
+        TopK::from_descending(k, seen, Vec::get(d)?).map_err(CheckpointError::Malformed)
     }
 }
 
@@ -457,7 +469,8 @@ wire_struct! {
         interarrival_mean, interarrival_ci_half_width, agreement, agreement_gap,
         agreement_band, agreement_score,
     }
-    BaselineState { n, mean, m2, mu, sigma }
+    Welford { n, mean, m2 }
+    BaselineState { acc, mu, sigma }
     CusumState { baseline, s_pos, s_neg }
     PageHinkleyState { baseline, m_up, min_up, m_dn, max_dn }
     EwmaState { baseline, ewma }
@@ -910,6 +923,55 @@ mod tests {
             if let Ok(ck) = Checkpoint::decode(&bytes) {
                 prop_assert_eq!(ck.encode(), bytes);
             }
+        }
+    }
+
+    /// The golden file with its bytes-per-session tail replaced by one
+    /// encoded from `k`, `seen` and `values`, under a fresh header.
+    fn golden_with_bytes_tail(k: usize, seen: u64, values: &[f64]) -> Vec<u8> {
+        let payload = &GOLDEN[HEADER_LEN..];
+        let mut tail = Vec::new();
+        Checkpoint::decode(GOLDEN)
+            .unwrap()
+            .engine
+            .bytes_tail
+            .put(&mut tail);
+        let at = payload
+            .windows(tail.len())
+            .position(|w| w == tail)
+            .expect("the tail's encoding is in the payload");
+        let mut edited = payload[..at].to_vec();
+        k.put(&mut edited);
+        seen.put(&mut edited);
+        values.to_vec().put(&mut edited);
+        edited.extend_from_slice(&payload[at + tail.len()..]);
+        sealed(&edited)
+    }
+
+    #[test]
+    fn top_k_tails_no_run_could_hold_are_refused() {
+        let golden = Checkpoint::decode(GOLDEN).unwrap().engine.bytes_tail;
+        let (k, seen, values) = (golden.k, golden.seen, golden.descending());
+        assert_eq!(golden_with_bytes_tail(k, seen, &values), GOLDEN);
+        // Ties are what a run holds: equal values stay adjacent.
+        let tied = Checkpoint::decode(&golden_with_bytes_tail(4, 9, &[3.0, 2.0, 2.0])).unwrap();
+        assert_eq!(tied.engine.bytes_tail.descending(), [3.0, 2.0, 2.0]);
+        for (what, k, seen, values) in [
+            ("k below 2", 1, 9, vec![3.0]),
+            ("an ascending pair", 4, 9, vec![3.0, 1.0, 2.0]),
+            ("a NaN", 4, 9, vec![3.0, f64::NAN]),
+            ("a zero", 4, 9, vec![3.0, 0.0]),
+            ("more values than k", 2, 9, vec![3.0, 2.0, 1.0]),
+            ("more values than seen", 4, 2, vec![3.0, 2.0, 1.0]),
+        ] {
+            let bytes = golden_with_bytes_tail(k, seen, &values);
+            assert!(
+                matches!(
+                    Checkpoint::decode(&bytes),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "a tail with {what} was not refused"
+            );
         }
     }
 

@@ -174,12 +174,17 @@ pub struct StreamSummary {
 /// via [`StreamAnalyzer::export_state`] /
 /// [`StreamAnalyzer::restore`].
 ///
-/// Welford accumulators travel as `(n, mean, m2)` raw parts, top-k
-/// tails as `(k, seen, retained-values)`. Registry metrics (`stream/*`
-/// counters, gauges, histograms) are deliberately **not** part of this
-/// state: they have process lifetime, and a resumed process accumulates
-/// its own from zero — the summary-facing totals here are
-/// authoritative.
+/// Each field is the engine's own value or its leaf type's state
+/// ([`Welford`], [`TopK`], [`ObservatoryState`], ...), and each of those
+/// types has one wire layout in [`crate::checkpoint`]. To add a field:
+/// declare it here and in that module's `wire_struct!` list, give
+/// [`StreamAnalyzer`] the field, and add its line to
+/// [`StreamAnalyzer::export_state`] and [`StreamAnalyzer::restore`];
+/// then bump [`crate::checkpoint::VERSION`] and regenerate the golden
+/// file. Registry metrics (`stream/*` counters, gauges, histograms) are
+/// deliberately **not** part of this state: they have process lifetime,
+/// and a resumed process accumulates its own from zero — the
+/// summary-facing totals here are authoritative.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// TTL sessionizer state (open sessions, watermark, counts).
@@ -193,19 +198,19 @@ pub struct EngineState {
     /// Closed session-window reports so far.
     pub session_windows: Vec<WindowReport>,
     /// Per-request transfer-size moments.
-    pub response_bytes: (u64, f64, f64),
+    pub response_bytes: Welford,
     /// Session-duration moments.
-    pub session_duration: (u64, f64, f64),
+    pub session_duration: Welford,
     /// Requests-per-session moments.
-    pub session_requests: (u64, f64, f64),
+    pub session_requests: Welford,
     /// Bytes-per-session moments.
-    pub session_bytes: (u64, f64, f64),
-    /// Session-duration tail heap `(k, seen, retained)`.
-    pub duration_tail: (usize, u64, Vec<f64>),
-    /// Requests-per-session tail heap.
-    pub requests_tail: (usize, u64, Vec<f64>),
-    /// Bytes-per-session tail heap.
-    pub bytes_tail: (usize, u64, Vec<f64>),
+    pub session_bytes: Welford,
+    /// Session-duration tail.
+    pub duration_tail: TopK,
+    /// Requests-per-session tail.
+    pub requests_tail: TopK,
+    /// Bytes-per-session tail.
+    pub bytes_tail: TopK,
     /// Records pushed.
     pub records: u64,
     /// Total bytes transferred.
@@ -214,14 +219,14 @@ pub struct EngineState {
     pub observatory: ObservatoryState,
     /// Current-window bytes accumulator (feeds the drift bytes
     /// channel when the window closes).
-    pub window_bytes: (u64, f64, f64),
+    pub window_bytes: Welford,
     /// Eviction-rate bookkeeping: sessions emitted at last sync.
     pub last_emitted: u64,
     /// Eviction-rate bookkeeping: watermark at last eviction.
     pub last_evict_time: f64,
     /// Current-window inter-arrival accumulator (feeds the diagnostics
     /// inter-arrival CI when the window closes).
-    pub window_interarrival: (u64, f64, f64),
+    pub window_interarrival: Welford,
     /// Timestamp of the last record pushed (`-inf` before the first) —
     /// the inter-arrival accumulator's anchor.
     pub last_arrival: f64,
@@ -600,20 +605,20 @@ impl StreamAnalyzer {
             session_arrivals: self.session_arrivals.export_state(),
             request_windows: self.request_windows.clone(),
             session_windows: self.session_windows.clone(),
-            response_bytes: self.response_bytes.raw_parts(),
-            session_duration: self.session_duration.raw_parts(),
-            session_requests: self.session_requests.raw_parts(),
-            session_bytes: self.session_bytes.raw_parts(),
-            duration_tail: self.duration_tail.export_state(),
-            requests_tail: self.requests_tail.export_state(),
-            bytes_tail: self.bytes_tail.export_state(),
+            response_bytes: self.response_bytes,
+            session_duration: self.session_duration,
+            session_requests: self.session_requests,
+            session_bytes: self.session_bytes,
+            duration_tail: self.duration_tail.clone(),
+            requests_tail: self.requests_tail.clone(),
+            bytes_tail: self.bytes_tail.clone(),
             records: self.records,
             bytes: self.bytes,
             observatory: self.observatory.export_state(),
-            window_bytes: self.window_bytes.raw_parts(),
+            window_bytes: self.window_bytes,
             last_emitted: self.last_emitted,
             last_evict_time: self.last_evict_time,
-            window_interarrival: self.window_interarrival.raw_parts(),
+            window_interarrival: self.window_interarrival,
             last_arrival: self.last_arrival,
             diagnostics_windows: self.diagnostics_windows.clone(),
             degradation_mode: self.degradation_mode,
@@ -652,20 +657,13 @@ impl StreamAnalyzer {
         );
         engine.request_windows = state.request_windows.clone();
         engine.session_windows = state.session_windows.clone();
-        let (n, mean, m2) = state.response_bytes;
-        engine.response_bytes = Welford::from_raw_parts(n, mean, m2);
-        let (n, mean, m2) = state.session_duration;
-        engine.session_duration = Welford::from_raw_parts(n, mean, m2);
-        let (n, mean, m2) = state.session_requests;
-        engine.session_requests = Welford::from_raw_parts(n, mean, m2);
-        let (n, mean, m2) = state.session_bytes;
-        engine.session_bytes = Welford::from_raw_parts(n, mean, m2);
-        let (k, seen, retained) = &state.duration_tail;
-        engine.duration_tail = TopK::from_state(*k, *seen, retained);
-        let (k, seen, retained) = &state.requests_tail;
-        engine.requests_tail = TopK::from_state(*k, *seen, retained);
-        let (k, seen, retained) = &state.bytes_tail;
-        engine.bytes_tail = TopK::from_state(*k, *seen, retained);
+        engine.response_bytes = state.response_bytes;
+        engine.session_duration = state.session_duration;
+        engine.session_requests = state.session_requests;
+        engine.session_bytes = state.session_bytes;
+        engine.duration_tail = state.duration_tail.clone();
+        engine.requests_tail = state.requests_tail.clone();
+        engine.bytes_tail = state.bytes_tail.clone();
         engine.records = state.records;
         engine.bytes = state.bytes;
         engine.observatory = DriftObservatory::restore(
@@ -673,12 +671,10 @@ impl StreamAnalyzer {
             engine.cfg.request_window.window_len,
             &state.observatory,
         );
-        let (n, mean, m2) = state.window_bytes;
-        engine.window_bytes = Welford::from_raw_parts(n, mean, m2);
+        engine.window_bytes = state.window_bytes;
         engine.last_emitted = state.last_emitted;
         engine.last_evict_time = state.last_evict_time;
-        let (n, mean, m2) = state.window_interarrival;
-        engine.window_interarrival = Welford::from_raw_parts(n, mean, m2);
+        engine.window_interarrival = state.window_interarrival;
         engine.last_arrival = state.last_arrival;
         engine.diagnostics_windows = state.diagnostics_windows.clone();
         engine.shed_synced = engine.sessionizer.shed_sessions();
@@ -984,7 +980,9 @@ impl StreamAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webpuzzle_weblog::{sessionize, Method, WeblogError};
+    use crate::checkpoint::{Checkpoint, SourcePosition};
+    use proptest::prelude::*;
+    use webpuzzle_weblog::{sessionize, MalformedBreakdown, Method, WeblogError};
 
     fn record(t: f64, client: u32, bytes: u64) -> LogRecord {
         LogRecord::new(t, client, Method::Get, client, 200, bytes)
@@ -1089,9 +1087,8 @@ mod tests {
         assert_eq!(again, fin);
     }
 
-    #[test]
-    fn state_round_trip_reproduces_the_summary_bit_for_bit() {
-        let records: Vec<LogRecord> = (0..4_000)
+    fn round_trip_records() -> Vec<LogRecord> {
+        (0..4_000)
             .map(|i| {
                 record(
                     i as f64 * 0.8,
@@ -1099,28 +1096,54 @@ mod tests {
                     50 + (i * 31) as u64 % 12_000,
                 )
             })
-            .collect();
-        let split = 1_777;
+            .collect()
+    }
 
-        let mut whole = StreamAnalyzer::new(small_config()).unwrap();
-        for r in &records {
-            whole.push(r).unwrap();
-        }
-        let expected = whole.finish().unwrap();
+    /// The uninterrupted run's summary over [`round_trip_records`],
+    /// computed once for every split the proptest tries.
+    fn uninterrupted_summary() -> &'static StreamSummary {
+        static WHOLE: std::sync::OnceLock<StreamSummary> = std::sync::OnceLock::new();
+        WHOLE.get_or_init(|| {
+            let mut whole = StreamAnalyzer::new(small_config()).unwrap();
+            for r in &round_trip_records() {
+                whole.push(r).unwrap();
+            }
+            whole.finish().unwrap()
+        })
+    }
 
-        let mut first = StreamAnalyzer::new(small_config()).unwrap();
-        for r in &records[..split] {
-            first.push(r).unwrap();
-        }
-        let state = first.export_state();
-        let mut second = StreamAnalyzer::restore(small_config(), &state).unwrap();
-        assert_eq!(second.export_state(), state);
-        for r in &records[split..] {
-            second.push(r).unwrap();
-        }
-        let resumed = second.finish().unwrap();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        assert_eq!(resumed, expected);
+        /// Stopping after any record, passing the state through the
+        /// checkpoint's bytes and resuming reproduces the uninterrupted
+        /// run's summary exactly.
+        #[test]
+        fn state_round_trip_reproduces_the_summary_bit_for_bit(split in 0usize..4_001) {
+            let records = round_trip_records();
+            let mut first = StreamAnalyzer::new(small_config()).unwrap();
+            for r in &records[..split] {
+                first.push(r).unwrap();
+            }
+            let ck = Checkpoint {
+                config: small_config(),
+                engine: first.export_state(),
+                source: SourcePosition::default(),
+                events_seq: 0,
+                poison: MalformedBreakdown::default(),
+                recoveries: 0,
+                transient_retries: 0,
+                checkpoints_written: 1,
+                governor_state: 0,
+            };
+            let state = Checkpoint::decode(&ck.encode()).unwrap().engine;
+            let mut second = StreamAnalyzer::restore(small_config(), &state).unwrap();
+            prop_assert_eq!(&second.export_state(), &state);
+            for r in &records[split..] {
+                second.push(r).unwrap();
+            }
+            prop_assert_eq!(&second.finish().unwrap(), uninterrupted_summary());
+        }
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! All detectors standardize against a **self-starting running
 //! baseline**: after [`ObservatoryConfig::warmup_windows`] values, each
 //! point is z-scored against the running Welford mean/σ of everything
-//! seen before it, then joins the baseline (the private `Baseline`
-//! type's docs say why freezing the warmup statistics instead would
-//! integrate their estimation error into false alarms). On alarm a
+//! seen before it, then joins the baseline ([`BaselineState`]'s docs
+//! say why freezing the warmup statistics instead would integrate their
+//! estimation error into false alarms). On alarm a
 //! detector **re-baselines** (warmup restarts) — this is the reset/hysteresis
 //! rule: one regime change produces one alarm, not an alarm every
 //! window until the end of the stream.
@@ -42,8 +42,6 @@
 //! Severity is two-level: a score at or above the threshold is
 //! [`Severity::Warn`]; at or above **twice** the threshold it escalates
 //! to [`Severity::Critical`].
-
-use std::collections::VecDeque;
 
 use crate::online::Welford;
 use serde::{Deserialize, Serialize};
@@ -132,7 +130,7 @@ pub struct ChannelAlarms {
 
 /// Aggregated drift results, embedded in the engine's
 /// [`crate::engine::StreamSummary`] and the run report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DriftSummary {
     /// Windows observed.
     pub windows: u64,
@@ -149,38 +147,69 @@ pub struct DriftSummary {
     pub by_channel: Vec<ChannelAlarms>,
 }
 
-impl DriftSummary {
-    fn empty() -> Self {
-        DriftSummary {
-            windows: 0,
-            alarms: 0,
-            warn: 0,
-            critical: 0,
-            first_alarm_window: None,
-            by_channel: Vec::new(),
-        }
-    }
-}
-
-/// Checkpointed state of one running baseline (the private
-/// `Baseline`): the running Welford accumulator plus the armed mean/σ
-/// snapshot.
+/// Self-starting baseline: collect `warmup` values, then emit z-scores
+/// against the *running* mean/σ of everything seen so far — each point
+/// is standardized by the statistics that exclude it. A frozen warmup
+/// baseline would carry its estimation error forever (a 12-sample mean
+/// is off by ~0.3 σ), and CUSUM integrates exactly that kind of bias
+/// into slow false alarms; the running form is asymptotically unbiased
+/// while still adapting too slowly (1/n per window) to absorb a real
+/// shift before the detectors see it. A reset restarts the warmup (the
+/// re-baseline half of the hysteresis rule).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineState {
-    /// Welford sample count.
-    pub n: u64,
-    /// Welford running mean.
-    pub mean: f64,
-    /// Welford running sum of squared deviations.
-    pub m2: f64,
+    /// Running accumulator of every value since the last reset.
+    pub acc: Welford,
     /// Last armed baseline mean.
     pub mu: f64,
     /// Last armed baseline σ.
     pub sigma: f64,
 }
 
-/// Checkpointed state of one CUSUM detector (the private `Cusum`).
-#[derive(Debug, Clone, PartialEq)]
+impl Default for BaselineState {
+    fn default() -> Self {
+        BaselineState {
+            acc: Welford::new(),
+            mu: 0.0,
+            sigma: 1.0,
+        }
+    }
+}
+
+impl BaselineState {
+    /// Feed one value; `Some(z)` once the baseline is armed.
+    fn standardize(&mut self, x: f64, t: &Tuning) -> Option<f64> {
+        let armed = self.acc.count() >= t.warmup;
+        if armed {
+            let snap = self.acc.snapshot();
+            self.mu = snap.mean;
+            self.sigma = snap.variance.sqrt().max(t.min_std);
+        }
+        self.acc.push(x);
+        if armed {
+            Some((x - self.mu) / self.sigma)
+        } else {
+            None
+        }
+    }
+
+    /// An alarm for `x` once its detector's `score` reaches
+    /// `threshold`; the alarm restarts the warmup.
+    fn alarm_if_reached(&mut self, x: f64, score: f64, threshold: f64) -> Option<Alarm> {
+        (score >= threshold).then(|| {
+            self.acc = Welford::new();
+            Alarm {
+                before: self.mu,
+                after: x,
+                score,
+                threshold,
+            }
+        })
+    }
+}
+
+/// Two-sided standardized CUSUM with re-baseline on alarm.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CusumState {
     /// Baseline state.
     pub baseline: BaselineState,
@@ -190,9 +219,21 @@ pub struct CusumState {
     pub s_neg: f64,
 }
 
-/// Checkpointed state of one Page–Hinkley detector (the private
-/// `PageHinkley`).
-#[derive(Debug, Clone, PartialEq)]
+impl CusumState {
+    fn step(&mut self, x: f64, t: &Tuning) -> Option<Alarm> {
+        let z = self.baseline.standardize(x, t)?;
+        self.s_pos = (self.s_pos + z - t.cusum_k).max(0.0);
+        self.s_neg = (self.s_neg - z - t.cusum_k).max(0.0);
+        let score = self.s_pos.max(self.s_neg);
+        let alarm = self.baseline.alarm_if_reached(x, score, t.cusum_h)?;
+        self.s_pos = 0.0;
+        self.s_neg = 0.0;
+        Some(alarm)
+    }
+}
+
+/// Two-sided standardized Page–Hinkley with re-baseline on alarm.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PageHinkleyState {
     /// Baseline state.
     pub baseline: BaselineState,
@@ -206,9 +247,26 @@ pub struct PageHinkleyState {
     pub max_dn: f64,
 }
 
-/// Checkpointed state of one EWMA-bands detector (the private
-/// `EwmaBands`).
-#[derive(Debug, Clone, PartialEq)]
+impl PageHinkleyState {
+    fn step(&mut self, x: f64, t: &Tuning) -> Option<Alarm> {
+        let z = self.baseline.standardize(x, t)?;
+        self.m_up += z - t.ph_delta;
+        self.min_up = self.min_up.min(self.m_up);
+        self.m_dn += z + t.ph_delta;
+        self.max_dn = self.max_dn.max(self.m_dn);
+        let score = (self.m_up - self.min_up).max(self.max_dn - self.m_dn);
+        let alarm = self.baseline.alarm_if_reached(x, score, t.ph_lambda)?;
+        self.m_up = 0.0;
+        self.min_up = 0.0;
+        self.m_dn = 0.0;
+        self.max_dn = 0.0;
+        Some(alarm)
+    }
+}
+
+/// EWMA of the standardized value against `± L·√(λ/(2−λ))` control
+/// bands, re-baselining on alarm.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EwmaState {
     /// Baseline state.
     pub baseline: BaselineState,
@@ -216,12 +274,23 @@ pub struct EwmaState {
     pub ewma: f64,
 }
 
+impl EwmaState {
+    fn step(&mut self, x: f64, t: &Tuning) -> Option<Alarm> {
+        let z = self.baseline.standardize(x, t)?;
+        self.ewma = t.ewma_lambda * z + (1.0 - t.ewma_lambda) * self.ewma;
+        let score = self.ewma.abs();
+        let alarm = self.baseline.alarm_if_reached(x, score, t.ewma_limit)?;
+        self.ewma = 0.0;
+        Some(alarm)
+    }
+}
+
 /// Complete mutable state of a [`DriftObservatory`], for checkpointing.
 /// Tuning constants (thresholds, λ, the seasonal period) are *not*
-/// stored: restore rebuilds them from an [`ObservatoryConfig`], so the
+/// stored: restore derives them from an [`ObservatoryConfig`], so the
 /// checkpoint stays valid across tuning-default changes while the
 /// detector positions carry over exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObservatoryState {
     /// Buffered lag values of the seasonal differencer, oldest first.
     pub seasonal_history: Vec<f64>,
@@ -241,6 +310,22 @@ pub struct ObservatoryState {
     pub summary: DriftSummary,
 }
 
+impl ObservatoryState {
+    /// Seasonal differencing: `x_t − x_{t−p}` once `p` values are
+    /// buffered; pass-through when the period is `< 2`.
+    fn deseason(&mut self, x: f64, period: usize) -> Option<f64> {
+        if period < 2 {
+            return Some(x);
+        }
+        self.seasonal_history.push(x);
+        if self.seasonal_history.len() > period {
+            Some(x - self.seasonal_history.remove(0))
+        } else {
+            None
+        }
+    }
+}
+
 /// One detector decision, before it becomes an [`Event`].
 struct Alarm {
     before: f64,
@@ -249,275 +334,50 @@ struct Alarm {
     threshold: f64,
 }
 
-/// Self-starting baseline: collect `warmup` values, then emit z-scores
-/// against the *running* mean/σ of everything seen so far — each point
-/// is standardized by the statistics that exclude it. A frozen warmup
-/// baseline would carry its estimation error forever (a 12-sample mean
-/// is off by ~0.3 σ), and CUSUM integrates exactly that kind of bias
-/// into slow false alarms; the running form is asymptotically unbiased
-/// while still adapting too slowly (1/n per window) to absorb a real
-/// shift before the detectors see it. [`Baseline::reset`] restarts the
-/// warmup (the re-baseline half of the hysteresis rule).
-#[derive(Debug)]
-struct Baseline {
+/// The detectors' constants, derived once from an [`ObservatoryConfig`]
+/// and a window length.
+#[derive(Debug, Clone, Copy)]
+struct Tuning {
+    /// Values a baseline collects before it arms (at least 2).
     warmup: u64,
+    /// Floor on the baseline σ (at least the smallest positive f64).
     min_std: f64,
-    acc: Welford,
-    mu: f64,
-    sigma: f64,
+    cusum_k: f64,
+    cusum_h: f64,
+    ph_delta: f64,
+    ph_lambda: f64,
+    /// EWMA smoothing factor, clamped into `[1e-6, 1]`.
+    ewma_lambda: f64,
+    /// EWMA control limit `L·√(λ/(2−λ))`.
+    ewma_limit: f64,
+    /// Seasonal-differencing period in windows (0 = disabled).
+    seasonal_period: usize,
 }
 
-impl Baseline {
-    fn new(warmup: u64, min_std: f64) -> Self {
-        Baseline {
-            warmup: warmup.max(2),
-            min_std: min_std.max(f64::MIN_POSITIVE),
-            acc: Welford::new(),
-            mu: 0.0,
-            sigma: 1.0,
-        }
-    }
-
-    /// Feed one value; `Some(z)` once the baseline is armed.
-    fn standardize(&mut self, x: f64) -> Option<f64> {
-        let armed = self.acc.count() >= self.warmup;
-        if armed {
-            let snap = self.acc.snapshot();
-            self.mu = snap.mean;
-            self.sigma = snap.variance.sqrt().max(self.min_std);
-        }
-        self.acc.push(x);
-        if armed {
-            Some((x - self.mu) / self.sigma)
-        } else {
-            None
-        }
-    }
-
-    fn reset(&mut self) {
-        self.acc = Welford::new();
-    }
-
-    fn export_state(&self) -> BaselineState {
-        let (n, mean, m2) = self.acc.raw_parts();
-        BaselineState {
-            n,
-            mean,
-            m2,
-            mu: self.mu,
-            sigma: self.sigma,
-        }
-    }
-
-    fn restore_state(&mut self, state: &BaselineState) {
-        self.acc = Welford::from_raw_parts(state.n, state.mean, state.m2);
-        self.mu = state.mu;
-        self.sigma = state.sigma;
-    }
-}
-
-/// Two-sided standardized CUSUM with re-baseline on alarm.
-#[derive(Debug)]
-struct Cusum {
-    baseline: Baseline,
-    k: f64,
-    h: f64,
-    s_pos: f64,
-    s_neg: f64,
-}
-
-impl Cusum {
-    fn new(cfg: &ObservatoryConfig) -> Self {
-        Cusum {
-            baseline: Baseline::new(cfg.warmup_windows, cfg.min_baseline_std),
-            k: cfg.cusum_k,
-            h: cfg.cusum_h,
-            s_pos: 0.0,
-            s_neg: 0.0,
-        }
-    }
-
-    fn step(&mut self, x: f64) -> Option<Alarm> {
-        let z = self.baseline.standardize(x)?;
-        self.s_pos = (self.s_pos + z - self.k).max(0.0);
-        self.s_neg = (self.s_neg - z - self.k).max(0.0);
-        let score = self.s_pos.max(self.s_neg);
-        if score >= self.h {
-            let alarm = Alarm {
-                before: self.baseline.mu,
-                after: x,
-                score,
-                threshold: self.h,
-            };
-            self.s_pos = 0.0;
-            self.s_neg = 0.0;
-            self.baseline.reset();
-            return Some(alarm);
-        }
-        None
-    }
-
-    fn export_state(&self) -> CusumState {
-        CusumState {
-            baseline: self.baseline.export_state(),
-            s_pos: self.s_pos,
-            s_neg: self.s_neg,
-        }
-    }
-
-    fn restore_state(&mut self, state: &CusumState) {
-        self.baseline.restore_state(&state.baseline);
-        self.s_pos = state.s_pos;
-        self.s_neg = state.s_neg;
-    }
-}
-
-/// Two-sided standardized Page–Hinkley with re-baseline on alarm.
-#[derive(Debug)]
-struct PageHinkley {
-    baseline: Baseline,
-    delta: f64,
-    lambda: f64,
-    m_up: f64,
-    min_up: f64,
-    m_dn: f64,
-    max_dn: f64,
-}
-
-impl PageHinkley {
-    fn new(cfg: &ObservatoryConfig) -> Self {
-        PageHinkley {
-            baseline: Baseline::new(cfg.warmup_windows, cfg.min_baseline_std),
-            delta: cfg.ph_delta,
-            lambda: cfg.ph_lambda,
-            m_up: 0.0,
-            min_up: 0.0,
-            m_dn: 0.0,
-            max_dn: 0.0,
-        }
-    }
-
-    fn step(&mut self, x: f64) -> Option<Alarm> {
-        let z = self.baseline.standardize(x)?;
-        self.m_up += z - self.delta;
-        self.min_up = self.min_up.min(self.m_up);
-        self.m_dn += z + self.delta;
-        self.max_dn = self.max_dn.max(self.m_dn);
-        let score = (self.m_up - self.min_up).max(self.max_dn - self.m_dn);
-        if score >= self.lambda {
-            let alarm = Alarm {
-                before: self.baseline.mu,
-                after: x,
-                score,
-                threshold: self.lambda,
-            };
-            self.m_up = 0.0;
-            self.min_up = 0.0;
-            self.m_dn = 0.0;
-            self.max_dn = 0.0;
-            self.baseline.reset();
-            return Some(alarm);
-        }
-        None
-    }
-
-    fn export_state(&self) -> PageHinkleyState {
-        PageHinkleyState {
-            baseline: self.baseline.export_state(),
-            m_up: self.m_up,
-            min_up: self.min_up,
-            m_dn: self.m_dn,
-            max_dn: self.max_dn,
-        }
-    }
-
-    fn restore_state(&mut self, state: &PageHinkleyState) {
-        self.baseline.restore_state(&state.baseline);
-        self.m_up = state.m_up;
-        self.min_up = state.min_up;
-        self.m_dn = state.m_dn;
-        self.max_dn = state.max_dn;
-    }
-}
-
-/// EWMA of the standardized value against `± L·√(λ/(2−λ))` control
-/// bands, re-baselining on alarm.
-#[derive(Debug)]
-struct EwmaBands {
-    baseline: Baseline,
-    lambda: f64,
-    limit: f64,
-    ewma: f64,
-}
-
-impl EwmaBands {
-    fn new(cfg: &ObservatoryConfig) -> Self {
-        let lambda = cfg.ewma_lambda.clamp(1e-6, 1.0);
-        EwmaBands {
-            baseline: Baseline::new(cfg.warmup_windows, cfg.min_baseline_std),
-            lambda,
-            limit: cfg.ewma_l * (lambda / (2.0 - lambda)).sqrt(),
-            ewma: 0.0,
-        }
-    }
-
-    fn step(&mut self, x: f64) -> Option<Alarm> {
-        let z = self.baseline.standardize(x)?;
-        self.ewma = self.lambda * z + (1.0 - self.lambda) * self.ewma;
-        let score = self.ewma.abs();
-        if score >= self.limit {
-            let alarm = Alarm {
-                before: self.baseline.mu,
-                after: x,
-                score,
-                threshold: self.limit,
-            };
-            self.ewma = 0.0;
-            self.baseline.reset();
-            return Some(alarm);
-        }
-        None
-    }
-
-    fn export_state(&self) -> EwmaState {
-        EwmaState {
-            baseline: self.baseline.export_state(),
-            ewma: self.ewma,
-        }
-    }
-
-    fn restore_state(&mut self, state: &EwmaState) {
-        self.baseline.restore_state(&state.baseline);
-        self.ewma = state.ewma;
-    }
-}
-
-/// Seasonal differencer: `x_t − x_{t−p}` once `p` values are buffered;
-/// pass-through when the period is `< 2`.
-#[derive(Debug)]
-struct SeasonalDiff {
-    period: usize,
-    history: VecDeque<f64>,
-}
-
-impl SeasonalDiff {
-    fn new(period: usize) -> Self {
-        SeasonalDiff {
-            period,
-            history: VecDeque::with_capacity(period),
-        }
-    }
-
-    fn diff(&mut self, x: f64) -> Option<f64> {
-        if self.period < 2 {
-            return Some(x);
-        }
-        self.history.push_back(x);
-        if self.history.len() > self.period {
-            let lagged = self.history.pop_front().expect("non-empty after push");
-            Some(x - lagged)
-        } else {
-            None
+impl Tuning {
+    fn new(cfg: &ObservatoryConfig, window_len: f64) -> Self {
+        let ewma_lambda = cfg.ewma_lambda.clamp(1e-6, 1.0);
+        let seasonal_period = match cfg.seasonal_period {
+            Some(p) => p as usize,
+            None => {
+                let auto = (86_400.0 / window_len.max(1.0)).round() as usize;
+                if auto >= 2 {
+                    auto
+                } else {
+                    0
+                }
+            }
+        };
+        Tuning {
+            warmup: cfg.warmup_windows.max(2),
+            min_std: cfg.min_baseline_std.max(f64::MIN_POSITIVE),
+            cusum_k: cfg.cusum_k,
+            cusum_h: cfg.cusum_h,
+            ph_delta: cfg.ph_delta,
+            ph_lambda: cfg.ph_lambda,
+            ewma_lambda,
+            ewma_limit: cfg.ewma_l * (ewma_lambda / (2.0 - ewma_lambda)).sqrt(),
+            seasonal_period,
         }
     }
 }
@@ -537,14 +397,8 @@ impl SeasonalDiff {
 /// publishes them, unit tests inspect them directly).
 #[derive(Debug)]
 pub struct DriftObservatory {
-    seasonal: SeasonalDiff,
-    rate_cusum: Cusum,
-    rate_ph: PageHinkley,
-    bytes_cusum: Cusum,
-    bytes_ph: PageHinkley,
-    alpha_ewma: EwmaBands,
-    hvt_ewma: EwmaBands,
-    summary: DriftSummary,
+    tuning: Tuning,
+    state: ObservatoryState,
 }
 
 impl DriftObservatory {
@@ -553,38 +407,22 @@ impl DriftObservatory {
     /// paper's 24 h lag — 6 for the default 4 h windows. An explicit
     /// [`ObservatoryConfig::seasonal_period`] overrides it.
     pub fn new(cfg: &ObservatoryConfig, window_len: f64) -> Self {
-        let period = match cfg.seasonal_period {
-            Some(p) => p as usize,
-            None => {
-                let auto = (86_400.0 / window_len.max(1.0)).round() as usize;
-                if auto >= 2 {
-                    auto
-                } else {
-                    0
-                }
-            }
-        };
         DriftObservatory {
-            seasonal: SeasonalDiff::new(period),
-            rate_cusum: Cusum::new(cfg),
-            rate_ph: PageHinkley::new(cfg),
-            bytes_cusum: Cusum::new(cfg),
-            bytes_ph: PageHinkley::new(cfg),
-            alpha_ewma: EwmaBands::new(cfg),
-            hvt_ewma: EwmaBands::new(cfg),
-            summary: DriftSummary::empty(),
+            tuning: Tuning::new(cfg, window_len),
+            state: ObservatoryState::default(),
         }
     }
 
     /// The seasonal-differencing period in effect (0 = disabled).
     pub fn seasonal_period(&self) -> usize {
-        self.seasonal.period
+        self.tuning.seasonal_period
     }
 
     /// Feed one closed window; returns the alarms it raised as
     /// ready-to-publish events (empty almost always).
     pub fn observe(&mut self, obs: &WindowObservation) -> Vec<Event> {
-        self.summary.windows += 1;
+        let (t, state) = (&self.tuning, &mut self.state);
+        state.summary.windows += 1;
         let mut events = Vec::new();
 
         // The rate is watched on a log scale: LRD arrival counts have
@@ -593,11 +431,12 @@ impl DriftObservatory {
         // additive excursions while a sustained rate change stays a
         // sustained level shift. Alarm before/after stay in the
         // detector's working domain (log, then seasonally differenced).
-        if let Some(deseasoned) = self.seasonal.diff(obs.rate.max(0.0).ln_1p()) {
-            if let Some(a) = self.rate_cusum.step(deseasoned) {
+        let rate = obs.rate.max(0.0).ln_1p();
+        if let Some(deseasoned) = state.deseason(rate, t.seasonal_period) {
+            if let Some(a) = state.rate_cusum.step(deseasoned, t) {
                 events.push(make_event("cusum", "request_rate", obs, &a));
             }
-            if let Some(a) = self.rate_ph.step(deseasoned) {
+            if let Some(a) = state.rate_ph.step(deseasoned, t) {
                 events.push(make_event("page_hinkley", "request_rate", obs, &a));
             }
         }
@@ -614,10 +453,10 @@ impl DriftObservatory {
                 a.after = a.after.exp_m1();
                 a
             };
-            if let Some(a) = self.bytes_cusum.step(x) {
+            if let Some(a) = state.bytes_cusum.step(x, t) {
                 events.push(make_event("cusum", "response_bytes_mean", obs, &delog(a)));
             }
-            if let Some(a) = self.bytes_ph.step(x) {
+            if let Some(a) = state.bytes_ph.step(x, t) {
                 events.push(make_event(
                     "page_hinkley",
                     "response_bytes_mean",
@@ -627,33 +466,33 @@ impl DriftObservatory {
             }
         }
         if let Some(alpha) = obs.hill_alpha {
-            if let Some(a) = self.alpha_ewma.step(alpha) {
+            if let Some(a) = state.alpha_ewma.step(alpha, t) {
                 events.push(make_event("ewma", "hill_alpha/session_bytes", obs, &a));
             }
         }
         if let Some(h) = obs.h_variance_time {
-            if let Some(a) = self.hvt_ewma.step(h) {
+            if let Some(a) = state.hvt_ewma.step(h, t) {
                 events.push(make_event("ewma", "h_variance_time", obs, &a));
             }
         }
 
+        let summary = &mut state.summary;
         for event in &events {
-            self.summary.alarms += 1;
+            summary.alarms += 1;
             match event.severity {
-                Severity::Critical => self.summary.critical += 1,
-                _ => self.summary.warn += 1,
+                Severity::Critical => summary.critical += 1,
+                _ => summary.warn += 1,
             }
-            if self.summary.first_alarm_window.is_none() {
-                self.summary.first_alarm_window = Some(obs.index);
+            if summary.first_alarm_window.is_none() {
+                summary.first_alarm_window = Some(obs.index);
             }
-            match self
-                .summary
+            match summary
                 .by_channel
                 .iter_mut()
                 .find(|c| c.detector == event.detector && c.metric == event.metric)
             {
                 Some(c) => c.alarms += 1,
-                None => self.summary.by_channel.push(ChannelAlarms {
+                None => summary.by_channel.push(ChannelAlarms {
                     detector: event.detector.clone(),
                     metric: event.metric.clone(),
                     alarms: 1,
@@ -665,38 +504,22 @@ impl DriftObservatory {
 
     /// Aggregated results so far.
     pub fn summary(&self) -> DriftSummary {
-        self.summary.clone()
+        self.state.summary.clone()
     }
 
     /// Export the observatory's mutable state for checkpointing.
     pub fn export_state(&self) -> ObservatoryState {
-        ObservatoryState {
-            seasonal_history: self.seasonal.history.iter().copied().collect(),
-            rate_cusum: self.rate_cusum.export_state(),
-            rate_ph: self.rate_ph.export_state(),
-            bytes_cusum: self.bytes_cusum.export_state(),
-            bytes_ph: self.bytes_ph.export_state(),
-            alpha_ewma: self.alpha_ewma.export_state(),
-            hvt_ewma: self.hvt_ewma.export_state(),
-            summary: self.summary.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuild an observatory from a configuration plus exported state:
     /// tuning comes from `cfg` / `window_len` exactly as in
-    /// [`DriftObservatory::new`], then every detector position is
-    /// overwritten from `state`.
+    /// [`DriftObservatory::new`], the detector positions from `state`.
     pub fn restore(cfg: &ObservatoryConfig, window_len: f64, state: &ObservatoryState) -> Self {
-        let mut watch = DriftObservatory::new(cfg, window_len);
-        watch.seasonal.history = state.seasonal_history.iter().copied().collect();
-        watch.rate_cusum.restore_state(&state.rate_cusum);
-        watch.rate_ph.restore_state(&state.rate_ph);
-        watch.bytes_cusum.restore_state(&state.bytes_cusum);
-        watch.bytes_ph.restore_state(&state.bytes_ph);
-        watch.alpha_ewma.restore_state(&state.alpha_ewma);
-        watch.hvt_ewma.restore_state(&state.hvt_ewma);
-        watch.summary = state.summary.clone();
-        watch
+        DriftObservatory {
+            state: state.clone(),
+            ..DriftObservatory::new(cfg, window_len)
+        }
     }
 }
 
@@ -758,17 +581,22 @@ mod tests {
         }
     }
 
+    fn tuning_no_seasonal() -> Tuning {
+        Tuning::new(&cfg_no_seasonal(), 14_400.0)
+    }
+
     #[test]
     fn cusum_fires_on_a_level_step_within_three_windows() {
-        let mut c = Cusum::new(&cfg_no_seasonal());
+        let t = tuning_no_seasonal();
+        let mut c = CusumState::default();
         // Warmup-and-quiet windows around 100 ± small noise.
         for i in 0..14 {
-            assert!(c.step(100.0 + noise(i)).is_none(), "false alarm at {i}");
+            assert!(c.step(100.0 + noise(i), &t).is_none(), "false alarm at {i}");
         }
         // A 5σ-scale step must trip within 3 windows.
         let mut fired_at = None;
         for i in 0..3 {
-            if let Some(alarm) = c.step(103.0 + noise(100 + i)) {
+            if let Some(alarm) = c.step(103.0 + noise(100 + i), &t) {
                 assert!(alarm.score >= alarm.threshold);
                 assert!((alarm.before - 100.0).abs() < 1.0);
                 fired_at = Some(i);
@@ -780,36 +608,38 @@ mod tests {
 
     #[test]
     fn page_hinkley_fires_on_a_level_step() {
-        let mut p = PageHinkley::new(&cfg_no_seasonal());
+        let t = tuning_no_seasonal();
+        let mut p = PageHinkleyState::default();
         for i in 0..14 {
-            assert!(p.step(50.0 + noise(i)).is_none(), "false alarm at {i}");
+            assert!(p.step(50.0 + noise(i), &t).is_none(), "false alarm at {i}");
         }
-        let fired = (0..5).any(|i| p.step(52.0 + noise(200 + i)).is_some());
+        let fired = (0..5).any(|i| p.step(52.0 + noise(200 + i), &t).is_some());
         assert!(fired, "Page-Hinkley missed a step within 5 windows");
     }
 
     #[test]
     fn ewma_fires_on_a_small_persistent_shift() {
-        let mut e = EwmaBands::new(&cfg_no_seasonal());
+        let t = tuning_no_seasonal();
+        let mut e = EwmaState::default();
         for i in 0..14 {
-            assert!(e.step(1.3 + noise(i) * 0.01).is_none());
+            assert!(e.step(1.3 + noise(i) * 0.01, &t).is_none());
         }
-        let fired = (0..6).any(|i| e.step(1.32 + noise(300 + i) * 0.01).is_some());
+        let fired = (0..6).any(|i| e.step(1.32 + noise(300 + i) * 0.01, &t).is_some());
         assert!(fired, "EWMA bands missed a persistent small shift");
     }
 
     #[test]
     fn detectors_stay_silent_on_stationary_noise() {
-        let cfg = cfg_no_seasonal();
-        let mut c = Cusum::new(&cfg);
-        let mut p = PageHinkley::new(&cfg);
-        let mut e = EwmaBands::new(&cfg);
+        let t = tuning_no_seasonal();
+        let mut c = CusumState::default();
+        let mut p = PageHinkleyState::default();
+        let mut e = EwmaState::default();
         for i in 0..200 {
             let x = 10.0 + noise(i);
-            assert!(c.step(x).is_none(), "CUSUM false alarm at {i}");
-            assert!(p.step(x).is_none(), "PH false alarm at {i}");
+            assert!(c.step(x, &t).is_none(), "CUSUM false alarm at {i}");
+            assert!(p.step(x, &t).is_none(), "PH false alarm at {i}");
             let y = 0.8 + noise(1_000 + i) * 0.02;
-            assert!(e.step(y).is_none(), "EWMA false alarm at {i}");
+            assert!(e.step(y, &t).is_none(), "EWMA false alarm at {i}");
         }
     }
 

@@ -46,9 +46,9 @@ pub struct Moments {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
+    pub(crate) n: u64,
+    pub(crate) mean: f64,
+    pub(crate) m2: f64,
 }
 
 impl Welford {
@@ -122,18 +122,6 @@ impl Welford {
             variance: self.sample_variance(),
         }
     }
-
-    /// The raw accumulator state `(n, mean, m2)` for checkpointing.
-    /// Unlike [`Welford::snapshot`], this is lossless: rebuilding via
-    /// [`Welford::from_raw_parts`] is bit-identical.
-    pub fn raw_parts(&self) -> (u64, f64, f64) {
-        (self.n, self.mean, self.m2)
-    }
-
-    /// Rebuild an accumulator from [`Welford::raw_parts`] output.
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
-        Welford { n, mean, m2 }
-    }
 }
 
 /// Total-ordered f64 wrapper for the top-k heap (finite values only).
@@ -183,9 +171,17 @@ impl Ord for Finite {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TopK {
-    k: usize,
+    pub(crate) k: usize,
     heap: BinaryHeap<Reverse<Finite>>,
-    seen: u64,
+    pub(crate) seen: u64,
+}
+
+/// Two tails are equal when they track the same `k`, have seen as many
+/// values and retain the same ones; the heap's layout does not count.
+impl PartialEq for TopK {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k && self.seen == other.seen && self.descending() == other.descending()
+    }
 }
 
 impl TopK {
@@ -277,22 +273,30 @@ impl TopK {
         ((self.seen as f64) * tail_fraction) as usize
     }
 
-    /// Checkpoint state: `(k, seen, retained values descending)`. The
-    /// heap's internal layout is irrelevant — every consumer sorts — so
-    /// the canonical descending order keeps the snapshot deterministic.
-    pub fn export_state(&self) -> (usize, u64, Vec<f64>) {
-        (self.k, self.seen, self.descending())
-    }
-
-    /// Rebuild from [`TopK::export_state`] output by re-offering the
-    /// retained values into a fresh heap.
-    pub fn from_state(k: usize, seen: u64, retained: &[f64]) -> Self {
-        let mut top = TopK::new(k);
-        for &x in retained {
-            top.heap.push(Reverse(Finite(x)));
+    /// Rebuild a tail from its checkpointed parts: `k`, `seen` and the
+    /// retained values, descending (every consumer sorts, so the heap's
+    /// layout is not part of the state). A checksum-valid file is still
+    /// outside input: a tail that no run of [`TopK::new`] and
+    /// [`TopK::push`] produces is refused, naming what is wrong.
+    pub(crate) fn from_descending(
+        k: usize,
+        seen: u64,
+        values: Vec<f64>,
+    ) -> Result<Self, &'static str> {
+        if k < 2 {
+            return Err("top-k tail with k below 2");
         }
-        top.seen = seen;
-        top
+        if values.len() > k || values.len() as u64 > seen {
+            return Err("top-k tail holds more values than k or than it has seen");
+        }
+        if !values.iter().all(|&x| x.is_finite() && x > 0.0) {
+            return Err("top-k tail value not finite and positive");
+        }
+        if values.windows(2).any(|pair| pair[0] < pair[1]) {
+            return Err("top-k tail not descending");
+        }
+        let heap = values.into_iter().map(|x| Reverse(Finite(x))).collect();
+        Ok(TopK { k, heap, seen })
     }
 }
 
@@ -429,22 +433,12 @@ mod tests {
 
     #[test]
     fn state_round_trips_are_lossless() {
-        let mut w = Welford::new();
-        for i in 0..777 {
-            w.push((i as f64).sin() * 1e6);
-        }
-        let (n, mean, m2) = w.raw_parts();
-        let back = Welford::from_raw_parts(n, mean, m2);
-        assert_eq!(back, w, "Welford restore must be bit-identical");
-
         let mut top = TopK::new(64);
         for i in 1..5_000u32 {
             top.push(1.0 + f64::from(i % 911) * 0.37);
         }
-        let (k, seen, retained) = top.export_state();
-        let mut back = TopK::from_state(k, seen, &retained);
-        assert_eq!(back.seen(), top.seen());
-        assert_eq!(back.descending(), top.descending());
+        let mut back = TopK::from_descending(top.k, top.seen, top.descending()).unwrap();
+        assert_eq!(back, top);
         assert_eq!(back.hill(), top.hill());
         // Restored heaps keep evicting correctly as the stream continues.
         back.push(1e9);
